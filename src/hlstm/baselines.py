@@ -219,9 +219,11 @@ def select_ar_order(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
     over the evaluation window (closed loop, scored at observed steps).
 
     Returns (model, best_p, rmse_by_p); orders that cannot be fitted are
-    recorded as inf. Ties are broken toward parsimony: the smallest order
-    within 2% relative of the minimum wins, since closed-loop errors of
-    over-parameterized orders differ only by estimation noise. Note this
+    recorded as inf. The sweep stops at the first order ``fit_ar`` rejects:
+    a higher order keeps a subset of its rows and needs more of them, so it
+    would be rejected too. Ties are broken toward parsimony: the smallest
+    order within 2% relative of the minimum wins, since closed-loop errors
+    of over-parameterized orders differ only by estimation noise. Note this
     protocol picks the order on the evaluation series itself, which is
     optimistic; reports carry a flag for it.
     """
@@ -236,8 +238,8 @@ def select_ar_order(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
         try:
             model = fit_ar(theta_fit, mask_fit, X_fit, p, label=label)
         except ValidationError:
-            rmse_by_p[p] = float("inf")
-            continue
+            rmse_by_p.update((q, float("inf")) for q in range(p, p_max + 1))
+            break
         pred = ar_forecast(model, X_eval, warmup, horizon=horizon)
         err = pred[mask_eval] - theta_eval[mask_eval]
         rmse_by_p[p] = float(np.sqrt(np.mean(err * err)))

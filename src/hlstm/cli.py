@@ -33,6 +33,7 @@ from .experiments import (
     SplitSpec,
     build_metrics_report,
     make_split,
+    require_point_split,
     run_hindcast_experiment,
     _ar_warmup,
     _fit_and_predict,
@@ -185,6 +186,7 @@ def cmd_train(args) -> int:
     manifest = RunManifest("train", sys.argv[1:], args.out)
     dataset = load_dataset(args.data)
     split = _load_split(args.split, dataset)
+    require_point_split([args.model], split)
     doc = _load_json(args.config, "training config") if args.config else {}
     config, features, baselines = _split_train_config(doc, args.seed)
     include_lsm = features.get("include_lsm", dataset.has_lsm)
@@ -347,6 +349,7 @@ def cmd_evaluate(args) -> int:
     comparison = []
     for path in args.model_file:
         kind, payload = load_model(path)
+        require_point_split([kind], split)
         predictions = _container_predictions(kind, payload, dataset, split)
         for phase, pixel_ids, window in (
                 ("train", split.train_pixels, split.train_window),

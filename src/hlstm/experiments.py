@@ -353,6 +353,16 @@ def _strip_private(diag):
     return {k: v for k, v in diag.items() if not k.startswith("per_pixel")}
 
 
+def require_point_split(model_kinds, split: Split):
+    """Reject point-by-point kinds on a split whose train and test pixels
+    differ: they fit and score each pixel on its own series."""
+    point_kinds = {"lasso_p", "ar_p", "nn_p"}
+    if point_kinds & set(model_kinds) and set(split.train_pixels) != set(split.test_pixels):
+        raise ValidationError(
+            "point-by-point models need the same pixels in train and test "
+            "(temporal split)")
+
+
 def run_experiment(dataset: GridDataset, split_spec: SplitSpec, model_kinds,
                    lstm_config: TrainingConfig | None = None,
                    include_lsm: bool | None = None,
@@ -375,11 +385,7 @@ def run_experiment(dataset: GridDataset, split_spec: SplitSpec, model_kinds,
     if include_lsm is None:
         include_lsm = dataset.has_lsm
 
-    point_kinds = {"lasso_p", "ar_p", "nn_p"}
-    if point_kinds & set(model_kinds) and set(split.train_pixels) != set(split.test_pixels):
-        raise ValidationError(
-            "point-by-point models need the same pixels in train and test "
-            "(temporal split)")
+    require_point_split(model_kinds, split)
 
     norm_ds, stats = normalize(dataset, split.train_pixels)
     data = prepare_sequences(norm_ds, include_lsm=include_lsm,

@@ -10,12 +10,27 @@ The cell follows the standard formulation with four gates:
     h' = tanh(s') * o                   hidden state
     y  = W_hy h' + b_y                  linear readout
 
+with sigma(z) = 0.5 + 0.5 * tanh(z / 2).
+
 All arithmetic is float64. Sequences may be a single (rho, input) matrix or a
 batch tensor (batch, rho, input); batch gradients are accumulated by the
 matrix products themselves, in fixed instance order, so results do not depend
 on evaluation order.
 
-This module also hosts the small numeric kernel (stable sigmoid, seeded RNG
+One time loop serves :func:`forward_sequence`, :func:`predict_sequence` and
+:func:`lstm_step`. Before it, one stacked matrix product projects the whole
+input block into a (rho, 4*hidden, batch) buffer of gate pre-activations in
+g, i, f, o order. Each step adds the recurrent product into its slice and
+turns the slice into activations in place, with a single tanh: the i, f, o
+weights are pre-halved, and 0.5 + 0.5 * t finishes their sigmoid. After the
+loop one stacked product forms the readout. Inside the loop every array is
+feature-major, (dim, batch), so each gate block of a step is contiguous;
+a single sequence runs as a batch of one. The forward cache keeps these
+buffers and shows g, i, f, o, s and h as time-major views. Prediction runs
+the loop over fixed blocks of time so its buffers stay small on long
+records.
+
+This module also hosts the small numeric kernel (sigmoid, seeded RNG
 construction) shared by the rest of the toolkit.
 """
 
@@ -29,8 +44,12 @@ from .errors import NumericError, ValidationError
 
 DROPOUT_VARIANTS = ("none", "non_recurrent", "recurrent_constant", "memory_cell")
 
-# Gate order used everywhere a fused (4*hidden, ...) buffer appears.
-GATE_ORDER = ("g", "i", "f", "o")
+# Time steps per block in predict_sequence: bounds its gate buffer to
+# PREDICT_BLOCK_DAYS x batch x 4*hidden floats, whatever the record length.
+# On 256 pixels x 1,460 days at hidden 64, blocks of 8 or 16 steps ran
+# fastest (about 1.0 s, against 1.1-1.2 s at 32-64 and 1.3 s at 256); 16
+# keeps that buffer at 8 MiB.
+PREDICT_BLOCK_DAYS = 16
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -41,14 +60,14 @@ def make_rng(seed) -> np.random.Generator:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
+    """Logistic function, elementwise, as 0.5 + 0.5 * tanh(z / 2).
+
+    The tanh form needs no branch on the sign of z, cannot overflow and
+    saturates to exactly 0 and 1. The LSTM gates use the same form, applied
+    in place to the fused gate buffer.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def _require_finite(arr, what: str):
@@ -197,9 +216,6 @@ class DropoutMasks:
         return self.x is None and self.h is None and self.g is None
 
 
-IDENTITY_MASKS = DropoutMasks()
-
-
 def _apply(value, mask):
     return value if mask is None else value * mask
 
@@ -247,7 +263,14 @@ def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
 
 
 class _Fused:
-    """Gate weights stacked into (4*hidden, .) buffers; one matmul per path per step."""
+    """Gate weights stacked into (4*hidden, .) buffers in g, i, f, o order.
+
+    ``Wx_half``, ``Wh_half`` and ``b_half`` are the forward pass's copies
+    with the i, f, o rows halved, so that one tanh over a step's gate slice
+    gives tanh(a_g) and tanh(a/2) for the sigmoid gates. Halving is exact in
+    binary floating point: the products equal halving the pre-activations
+    afterwards, bit for bit.
+    """
 
     def __init__(self, w: LstmWeights):
         self.Wx = np.concatenate([w.W_gx, w.W_ix, w.W_fx, w.W_ox], axis=0)
@@ -256,40 +279,112 @@ class _Fused:
         self.W_hy = w.W_hy
         self.b_y = w.b_y
         self.H = w.hidden_size
+        half = np.full((4 * self.H, 1), 0.5)
+        half[:self.H] = 1.0
+        self.Wx_half = self.Wx * half
+        self.Wh_half = self.Wh * half
+        self.b_half = self.b[:, None] * half
 
 
-def _fused_step(fw: _Fused, xd, hd, s_prev, mg):
-    """One cell update on pre-masked inputs; returns gate activations and new state."""
+def _to_fm(v) -> np.ndarray:
+    """A (..., dim) state or mask as a contiguous feature-major (dim, batch)
+    array; a single instance becomes (dim, 1)."""
+    return np.array(np.atleast_2d(v).T, dtype=float, order="C")
+
+
+def _from_fm(v: np.ndarray, batched: bool) -> np.ndarray:
+    """Inverse of :func:`_to_fm`, as a new array."""
+    return np.ascontiguousarray(v.T) if batched else v[:, 0].copy()
+
+
+def _loop_masks(masks: DropoutMasks | None, batched: bool):
+    """The masks as the time loop reads them: x (rho, batch, input) and
+    g (rho, batch, hidden) with an instance axis, h feature-major."""
+    if masks is None:
+        return None, None, None
+
+    def with_batch(m):
+        return m if m is None or batched else m[:, None]
+
+    return (with_batch(masks.x), None if masks.h is None else _to_fm(masks.h),
+            with_batch(masks.g))
+
+
+def _run_cell(fw: _Fused, x, h, s, xm=None, hm=None, gm=None,
+              block: int | None = None):
+    """The LSTM time loop shared by the forward pass, prediction and lstm_step.
+
+    ``x`` is (T, batch, input); ``h``, ``s`` and ``hm`` are feature-major,
+    (hidden, batch), like every per-step array here, so that each gate block
+    of a step is one contiguous (hidden, batch) slice. ``xm`` and ``gm`` are
+    the x and g masks aligned with x's time axis. Time runs in blocks of
+    ``block`` steps (one block when None) that reuse one set of buffers. Per
+    block, one stacked product projects the inputs into the (steps,
+    4*hidden, batch) gate buffer; each step adds the recurrent product into
+    its slice and turns it into g, i, f, o activations in place; one stacked
+    product after the block forms the readout.
+
+    Returns (Y, h, s, gates, S, Hs): all T outputs (T, output, batch), the
+    final state, and the last block's gate, cell-state and hidden-state
+    buffers (with one block, the whole pass, as the cache keeps them).
+    """
+    T, n_batch = x.shape[:2]
     H = fw.H
-    a = xd @ fw.Wx.T + hd @ fw.Wh.T + fw.b
-    g = np.tanh(a[..., :H])
-    i = sigmoid(a[..., H:2 * H])
-    f = sigmoid(a[..., 2 * H:3 * H])
-    o = sigmoid(a[..., 3 * H:])
-    s = _apply(g, mg) * i + s_prev * f
-    h = np.tanh(s) * o
-    return g, i, f, o, s, h
+    n = max(1, T if block is None else min(block, T))
+    gates = np.empty((n, 4 * H, n_batch))
+    S = np.empty((n, H, n_batch))
+    Hs = np.empty_like(S)
+    Y = np.empty((T, fw.W_hy.shape[0], n_batch))
+    rec = np.empty(gates.shape[1:])
+    sf = np.empty(S.shape[1:])
+    for t0 in range(0, T, n):
+        m = min(n, T - t0)
+        xb = _apply(x[t0:t0 + m], None if xm is None else xm[t0:t0 + m])
+        A = gates[:m]
+        np.matmul(fw.Wx_half, xb.transpose(0, 2, 1), out=A)
+        A += fw.b_half
+        for t in range(m):
+            a = A[t]
+            a += np.matmul(fw.Wh_half, _apply(h, hm), out=rec)
+            np.tanh(a, out=a)
+            # The i, f, o rows were pre-halved: finish sigma(z) = 0.5 + 0.5 tanh(z/2).
+            sig = a[H:]
+            sig *= 0.5
+            sig += 0.5
+            g, i, f, o = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
+            np.multiply(s, f, out=sf)
+            s = np.multiply(g if gm is None else g * gm[t0 + t].T, i, out=S[t])
+            s += sf
+            h = np.tanh(s, out=Hs[t])
+            h *= o
+        Yb = Y[t0:t0 + m]
+        np.matmul(fw.W_hy, Hs[:m], out=Yb)
+        Yb += fw.b_y[:, None]
+    return Y, h, s, gates, S, Hs
 
 
 @dataclass
 class ForwardCache:
     """Everything needed to replay the forward pass exactly and run BPTT.
 
-    Stacked arrays are time-major: shape (rho, dim) for a single sequence or
-    (rho, batch, dim) for a batch.
+    The buffers are kept as the time loop wrote them, feature-major:
+    ``gates`` (rho, 4*hidden, batch) holds g, i, f, o; ``s_fm`` and ``h_fm``
+    are (rho, hidden, batch), ``y_fm`` (rho, output, batch), and ``x`` the
+    (rho, batch, input) inputs. A single sequence is stored as a batch of
+    one. The properties g, i, f, o, s, h and y are views in the time-major
+    layout of the API: (rho, dim) for a single sequence or (rho, batch, dim)
+    for a batch.
     """
 
     x: np.ndarray
     masks: DropoutMasks
     h0: np.ndarray
     s0: np.ndarray
-    g: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    s: np.ndarray
-    h: np.ndarray
-    y: np.ndarray
+    gates: np.ndarray
+    s_fm: np.ndarray
+    h_fm: np.ndarray
+    y_fm: np.ndarray
+    batched: bool
     input_size: int
     hidden_size: int
     output_size: int
@@ -297,6 +392,21 @@ class ForwardCache:
     @property
     def rho(self) -> int:
         return self.x.shape[0]
+
+    def _view(self, arr: np.ndarray) -> np.ndarray:
+        return arr.transpose(0, 2, 1) if self.batched else arr[..., 0]
+
+    def _gate(self, k: int) -> np.ndarray:
+        H = self.hidden_size
+        return self._view(self.gates[:, k * H:(k + 1) * H])
+
+    g = property(lambda self: self._gate(0))
+    i = property(lambda self: self._gate(1))
+    f = property(lambda self: self._gate(2))
+    o = property(lambda self: self._gate(3))
+    s = property(lambda self: self._view(self.s_fm))
+    h = property(lambda self: self._view(self.h_fm))
+    y = property(lambda self: self._view(self.y_fm))
 
 
 def lstm_step(w: LstmWeights, x_t: np.ndarray, state: LstmState,
@@ -313,13 +423,16 @@ def lstm_step(w: LstmWeights, x_t: np.ndarray, state: LstmState,
     if state.h.shape[-1] != w.hidden_size or state.s.shape[-1] != w.hidden_size:
         raise ValidationError("state dimensions do not match hidden_size")
     _require_finite(x_t, "x_t")
-    masks = masks or IDENTITY_MASKS
-    fw = _Fused(w)
-    xd = _apply(x_t, masks.x_at(t))
-    hd = _apply(state.h, masks.h)
-    g, i, f, o, s, h = _fused_step(fw, xd, hd, state.s, masks.g_at(t))
-    y = h @ fw.W_hy.T + fw.b_y
-    return LstmState(h=h, s=s), y, {"g": g, "i": i, "f": f, "o": o}
+    batched = x_t.ndim == 2
+    xm, hm, gm = _loop_masks(masks, batched)
+    Y, h, s, gates, _, _ = _run_cell(
+        _Fused(w), x_t.reshape(1, -1, w.input_size), _to_fm(state.h), _to_fm(state.s),
+        None if xm is None else xm[t:t + 1], hm, None if gm is None else gm[t:t + 1])
+    H = w.hidden_size
+    record = {k: _from_fm(gates[0, n * H:(n + 1) * H], batched)
+              for n, k in enumerate("gifo")}
+    return (LstmState(h=_from_fm(h, batched), s=_from_fm(s, batched)),
+            _from_fm(Y[0], batched), record)
 
 
 def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | None = None,
@@ -353,34 +466,18 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
 
     if initial_state is None:
         initial_state = LstmState.zeros(w.hidden_size, batch=n_batch)
-    h, s = initial_state.h, initial_state.s
 
-    inst = (n_batch,) if batched else ()
-    H, O = w.hidden_size, w.output_size
-    G = np.empty((rho, *inst, H))
-    I = np.empty_like(G)
-    F = np.empty_like(G)
-    Og = np.empty_like(G)
-    S = np.empty_like(G)
-    Hs = np.empty_like(G)
-    Y = np.empty((rho, *inst, O))
-
-    fw = _Fused(w)
-    hd_const = masks.h
-    x_tm = np.swapaxes(X, 0, 1) if batched else X  # time-major view
-    for t in range(rho):
-        xd = _apply(x_tm[t], masks.x_at(t))
-        hd = _apply(h, hd_const)
-        g, i, f, o, s, h = _fused_step(fw, xd, hd, s, masks.g_at(t))
-        G[t], I[t], F[t], Og[t], S[t], Hs[t] = g, i, f, o, s, h
-        Y[t] = h @ fw.W_hy.T + fw.b_y
-
+    # Time-major copy of the inputs; the cache keeps it for BPTT.
+    x = np.array(np.swapaxes(X, 0, 1) if batched else X[:, None], order="C")
+    Y, _, _, gates, S, Hs = _run_cell(
+        _Fused(w), x, _to_fm(initial_state.h), _to_fm(initial_state.s),
+        *_loop_masks(masks, batched))
     cache = ForwardCache(
-        x=x_tm.copy(), masks=masks, h0=initial_state.h, s0=initial_state.s,
-        g=G, i=I, f=F, o=Og, s=S, h=Hs, y=Y,
+        x=x, masks=masks, h0=initial_state.h, s0=initial_state.s,
+        gates=gates, s_fm=S, h_fm=Hs, y_fm=Y, batched=batched,
         input_size=w.input_size, hidden_size=w.hidden_size, output_size=w.output_size,
     )
-    Y_out = np.swapaxes(Y, 0, 1) if batched else Y
+    Y_out = Y.transpose(2, 0, 1) if batched else Y[..., 0]
     return Y_out, cache
 
 
@@ -389,8 +486,10 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
                      return_final_state: bool = False):
     """Mask-free evaluation forward pass that keeps no cache (long sequences).
 
-    With ``return_final_state`` the result is (Y, LstmState), e.g. for
-    spin-up passes that only need the terminal state.
+    Time runs in blocks of PREDICT_BLOCK_DAYS steps, so memory does not grow
+    with the sequence length beyond the inputs and outputs. With
+    ``return_final_state`` the result is (Y, LstmState), e.g. for spin-up
+    passes that only need the terminal state.
     """
     X = np.asarray(X, dtype=float)
     batched = X.ndim == 3
@@ -400,29 +499,13 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
     _require_finite(X, "X")
     n_batch = X.shape[0] if batched else None
     state = initial_state or LstmState.zeros(w.hidden_size, batch=n_batch)
-    h, s = state.h, state.s
-    rho = X.shape[1] if batched else X.shape[0]
-    fw = _Fused(w)
-    x_tm = np.swapaxes(X, 0, 1) if batched else X
-    Y = np.empty((rho, *(x_tm.shape[1:-1]), w.output_size))
-    for t in range(rho):
-        _, _, _, _, s, h = _fused_step(fw, x_tm[t], h, s, None)
-        Y[t] = h @ fw.W_hy.T + fw.b_y
-    Y = np.swapaxes(Y, 0, 1) if batched else Y
+    x = np.swapaxes(X, 0, 1) if batched else X[:, None]
+    Y, h, s, _, _, _ = _run_cell(_Fused(w), x, _to_fm(state.h), _to_fm(state.s),
+                                 block=PREDICT_BLOCK_DAYS)
+    Y = Y.transpose(2, 0, 1) if batched else Y[..., 0]
     if return_final_state:
-        return Y, LstmState(h=h, s=s)
+        return Y, LstmState(h=_from_fm(h, batched), s=_from_fm(s, batched))
     return Y
-
-
-def _outer_acc(da, v):
-    # (..., A) x (..., B) -> (A, B), summed over any leading instance axis.
-    if da.ndim == 1:
-        return np.outer(da, v)
-    return da.T @ v
-
-
-def _bias_acc(da):
-    return da if da.ndim == 1 else da.sum(axis=0)
 
 
 def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> LstmWeights:
@@ -436,67 +519,66 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
             w.input_size, w.hidden_size, w.output_size):
         raise ValidationError("cache does not match the weight dimensions")
     dL_dY = np.asarray(dL_dY, dtype=float)
-    batched = cache.h.ndim == 3
-    expected = (cache.rho,) + cache.y.shape[1:]
-    if batched:
-        if dL_dY.shape != (cache.y.shape[1], cache.rho, cache.output_size):
-            raise ValidationError(
-                f"dL_dY shape {dL_dY.shape} does not match forward outputs")
-        dY = np.swapaxes(dL_dY, 0, 1)
-    else:
-        if dL_dY.shape != expected:
-            raise ValidationError(
-                f"dL_dY shape {dL_dY.shape} does not match forward outputs")
-        dY = dL_dY
+    expected = cache.y.swapaxes(0, 1).shape if cache.batched else cache.y.shape
+    if dL_dY.shape != expected:
+        raise ValidationError(
+            f"dL_dY shape {dL_dY.shape} does not match forward outputs")
+    # Feature-major (rho, output, batch), as the forward pass wrote Y.
+    dY = (np.ascontiguousarray(dL_dY.transpose(1, 2, 0)) if cache.batched
+          else dL_dY[..., None])
 
-    masks = cache.masks
+    xm, hm, gm = _loop_masks(cache.masks, cache.batched)
     grads = LstmWeights.zeros(w.input_size, w.hidden_size, w.output_size)
     fw = _Fused(w)
     H = w.hidden_size
+    G, S, Hs = cache.gates, cache.s_fm, cache.h_fm
+
+    # The readout's gradients over all steps at once.
+    grads.W_hy = np.matmul(dY, Hs.transpose(0, 2, 1)).sum(axis=0)
+    grads.b_y = dY.sum(axis=(0, 2))
 
     dWx = np.zeros_like(fw.Wx)
     dWh = np.zeros_like(fw.Wh)
     db = np.zeros_like(fw.b)
-
-    dh_carry = np.zeros_like(cache.h[0])
-    ds_carry = np.zeros_like(cache.s[0])
+    h0, s0 = _to_fm(cache.h0), _to_fm(cache.s0)
+    dh_carry = np.zeros_like(h0)
+    ds_carry = np.zeros_like(s0)
+    # One step's gate pre-activation gradients, in the g, i, f, o order, and
+    # the gate derivatives they are scaled by; both reused across steps.
+    da = np.empty(G.shape[1:])
+    dact = np.empty_like(da)
+    da_g, da_i, da_f, da_o = da[:H], da[H:2 * H], da[2 * H:3 * H], da[3 * H:]
 
     for t in range(cache.rho - 1, -1, -1):
-        dy = dY[t]
-        h_t = cache.h[t]
-        grads.W_hy += _outer_acc(dy, h_t)
-        grads.b_y += _bias_acc(dy)
-        dh = dy @ fw.W_hy + dh_carry
+        dh = fw.W_hy.T @ dY[t]
+        dh += dh_carry
 
-        o = cache.o[t]
-        tanh_s = np.tanh(cache.s[t])
-        do = dh * tanh_s
-        ds = dh * o * (1.0 - tanh_s * tanh_s) + ds_carry
+        a = G[t]
+        g, i, f, o = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
+        tanh_s = np.tanh(S[t])
+        np.multiply(dh, tanh_s, out=da_o)
+        ds = dh * o
+        ds *= 1.0 - tanh_s * tanh_s
+        ds += ds_carry
 
-        g, i, f = cache.g[t], cache.i[t], cache.f[t]
-        mg = masks.g_at(t)
-        g_used = _apply(g, mg)
-        dg = _apply(ds * i, mg)
-        di = ds * g_used
-        s_prev = cache.s[t - 1] if t > 0 else cache.s0
-        df = ds * s_prev
-        ds_carry = ds * f
+        mg = None if gm is None else gm[t].T
+        s_prev = S[t - 1] if t > 0 else s0
+        np.multiply(_apply(ds, mg), i, out=da_g)
+        np.multiply(ds, _apply(g, mg), out=da_i)
+        np.multiply(ds, s_prev, out=da_f)
+        # tanh' = 1 - g^2 on the g block, sigma' = sigma - sigma^2 on i, f, o.
+        np.multiply(a, a, out=dact)
+        np.subtract(1.0, dact[:H], out=dact[:H])
+        np.subtract(a[H:], dact[H:], out=dact[H:])
+        da *= dact
+        np.multiply(ds, f, out=ds_carry)
 
-        # Gate pre-activation gradients, fused in the g,i,f,o order.
-        da = np.concatenate([
-            dg * (1.0 - g * g),
-            di * (i * (1.0 - i)),
-            df * (f * (1.0 - f)),
-            do * (o * (1.0 - o)),
-        ], axis=-1)
-
-        xd = _apply(cache.x[t], masks.x_at(t))
-        h_prev = cache.h[t - 1] if t > 0 else cache.h0
-        hd = _apply(h_prev, masks.h)
-        dWx += _outer_acc(da, xd)
-        dWh += _outer_acc(da, hd)
-        db += _bias_acc(da)
-        dh_carry = _apply(da @ fw.Wh, masks.h)
+        xd = _apply(cache.x[t], None if xm is None else xm[t])
+        hd = _apply(Hs[t - 1] if t > 0 else h0, hm)
+        dWx += da @ xd
+        dWh += da @ hd.T
+        db += da.sum(axis=1)
+        dh_carry = _apply(fw.Wh.T @ da, hm)
 
     grads.W_gx, grads.W_ix, grads.W_fx, grads.W_ox = (
         dWx[:H], dWx[H:2 * H], dWx[2 * H:3 * H], dWx[3 * H:])

@@ -16,6 +16,7 @@ a (config, seed) pair fully determines the trained weights.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -215,11 +216,19 @@ def sample_batch(data: SequenceData, config: TrainingConfig, rng,
 
 def clip_gradients(grads: LstmWeights, max_norm: float) -> float:
     """Scale all gradient arrays in place so the global norm is at most
-    max_norm; returns the pre-clip norm."""
+    max_norm; returns the pre-clip norm. A norm that is not finite raises
+    NumericError before anything is scaled, naming the first array that
+    holds a NaN or inf."""
     total = 0.0
     for _, arr in grads.named_arrays():
         total += float((arr * arr).sum())
     norm = float(np.sqrt(total))
+    if not math.isfinite(norm):
+        bad = next((name for name, arr in grads.named_arrays()
+                    if not np.all(np.isfinite(arr))), None)
+        raise NumericError(
+            f"non-finite gradient norm {norm}"
+            + (f"; first non-finite array {bad}" if bad else ""))
     if norm > max_norm:
         scale = max_norm / norm
         for name, arr in grads.named_arrays():
@@ -300,6 +309,9 @@ def train_lstm(data: SequenceData, config: TrainingConfig,
                 f"non-finite loss at epoch {epoch}; batch pixels "
                 f"{batch.pixel_ids[:5]}{'...' if len(batch.pixel_ids) > 5 else ''}")
         grads = bptt_gradients(w, cache, dY)
+        # Free this epoch's activations now, not when the next forward pass
+        # has already allocated its own: two caches would double the peak.
+        del Y, cache
         clip_gradients(grads, config.gradient_clip_norm)
         if adam is not None:
             adam_step(w, grads, adam, config.learning_rate)

@@ -167,6 +167,47 @@ class TestAr:
         with pytest.raises(ValidationError, match="px_7_3"):
             fit_ar(theta, mask, None, p=2, label="px_7_3")
 
+    @pytest.mark.parametrize("gap_every,first_rejected", [(3, 2), (2, 1)])
+    def test_sweep_stops_at_first_rejected_order(self, monkeypatch, gap_every,
+                                                 first_rejected):
+        # Every gap_every-th day unobserved: no run of gap_every observed
+        # days exists, so no order >= gap_every - 1 has a usable row.
+        theta, X = simulate_arx(17, 400)
+        mask = np.ones(400, dtype=bool)
+        mask[::gap_every] = False
+        args = (theta[:300], mask[:300], X[:300], theta[300:], mask[300:],
+                X[300:], theta[295:300])
+
+        # The full sweep: every order fitted, rejected ones scored inf.
+        expect = {}
+        fitted = {}
+        for p in range(6):
+            try:
+                fitted[p] = fit_ar(*args[:3], p)
+            except ValidationError:
+                expect[p] = float("inf")
+                continue
+            err = (ar_forecast(fitted[p], X[300:], theta[295:300])
+                   - theta[300:])[mask[300:]]
+            expect[p] = float(np.sqrt(np.mean(err * err)))
+        assert min(p for p in expect if expect[p] == float("inf")) == first_rejected
+
+        calls = []
+
+        def counting_fit_ar(*a, **kw):
+            calls.append(a[3])
+            return fit_ar(*a, **kw)
+
+        monkeypatch.setattr("hlstm.baselines.fit_ar", counting_fit_ar)
+        model, best_p, rmse_by_p = select_ar_order(*args, p_max=5)
+        assert calls == list(range(first_rejected + 1))
+        assert rmse_by_p == expect
+        floor = min(expect.values())
+        assert best_p == min(p for p in fitted if expect[p] <= floor * 1.02)
+        assert model.c == fitted[best_p].c
+        assert np.array_equal(model.alpha, fitted[best_p].alpha)
+        assert np.array_equal(model.gamma, fitted[best_p].gamma)
+
 
 class TestArForecast:
     def test_p_zero_is_pure_exog_function(self):

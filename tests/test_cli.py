@@ -185,6 +185,42 @@ class TestCliErrors:
             main(["synth", "--out", "x", "--wat"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("model,split", [
+        ("lasso_p", {"kind": "spatial_subsample", "stride": 2}),
+        ("nn_p", {"kind": "spatial_subsample", "stride": 2}),
+        ("ar_p", {"kind": "regional_holdout", "train_regions": ["R00", "R01"]}),
+    ])
+    def test_point_model_on_pixel_split_exits_one(self, tmp_path, capsys,
+                                                   model, split):
+        # Per-pixel models are fit and scored on each pixel's own series, so
+        # a split whose test pixels were never trained on is rejected.
+        synth = write_json(tmp_path / "synth.json", {
+            "rows": 4, "cols": 4, "years": 1, "revisit_days": 2, "seed": 3,
+            "region_layout": [2, 2]})
+        data = tmp_path / "data"
+        assert main(["synth", "--config", synth, "--out", str(data)]) == 0
+        out = tmp_path / "run"
+        code = main(["train", "--model", model, "--data", str(data),
+                     "--split", write_json(tmp_path / "split.json", split),
+                     "--out", str(out)])
+        assert code == 1
+        assert "temporal split" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_point_model_evaluated_on_pixel_split_exits_one(self, workspace,
+                                                            tmp_path, capsys):
+        _, data, split_cfg = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--model", "lasso_p", "--data", data,
+                     "--split", split_cfg, "--out", str(run)]) == 0
+        spatial = write_json(tmp_path / "spatial.json",
+                             {"kind": "spatial_subsample", "stride": 2})
+        code = main(["evaluate", "--data", data, "--split", spatial,
+                     "--model-file", str(run / "model.json"),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 1
+        assert "temporal split" in capsys.readouterr().err
+
     def test_missing_data_exits_one(self, tmp_path, capsys):
         split_cfg = write_json(tmp_path / "s.json", temporal_split())
         code = main(["train", "--model", "lstm", "--data", str(tmp_path / "nope"),

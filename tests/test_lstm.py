@@ -3,6 +3,8 @@ import pytest
 
 from hlstm.errors import NumericError, ValidationError
 from hlstm.lstm import (
+    DROPOUT_VARIANTS,
+    PREDICT_BLOCK_DAYS,
     DropoutSpec,
     LstmState,
     LstmWeights,
@@ -203,6 +205,58 @@ class TestForwardSequence:
         X = np.random.default_rng(15).normal(size=(30, 3))
         Y, _ = forward_sequence(w, X)
         assert np.array_equal(predict_sequence(w, X), Y)
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_blocked_predict_matches_forward(self, with_state):
+        # Two whole prediction blocks plus a remainder, batched.
+        w = random_weights(3, 4, 2, seed=16)
+        rng = np.random.default_rng(17)
+        rho = 2 * PREDICT_BLOCK_DAYS + 7
+        X = rng.normal(size=(5, rho, 3))
+        state = None
+        if with_state:
+            state = LstmState(h=rng.uniform(-0.5, 0.5, size=(5, 4)),
+                              s=rng.normal(size=(5, 4)))
+        Y, cache = forward_sequence(w, X, initial_state=state)
+        Yp, final = predict_sequence(w, X, initial_state=state,
+                                     return_final_state=True)
+        assert Yp.shape == Y.shape == (5, rho, 2)
+        assert np.max(np.abs(Yp - Y)) < 1e-12
+        assert np.max(np.abs(final.h - cache.h[-1])) < 1e-12
+        assert np.max(np.abs(final.s - cache.s[-1])) < 1e-12
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_spin_up_then_continuation_equals_one_pass(self, batch):
+        w = random_weights(3, 5, 1, seed=18)
+        rho = PREDICT_BLOCK_DAYS + 40
+        shape = (rho, 3) if batch is None else (batch, rho, 3)
+        X = np.random.default_rng(19).normal(size=shape)
+        cut = 50  # not a multiple of the prediction block
+        whole, whole_state = predict_sequence(w, X, return_final_state=True)
+        head, tail = (X[:cut], X[cut:]) if batch is None else (X[:, :cut], X[:, cut:])
+        _, spun = predict_sequence(w, head, return_final_state=True)
+        rest, rest_state = predict_sequence(w, tail, initial_state=spun,
+                                            return_final_state=True)
+        expect = whole[cut:] if batch is None else whole[:, cut:]
+        assert np.max(np.abs(rest - expect)) < 1e-12
+        assert np.max(np.abs(rest_state.h - whole_state.h)) < 1e-12
+        assert np.max(np.abs(rest_state.s - whole_state.s)) < 1e-12
+
+    @pytest.mark.parametrize("variant", DROPOUT_VARIANTS)
+    def test_batched_dropout_matches_scalar_oracle(self, variant):
+        w = random_weights(3, 4, 2, seed=20)
+        n_batch, rho = 3, 9
+        X = np.random.default_rng(21).normal(size=(n_batch, rho, 3))
+        masks = sample_dropout_masks(DropoutSpec(variant, 0.4), 3, 4, rho=rho,
+                                     seed=22, batch=n_batch)
+        Y, _ = forward_sequence(w, X, masks=masks)
+        for b in range(n_batch):
+            expected = scalar_lstm_sequence(
+                w, X[b],
+                x_masks=None if masks.x is None else masks.x[:, b],
+                h_mask=None if masks.h is None else masks.h[b],
+                g_masks=None if masks.g is None else masks.g[:, b])
+            assert np.max(np.abs(Y[b] - np.asarray(expected))) < 1e-12, b
 
 
 class TestBpttGradients:

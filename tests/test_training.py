@@ -143,6 +143,19 @@ class TestClipping:
         clip_gradients(g, 5.0)
         assert np.array_equal(g.b_y, before)
 
+    def test_nan_gradient_raises(self):
+        from hlstm.lstm import LstmWeights
+        rng = np.random.default_rng(6)
+        g = LstmWeights.zeros(3, 4, 1)
+        for name, arr in g.named_arrays():
+            setattr(g, name, rng.normal(0, 0.1, size=arr.shape))
+        g.W_ih[1, 2] = np.nan
+        before = {name: arr.copy() for name, arr in g.named_arrays()}
+        with pytest.raises(NumericError, match="W_ih"):
+            clip_gradients(g, 5.0)
+        for name, arr in g.named_arrays():
+            assert np.array_equal(arr, before[name], equal_nan=True), name
+
 
 class TestTrainLstm:
     def test_learns_constant_target(self):
