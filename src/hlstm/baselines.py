@@ -4,6 +4,11 @@ and a one-hidden-layer feedforward network.
 Each fit is a pure function of its inputs (plus a seed for the network), so
 point-by-point fits across pixels can run independently. All three operate on
 per-time-step feature rows; only the AR model carries state between steps.
+
+The AR path has one closed-loop recursion, :func:`_lockstep`, which steps
+every pixel of one order together; :func:`ar_forecast` is its one-pixel case.
+The order sweep :func:`select_ar_orders` runs it once per order over all
+pixels still in the sweep, and :func:`select_ar_order` is its one-pixel case.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .lstm import make_rng
@@ -135,6 +141,14 @@ class ArModel:
         return self.gamma.size
 
 
+def _design_rows(mask: np.ndarray, p: int) -> np.ndarray:
+    """Ascending times t >= p whose target and p lags are all observed."""
+    if mask.size <= p:
+        return np.zeros(0, dtype=np.intp)
+    observed = sliding_window_view(mask, p + 1).all(axis=1)  # mask[t-p..t]
+    return np.flatnonzero(observed) + p
+
+
 def fit_ar(theta: np.ndarray, mask: np.ndarray, X_exog: np.ndarray | None,
            p: int, label: str = "") -> ArModel:
     """Least-squares AR(p) fit with exogenous inputs on the observed rows.
@@ -147,32 +161,57 @@ def fit_ar(theta: np.ndarray, mask: np.ndarray, X_exog: np.ndarray | None,
         raise ValidationError(f"AR order must be in 0..{AR_MAX_ORDER}, got {p}")
     theta = np.asarray(theta, dtype=float)
     mask = np.asarray(mask).astype(bool)
-    T = theta.size
     if X_exog is None:
-        X_exog = np.zeros((T, 0))
+        X_exog = np.zeros((theta.size, 0))
     X_exog = np.asarray(X_exog, dtype=float)
     r = X_exog.shape[1]
 
-    rows = []
-    targets = []
-    for t in range(p, T):
-        if not mask[t]:
-            continue
-        if p and not mask[t - p:t].all():
-            continue
-        lags = [theta[t - i] for i in range(1, p + 1)]
-        rows.append(np.concatenate([[1.0], lags, X_exog[t]]))
-        targets.append(theta[t])
+    rows = _design_rows(mask, p)
     need = p + r + 2
-    if len(rows) < need:
-        where = f" for pixel {label}" if label else ""
+    if rows.size < need:
         raise ValidationError(
-            f"AR(p={p}) under-determined{where}: {len(rows)} usable rows, need {need}")
-    A = np.asarray(rows)
-    b = np.asarray(targets)
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
+            f"AR(p={p}) under-determined{_for_pixel(label)}: {rows.size} usable "
+            f"rows, need {need}")
+    A = np.empty((rows.size, 1 + p + r))
+    A[:, 0] = 1.0
+    A[:, 1:1 + p] = theta[rows[:, None] - np.arange(1, p + 1)]
+    A[:, 1 + p:] = X_exog[rows]
+    coef, *_ = np.linalg.lstsq(A, theta[rows], rcond=None)
     return ArModel(c=float(coef[0]), alpha=coef[1:1 + p], gamma=coef[1 + p:],
-                   n_rows=len(rows))
+                   n_rows=int(rows.size))
+
+
+def _for_pixel(label: str) -> str:
+    return f" for pixel {label}" if label else ""
+
+
+def _lockstep(models: list[ArModel], X_exog: np.ndarray,
+              warmups: np.ndarray) -> np.ndarray:
+    """The closed-loop recursion, all pixels of one order stepping together.
+
+    X_exog is (n_pixels, T, r); warmups is (n_pixels, >= max p) with the
+    newest value last. Returns (n_pixels, T).
+    """
+    n, T = X_exog.shape[:2]
+    out = np.empty((n, T))
+    for p in sorted({m.p for m in models}):
+        idx = np.array([k for k, m in enumerate(models) if m.p == p])
+        c = np.array([models[k].c for k in idx])
+        # alpha[i - 1] holds every pixel's lag-i coefficient
+        alpha = np.array([models[k].alpha for k in idx]).reshape(idx.size, p).T.copy()
+        gamma = np.array([models[k].gamma for k in idx])
+        exo = np.einsum("ntr,nr->nt", X_exog[idx], gamma) if gamma.size else np.zeros((idx.size, T))
+        exo = np.ascontiguousarray(exo.T)
+        # buf[p + t] holds step t; the first p rows are the warmup, oldest first
+        buf = np.empty((p + T, idx.size))
+        buf[:p] = warmups[idx, warmups.shape[1] - p:].T
+        for t in range(T):
+            val = c + exo[t]
+            for i in range(1, p + 1):
+                val = val + alpha[i - 1] * buf[p + t - i]
+            buf[p + t] = val
+        out[idx] = buf[p:].T
+    return out
 
 
 def ar_forecast(model: ArModel, X_exog: np.ndarray | None,
@@ -182,35 +221,48 @@ def ar_forecast(model: ArModel, X_exog: np.ndarray | None,
     ``warmup`` holds the last p target values before the window; inside the
     window predictions feed back as the lag inputs and observations are never
     consulted. With no exogenous inputs pass ``horizon`` for the window
-    length.
+    length. One pixel of :func:`ar_forecast_batch`.
     """
-    p = model.p
     warmup = np.asarray(warmup, dtype=float)
-    if warmup.size < p:
-        raise ValidationError(f"warmup supplies {warmup.size} values, need p={p}")
     if X_exog is None:
         if model.r:
             raise ValidationError("model has exogenous terms but no inputs given")
         if horizon is None:
             raise ValidationError("horizon required when there are no exogenous inputs")
-        T = horizon
-    else:
-        X_exog = np.asarray(X_exog, dtype=float)
-        T = X_exog.shape[0]
-        if X_exog.shape[1] != model.r:
-            raise ValidationError(
-                f"X_exog has {X_exog.shape[1]} columns, model expects {model.r}")
+        X_exog = np.zeros((horizon, 0))
+    X_exog = np.asarray(X_exog, dtype=float)
+    _check_forecast_inputs([model], X_exog[None], warmup[None])
+    return _lockstep([model], X_exog[None], warmup[None])[0]
 
-    hist = list(warmup[-p:]) if p else []
-    out = np.empty(T)
-    for t in range(T):
-        val = model.c + (X_exog[t] @ model.gamma if model.r else 0.0)
-        for i in range(1, p + 1):
-            val += model.alpha[i - 1] * hist[-i]
-        out[t] = val
-        if p:
-            hist.append(val)
-    return out
+
+def ar_forecast_batch(models: list[ArModel], X_exog: np.ndarray,
+                      warmups: np.ndarray) -> np.ndarray:
+    """Run many per-pixel closed-loop recursions in lockstep, grouped by
+    order.
+
+    X_exog is (n_pixels, T, r); warmups is (n_pixels, >= max p), newest value
+    last. Returns (n_pixels, T); row k is ``ar_forecast(models[k], X_exog[k],
+    warmups[k])``.
+    """
+    X_exog = np.asarray(X_exog, dtype=float)
+    warmups = np.asarray(warmups, dtype=float)
+    _check_forecast_inputs(models, X_exog, warmups)
+    return _lockstep(models, X_exog, warmups)
+
+
+def _check_forecast_inputs(models, X_exog, warmups):
+    if X_exog.ndim != 3 or X_exog.shape[0] != len(models):
+        raise ValidationError(
+            f"X_exog shape {X_exog.shape} is not ({len(models)}, T, r)")
+    widths = {m.r for m in models}
+    if widths - {X_exog.shape[2]}:
+        raise ValidationError(
+            f"X_exog has {X_exog.shape[2]} columns, models expect {sorted(widths)}")
+    p_max = max((m.p for m in models), default=0)
+    if warmups.ndim != 2 or warmups.shape[0] != len(models) or warmups.shape[1] < p_max:
+        raise ValidationError(
+            f"warmup shape {warmups.shape} supplies fewer than p={p_max} values "
+            f"for {len(models)} pixel(s)")
 
 
 def select_ar_order(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
@@ -226,60 +278,88 @@ def select_ar_order(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
     of over-parameterized orders differ only by estimation noise. Note this
     protocol picks the order on the evaluation series itself, which is
     optimistic; reports carry a flag for it.
+
+    This is the one-pixel case of :func:`select_ar_orders`, so a pixel gets
+    the same model, order and scores alone as in a batch.
     """
-    mask_eval = np.asarray(mask_eval).astype(bool)
     theta_eval = np.asarray(theta_eval, dtype=float)
-    if not mask_eval.any():
-        raise ValidationError(f"no observed steps to score AR orders on{' for pixel ' + label if label else ''}")
-    horizon = theta_eval.size
-    rmse_by_p = {}
-    models = {}
-    for p in range(p_max + 1):
-        try:
-            model = fit_ar(theta_fit, mask_fit, X_fit, p, label=label)
-        except ValidationError:
-            rmse_by_p.update((q, float("inf")) for q in range(p, p_max + 1))
-            break
-        pred = ar_forecast(model, X_eval, warmup, horizon=horizon)
-        err = pred[mask_eval] - theta_eval[mask_eval]
-        rmse_by_p[p] = float(np.sqrt(np.mean(err * err)))
-        models[p] = model
-    if not models:
-        where = f" for pixel {label}" if label else ""
-        raise ValidationError(f"no AR order in 0..{p_max} could be fitted{where}")
-    floor = min(rmse_by_p.values())
-    best_p = min(p for p in models if rmse_by_p[p] <= floor * 1.02)
-    return models[best_p], best_p, rmse_by_p
+    if X_fit is None:
+        X_fit = np.zeros((np.size(theta_fit), 0))
+    if X_eval is None:
+        X_eval = np.zeros((theta_eval.size, 0))
+    (result,) = select_ar_orders(
+        [theta_fit], [mask_fit], [X_fit], theta_eval[None],
+        np.asarray(mask_eval)[None], np.asarray(X_eval, dtype=float)[None],
+        np.asarray(warmup, dtype=float)[None], p_max=p_max, labels=[label])
+    if isinstance(result, ValidationError):
+        raise result
+    return result
 
 
-def ar_forecast_batch(models: list[ArModel], X_exog: np.ndarray,
-                      warmups: np.ndarray) -> np.ndarray:
-    """Run many per-pixel recursions in lockstep, grouped by order.
+def select_ar_orders(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
+                     warmups, p_max: int = AR_MAX_ORDER, labels=None) -> list:
+    """The order sweep of :func:`select_ar_order` for many pixels in lockstep.
 
-    X_exog is (n_pixels, T, r); warmups is (n_pixels, max_p). Returns
-    (n_pixels, T). Equivalent to calling :func:`ar_forecast` per pixel.
+    Argument k of each sequence belongs to pixel k: ``theta_fit``,
+    ``mask_fit`` and ``X_fit`` are indexed per pixel and passed to
+    :func:`fit_ar`; ``theta_eval`` and ``mask_eval`` are (n_pixels, T),
+    ``X_eval`` is (n_pixels, T, r) and ``warmups`` (n_pixels, >= p_max).
+
+    The sweep works order by order. At each p it fits every pixel still in
+    the sweep, one :func:`fit_ar` call per pixel, then runs one
+    :func:`ar_forecast_batch` over the fitted pixels and scores them. A
+    pixel leaves the sweep at its first rejected order, so only one order's
+    predictions are held at a time.
+
+    Returns one entry per pixel: (model, best_p, rmse_by_p), or the
+    ValidationError that :func:`select_ar_order` raises for that pixel.
     """
-    n = len(models)
-    T = X_exog.shape[1]
-    out = np.empty((n, T))
-    orders = sorted({m.p for m in models})
-    for p in orders:
-        idx = np.array([k for k, m in enumerate(models) if m.p == p])
-        c = np.array([models[k].c for k in idx])
-        alpha = np.array([models[k].alpha for k in idx]) if p else np.zeros((idx.size, 0))
-        gamma = np.array([models[k].gamma for k in idx])
-        exo = np.einsum("ntr,nr->nt", X_exog[idx], gamma) if gamma.size else np.zeros((idx.size, T))
-        hist = [warmups[idx, -i] for i in range(p, 0, -1)]  # oldest first
-        block = np.empty((idx.size, T))
-        for t in range(T):
-            val = c + exo[:, t]
-            for i in range(1, p + 1):
-                val = val + alpha[:, i - 1] * hist[-i]
-            block[:, t] = val
-            if p:
-                hist.append(val)
-        out[idx] = block
-    return out
+    n = len(theta_fit)
+    labels = labels or [""] * n
+    theta_eval = np.asarray(theta_eval, dtype=float)
+    mask_eval = np.asarray(mask_eval).astype(bool)
+    X_eval = np.asarray(X_eval, dtype=float)
+    warmups = np.asarray(warmups, dtype=float)
+    rmse_by_p = [{} for _ in range(n)]
+    models = [{} for _ in range(n)]
+    results = [None] * n
+    active = []
+    for k in range(n):
+        if mask_eval[k].any():
+            active.append(k)
+        else:
+            results[k] = ValidationError(
+                f"no observed steps to score AR orders on{_for_pixel(labels[k])}")
+    for p in range(p_max + 1):
+        fitted = []
+        for k in active:
+            try:
+                models[k][p] = fit_ar(theta_fit[k], mask_fit[k], X_fit[k], p,
+                                      label=labels[k])
+            except ValidationError:
+                rmse_by_p[k].update((q, float("inf")) for q in range(p, p_max + 1))
+                continue
+            fitted.append(k)
+        if not fitted:
+            break
+        pred = ar_forecast_batch([models[k][p] for k in fitted], X_eval[fitted],
+                                 warmups[fitted])
+        for row, k in zip(pred, fitted):
+            seen = mask_eval[k]
+            err = row[seen] - theta_eval[k][seen]
+            rmse_by_p[k][p] = float(np.sqrt(np.mean(err * err)))
+        active = fitted
+    for k in range(n):
+        if results[k] is not None:
+            continue
+        if not models[k]:
+            results[k] = ValidationError(
+                f"no AR order in 0..{p_max} could be fitted{_for_pixel(labels[k])}")
+            continue
+        floor = min(rmse_by_p[k].values())
+        best_p = min(p for p in models[k] if rmse_by_p[k][p] <= floor * 1.02)
+        results[k] = (models[k][best_p], best_p, rmse_by_p[k])
+    return results
 
 
 @dataclass

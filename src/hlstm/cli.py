@@ -52,6 +52,7 @@ from .modelio import (
     load_model,
     lstm_from_payload,
     lstm_payload,
+    payload_fields,
     per_pixel_payload,
     save_model,
 )
@@ -99,7 +100,6 @@ class RunManifest:
             "seeds": {},
             "inputs": {},
             "outputs": {},
-            "threads": None,
             "wall_seconds": None,
         }
         self.out_dir = out_dir
@@ -109,18 +109,6 @@ class RunManifest:
         self.doc["wall_seconds"] = round(time.perf_counter() - self._t0, 3)
         os.makedirs(self.out_dir, exist_ok=True)
         _atomic_json(os.path.join(self.out_dir, "run_manifest.json"), self.doc)
-
-
-def _resolve_threads(args) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("HLSTM_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"HLSTM_THREADS={env!r} is not an integer") from exc
-    return None
 
 
 def _load_split(path: str, dataset: GridDataset) -> Split:
@@ -158,7 +146,6 @@ def cmd_synth(args) -> int:
     manifest.doc["config"] = cfg.to_dict()
     manifest.doc["seeds"] = {"seed": cfg.seed}
     manifest.doc["outputs"] = {"dataset": args.out}
-    manifest.doc["threads"] = _resolve_threads(args)
     manifest.write()
     print(f"wrote {len(dataset.pixels)} pixels x {dataset.n_days} days to {args.out}",
           file=sys.stderr)
@@ -175,7 +162,6 @@ def cmd_split(args) -> int:
     manifest.doc["config"] = spec.to_dict()
     manifest.doc["inputs"] = {"dataset": args.data}
     manifest.doc["outputs"] = {"split": os.path.join(args.out, "split.json")}
-    manifest.doc["threads"] = _resolve_threads(args)
     manifest.write()
     print(f"split: {len(split.train_pixels)} train / {len(split.test_pixels)} "
           f"test pixels", file=sys.stderr)
@@ -232,7 +218,6 @@ def cmd_train(args) -> int:
     manifest.doc["seeds"] = {"seed": config.seed}
     manifest.doc["inputs"] = {"dataset": args.data, "split": args.split}
     manifest.doc["outputs"] = {"model": model_path}
-    manifest.doc["threads"] = _resolve_threads(args)
     manifest.write()
     print(f"trained {args.model}; model container at {model_path}", file=sys.stderr)
     return 0
@@ -276,10 +261,11 @@ def _container_predictions(kind, payload, dataset, split):
     norm_ds = apply_normalization(dataset, stats)
     data = prepare_sequences(norm_ds, include_lsm=include_lsm,
                              include_attributes=include_attributes)
-    if data.feature_names != list(payload["feature_names"]):
+    (feature_names,) = payload_fields(payload, kind, "feature_names")
+    if data.feature_names != list(feature_names):
         raise ValidationError(
             f"dataset features {data.feature_names} do not match the model's "
-            f"{payload['feature_names']}")
+            f"{feature_names}")
     idx = {pid: k for k, pid in enumerate(data.pixel_ids)}
     tr0, tr1 = split.train_window
     te0, te1 = split.test_window
@@ -304,7 +290,7 @@ def _container_predictions(kind, payload, dataset, split):
         return preds
 
     # per-pixel containers
-    pixel_payloads = payload["pixels"]
+    (pixel_payloads,) = payload_fields(payload, kind, "pixels")
     for pid, doc in pixel_payloads.items():
         if pid not in idx:
             continue
@@ -373,7 +359,6 @@ def cmd_evaluate(args) -> int:
                               "models": list(args.model_file)}
     manifest.doc["config"] = {"against": args.against}
     manifest.doc["outputs"] = {"reports": args.out}
-    manifest.doc["threads"] = _resolve_threads(args)
     manifest.write()
     print(f"evaluated {len(args.model_file)} model(s); reports in {args.out}",
           file=sys.stderr)
@@ -408,8 +393,9 @@ def cmd_hindcast(args) -> int:
                lstm_payload(result.models["lstm"], names, stats,
                             (lstm_config or TrainingConfig()).to_dict(),
                             extra=flags))
-    ar_models = {px.pixel_id: (m, m.p, None) for px, m in
-                 zip(dataset.pixels, result.models["ar_p"])}
+    ar_models = {px.pixel_id: (m, m.p, rmse_by_p) for px, m, rmse_by_p in
+                 zip(dataset.pixels, result.models["ar_p"],
+                     result.models["ar_rmse_by_p"])}
     save_model(os.path.join(args.out, "model_ar_p.json"), "ar_p",
                _baseline_payload("ar_p", ar_models, names, stats,
                                  result.summary["flags"], extra=flags))
@@ -422,7 +408,6 @@ def cmd_hindcast(args) -> int:
     manifest.doc["seeds"] = {"synthetic": cfg.seed,
                              "training": (lstm_config or TrainingConfig()).seed}
     manifest.doc["outputs"] = {"reports": args.out}
-    manifest.doc["threads"] = _resolve_threads(args)
     manifest.write()
     med = result.summary
     print(f"hindcast medians: lstm {med['median_lstm_rmse']:.4f}, "
@@ -442,8 +427,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="thread hint (HLSTM_THREADS fallback); advisory")
         if data:
             p.add_argument("--data", required=True, help="dataset directory")
         if split:

@@ -30,12 +30,11 @@ from .baselines import (
     FFNN_HIDDEN_POINT,
     FFNN_L2_DEFAULT,
     LASSO_LAMBDA_DEFAULT,
-    ar_forecast,
     ar_forecast_batch,
     ffnn_predict,
     fit_ffnn,
     fit_lasso,
-    select_ar_order,
+    select_ar_orders,
 )
 from .dataset import GridDataset, normalize, parse_date
 from .errors import ValidationError
@@ -500,32 +499,30 @@ def _fit_and_predict(kind, data: SequenceData, train_data: SequenceData,
     # window per the source protocol (optimistic; flagged).
     flags["optimistic_order_selection"] = True
     flags["exogenous_inputs_normalized"] = True
-    preds = {"train": {}, "test": {}}
-    models = {}
     idx = {pid: k for k, pid in enumerate(data.pixel_ids)}
-    for pid in split.train_pixels:
-        k = idx[pid]
-        theta_tr = np.where(data.mask[k, tr0:tr1], data.targets[k, tr0:tr1], np.nan)
-        mask_tr = data.mask[k, tr0:tr1]
-        X_tr = data.inputs[k, tr0:tr1]
-        obs_idx = np.flatnonzero(mask_tr)
-        if obs_idx.size < 10:
-            continue
-        warm = _ar_warmup(theta_tr, mask_tr, ar_max_order)
-        try:
-            model, best_p, rmse_by_p = select_ar_order(
-                np.nan_to_num(theta_tr), mask_tr, X_tr,
-                data.targets[k, te0:te1], data.mask[k, te0:te1],
-                data.inputs[k, te0:te1], warmup=warm,
-                p_max=ar_max_order, label=pid)
-        except ValidationError:
-            continue
-        models[pid] = (model, best_p, rmse_by_p)
-        preds["train"][pid] = _ar_in_sample(model, np.nan_to_num(theta_tr),
-                                            mask_tr, X_tr)
-        preds["test"][pid] = ar_forecast(model, data.inputs[k, te0:te1], warm)
-    if not models:
+    pids = [pid for pid in split.train_pixels
+            if data.mask[idx[pid], tr0:tr1].sum() >= 10]
+    ks = [idx[pid] for pid in pids]
+    mask_tr = data.mask[ks, tr0:tr1]
+    theta_tr = np.where(mask_tr, data.targets[ks, tr0:tr1], 0.0)
+    X_tr = data.inputs[ks, tr0:tr1]
+    warm = np.array([_ar_warmup(th, m, ar_max_order)
+                     for th, m in zip(theta_tr, mask_tr)])
+    swept = select_ar_orders(theta_tr, mask_tr, X_tr, data.targets[ks, te0:te1],
+                             data.mask[ks, te0:te1], data.inputs[ks, te0:te1],
+                             warm, p_max=ar_max_order, labels=pids)
+    kept = [j for j, res in enumerate(swept) if not isinstance(res, ValidationError)]
+    if not kept:
         raise ValidationError("no pixel could support an AR fit")
+    models = {pids[j]: swept[j] for j in kept}
+    test_pred = ar_forecast_batch([swept[j][0] for j in kept],
+                                  data.inputs[[ks[j] for j in kept], te0:te1],
+                                  warm[kept])
+    preds = {"train": {}, "test": {}}
+    for j, pred in zip(kept, test_pred):
+        preds["train"][pids[j]] = _ar_in_sample(swept[j][0], theta_tr[j],
+                                                mask_tr[j], X_tr[j])
+        preds["test"][pids[j]] = pred
     return preds, flags, models
 
 
@@ -533,23 +530,20 @@ def _ar_warmup(theta, mask, p_max):
     obs = theta[mask]
     if obs.size == 0:
         raise ValidationError("no observations for AR warmup")
-    tail = obs[-p_max:] if obs.size >= p_max else np.full(p_max, obs.mean())
-    if tail.size < p_max:
-        tail = np.concatenate([np.full(p_max - tail.size, obs.mean()), tail])
-    return tail
+    return obs[obs.size - p_max:] if obs.size >= p_max else np.full(p_max, obs.mean())
+
 
 def _ar_in_sample(model, theta, mask, X_exog):
     """One-step-ahead predictions inside the training window; lags come from
     observations (training-stage formulation), gaps fall back to the mean."""
-    T = theta.size
+    p = model.p
     obs_mean = theta[mask].mean()
-    out = np.empty(T)
-    for t in range(T):
-        val = model.c + (X_exog[t] @ model.gamma if model.r else 0.0)
-        for i in range(1, model.p + 1):
-            past = theta[t - i] if t - i >= 0 and mask[t - i] else obs_mean
-            val += model.alpha[i - 1] * past
-        out[t] = val
+    # lagged[p + t] is the lag input at time t; times before the window and
+    # unobserved times read the mean
+    lagged = np.concatenate([np.full(p, obs_mean), np.where(mask, theta, obs_mean)])
+    out = model.c + (X_exog @ model.gamma if model.r else np.zeros(theta.size))
+    for i in range(1, p + 1):
+        out = out + model.alpha[i - 1] * lagged[p - i:p - i + theta.size]
     return out
 
 
@@ -637,23 +631,22 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
                                  initial_state=state0)[..., 0]  # (n_pixels, T)
 
     # Per-pixel AR with the order swept against hindcast truth.
-    ar_models = []
     truth = np.stack([px.truth for px in dataset.pixels])
-    warmups = []
-    for k, px in enumerate(dataset.pixels):
-        theta_tr = data.targets[k, h_end:]
-        mask_tr = data.mask[k, h_end:]
-        # Hindcast recursion starts at day 0 with no earlier observations;
-        # seed the lags with the training-window mean.
-        warm_h = np.full(ar_max_order, np.nan_to_num(theta_tr)[mask_tr].mean())
-        model, best_p, rmse_by_p = select_ar_order(
-            np.nan_to_num(theta_tr), mask_tr, data.inputs[k, h_end:],
-            truth[k, :h_end], np.ones(h_end, dtype=bool),
-            data.inputs[k, :h_end], warmup=warm_h,
-            p_max=ar_max_order, label=px.pixel_id)
-        ar_models.append(model)
-        warmups.append(warm_h)
-    ar_pred = ar_forecast_batch(ar_models, data.inputs[:, :h_end], np.stack(warmups))
+    theta_tr = np.nan_to_num(data.targets[:, h_end:])
+    mask_tr = data.mask[:, h_end:]
+    # Hindcast recursion starts at day 0 with no earlier observations;
+    # seed the lags with the training-window mean.
+    warmups = np.array([np.full(ar_max_order, th[m].mean())
+                        for th, m in zip(theta_tr, mask_tr)])
+    swept = select_ar_orders(theta_tr, mask_tr, data.inputs[:, h_end:],
+                             truth[:, :h_end], np.ones((len(truth), h_end), dtype=bool),
+                             data.inputs[:, :h_end], warmups, p_max=ar_max_order,
+                             labels=all_ids)
+    for res in swept:
+        if isinstance(res, ValidationError):
+            raise res
+    ar_models = [model for model, _, _ in swept]
+    ar_pred = ar_forecast_batch(ar_models, data.inputs[:, :h_end], warmups)
 
     # Windowed RMSE vs clean truth, oldest window first.
     windows = []
@@ -695,6 +688,8 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
                                    for m in per_window},
         "latest_window_median": {m: per_window[m][last_label]["p50"]
                                  for m in per_window},
+        "ar_order_counts": {str(p): sum(1 for m in ar_models if m.p == p)
+                            for p in range(ar_max_order + 1)},
         "flags": {"optimistic_order_selection": True,
                   "exogenous_inputs_normalized": True},
         "lstm_config": (lstm_config or TrainingConfig()).to_dict(),
@@ -703,6 +698,7 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
     result = HindcastResult(windows=windows, rmse_rows=rmse_rows,
                             summary=summary,
                             models={"lstm": w, "ar_p": ar_models,
+                                    "ar_rmse_by_p": [rmse for _, _, rmse in swept],
                                     "stats": stats,
                                     "feature_names": data.feature_names})
     if out_dir is not None:

@@ -61,7 +61,18 @@ def load_model(path: str):
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise DataError(f"{path}: unknown model kind {kind!r}")
-    return kind, doc["payload"]
+    return kind, payload_fields(doc, "model", "payload")[0]
+
+
+def payload_fields(payload, what: str, *names):
+    """The named fields of a container section, in order; a missing field or
+    a section that is not a JSON object raises DataError naming it."""
+    if not isinstance(payload, dict):
+        raise DataError(f"{what} container section is not a JSON object")
+    missing = [name for name in names if name not in payload]
+    if missing:
+        raise DataError(f"{what} container lacks field(s) {', '.join(missing)}")
+    return [payload[name] for name in names]
 
 
 def lstm_payload(w: LstmWeights, feature_names, stats: NormalizationStats | None,
@@ -82,15 +93,22 @@ def lstm_payload(w: LstmWeights, feature_names, stats: NormalizationStats | None
 
 
 def lstm_from_payload(payload: dict):
-    """Returns (weights, feature_names, stats or None)."""
-    w = LstmWeights.zeros(payload["input_size"], payload["hidden_size"],
-                          payload["output_size"])
-    for name, value in payload["weights"].items():
-        setattr(w, name, np.asarray(value, dtype=float))
+    """Returns (weights, feature_names, stats or None). The weights must hold
+    exactly the arrays of ``LstmWeights.ARRAY_FIELDS``."""
+    n_in, n_hid, n_out, weights, names = payload_fields(
+        payload, "lstm", "input_size", "hidden_size", "output_size", "weights",
+        "feature_names")
+    payload_fields(weights, "lstm weights", *LstmWeights.ARRAY_FIELDS)
+    unknown = sorted(set(weights) - set(LstmWeights.ARRAY_FIELDS))
+    if unknown:
+        raise DataError(f"lstm container has unknown weight array(s) {', '.join(unknown)}")
+    w = LstmWeights(**{name: np.asarray(weights[name], dtype=float)
+                       for name in LstmWeights.ARRAY_FIELDS},
+                    input_size=n_in, hidden_size=n_hid, output_size=n_out)
     w.validate()
     stats = payload.get("normalization")
     stats = None if stats is None else NormalizationStats.from_dict(stats)
-    return w, list(payload["feature_names"]), stats
+    return w, list(names), stats
 
 
 def lasso_payload(model: LassoModel, feature_names,
@@ -106,9 +124,10 @@ def lasso_payload(model: LassoModel, feature_names,
 
 
 def lasso_from_payload(payload: dict) -> LassoModel:
-    return LassoModel(beta0=payload["beta0"],
-                      beta=np.asarray(payload["beta"], dtype=float),
-                      lam=payload["lambda"], converged=payload["converged"])
+    beta0, beta, lam, converged = payload_fields(
+        payload, "lasso", "beta0", "beta", "lambda", "converged")
+    return LassoModel(beta0=beta0, beta=np.asarray(beta, dtype=float), lam=lam,
+                      converged=converged)
 
 
 def ar_payload(model: ArModel, order_rmse: dict | None = None) -> dict:
@@ -119,8 +138,9 @@ def ar_payload(model: ArModel, order_rmse: dict | None = None) -> dict:
 
 
 def ar_from_payload(payload: dict) -> ArModel:
-    return ArModel(c=payload["c"], alpha=np.asarray(payload["alpha"], dtype=float),
-                   gamma=np.asarray(payload["gamma"], dtype=float))
+    c, alpha, gamma = payload_fields(payload, "ar_p", "c", "alpha", "gamma")
+    return ArModel(c=c, alpha=np.asarray(alpha, dtype=float),
+                   gamma=np.asarray(gamma, dtype=float))
 
 
 def ffnn_payload(model: FfnnModel, feature_names,
@@ -136,11 +156,11 @@ def ffnn_payload(model: FfnnModel, feature_names,
 
 
 def ffnn_from_payload(payload: dict) -> FfnnModel:
-    return FfnnModel(W1=np.asarray(payload["W1"], dtype=float),
-                     b1=np.asarray(payload["b1"], dtype=float),
-                     w2=np.asarray(payload["w2"], dtype=float),
-                     b2=payload["b2"], hidden_size=payload["hidden_size"],
-                     l2=payload["l2"], degenerate=payload["degenerate"])
+    W1, b1, w2, b2, hidden_size, l2, degenerate = payload_fields(
+        payload, "nn", "W1", "b1", "w2", "b2", "hidden_size", "l2", "degenerate")
+    return FfnnModel(W1=np.asarray(W1, dtype=float), b1=np.asarray(b1, dtype=float),
+                     w2=np.asarray(w2, dtype=float), b2=b2,
+                     hidden_size=hidden_size, l2=l2, degenerate=degenerate)
 
 
 def per_pixel_payload(models: dict, encode, feature_names,

@@ -138,3 +138,50 @@ def quadratic_layer_profile_average(layer_means, z_lo=0.0, z_hi=5.0, n=200001):
     z = np.linspace(z_lo, z_hi, n)
     theta = coeff[0] + coeff[1] * z + coeff[2] * z * z
     return float(np.trapezoid(theta, z) / (z_hi - z_lo))
+
+
+def loop_ar_design(theta, mask, X_exog, p):
+    """Row-by-row AR(p) design: for each t >= p whose target and p lags are
+    all observed, the row [1, theta_{t-1}, ..., theta_{t-p}, x_t] and the
+    target theta_t. Returns (A, b)."""
+    rows, targets = [], []
+    for t in range(p, len(theta)):
+        if not mask[t] or not all(mask[t - i] for i in range(1, p + 1)):
+            continue
+        rows.append(np.concatenate([[1.0], [theta[t - i] for i in range(1, p + 1)],
+                                    X_exog[t]]))
+        targets.append(theta[t])
+    return np.asarray(rows), np.asarray(targets)
+
+
+def scalar_ar_forecast(c, alpha, gamma, X_exog, warmup, horizon):
+    """Closed-loop AR recursion one step and one term at a time: predictions
+    feed back as lags; warmup holds the values before the window, newest
+    last."""
+    hist = [float(v) for v in warmup[len(warmup) - len(alpha):]]
+    out = []
+    for t in range(horizon):
+        val = c
+        for k in range(len(gamma)):
+            val += gamma[k] * X_exog[t][k]
+        for i in range(1, len(alpha) + 1):
+            val += alpha[i - 1] * hist[-i]
+        out.append(val)
+        hist.append(val)
+    return out
+
+
+def scalar_ar_in_sample(c, alpha, gamma, theta, mask, X_exog):
+    """One-step-ahead AR predictions with lags read from observations; a lag
+    that is unobserved or before the series reads the observed mean."""
+    observed = [theta[t] for t in range(len(theta)) if mask[t]]
+    mean = sum(observed) / len(observed)
+    out = []
+    for t in range(len(theta)):
+        val = c
+        for k in range(len(gamma)):
+            val += gamma[k] * X_exog[t][k]
+        for i in range(1, len(alpha) + 1):
+            val += alpha[i - 1] * (theta[t - i] if t - i >= 0 and mask[t - i] else mean)
+        out.append(val)
+    return out

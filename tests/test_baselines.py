@@ -11,10 +11,11 @@ from hlstm.baselines import (
     fit_lasso,
     ffnn_predict,
     select_ar_order,
+    select_ar_orders,
 )
 from hlstm.errors import ValidationError
 
-from oracles import ols_fit
+from oracles import loop_ar_design, ols_fit, scalar_ar_forecast
 
 
 def lasso_problem(seed, n=80, d=6):
@@ -251,6 +252,107 @@ class TestArForecast:
         for k in range(n_pix):
             single = ar_forecast(models[k], X[k], warm[k])
             assert np.max(np.abs(batch[k] - single)) < 1e-12, k
+
+
+def gappy_mask(rng, T, kind):
+    """Observation masks with the gap patterns the pipeline meets."""
+    if kind == "dense":
+        return np.ones(T, dtype=bool)
+    if kind == "random":
+        return rng.uniform(size=T) > 0.25
+    if kind == "every_other":      # no two consecutive days: only p = 0 fits
+        mask = np.ones(T, dtype=bool)
+        mask[::2] = False
+        return mask
+    if kind == "every_third":
+        mask = np.ones(T, dtype=bool)
+        mask[::3] = False
+        return mask
+    mask = np.ones(T, dtype=bool)  # "blocks": long outages
+    for start in rng.integers(0, T - 20, size=4):
+        mask[start:start + 20] = False
+    return mask
+
+
+GAP_KINDS = ("dense", "random", "every_other", "every_third", "blocks", "random")
+
+
+class TestArKernels:
+    @pytest.mark.parametrize("p", range(6))
+    def test_fit_equals_lstsq_on_loop_built_rows(self, p):
+        rng = np.random.default_rng(40 + p)
+        for kind in ("dense", "random", "every_third", "blocks"):
+            T = 240
+            theta = rng.normal(size=T)
+            mask = gappy_mask(rng, T, kind)
+            X = rng.normal(size=(T, 2))
+            A, b = loop_ar_design(theta, mask, X, p)
+            if b.size < p + 4:
+                with pytest.raises(ValidationError):
+                    fit_ar(theta, mask, X, p)
+                continue
+            coef, *_ = np.linalg.lstsq(A, b, rcond=None)
+            model = fit_ar(theta, mask, X, p)
+            assert model.n_rows == b.size
+            assert model.c == coef[0], kind
+            assert np.array_equal(model.alpha, coef[1:1 + p]), kind
+            assert np.array_equal(model.gamma, coef[1 + p:]), kind
+
+    def test_lockstep_recursion_matches_scalar_oracle(self):
+        rng = np.random.default_rng(23)
+        n_pix, T = 6, 120
+        X = rng.normal(size=(n_pix, T, 3))
+        warm = rng.uniform(0.1, 0.4, size=(n_pix, 5))
+        models = [ArModel(c=0.02 * k, alpha=rng.uniform(-0.3, 0.5, size=k),
+                          gamma=rng.normal(size=3)) for k in range(n_pix)]
+        batch = ar_forecast_batch(models, X, warm)
+        for k, m in enumerate(models):
+            expect = scalar_ar_forecast(m.c, m.alpha, m.gamma, X[k], warm[k], T)
+            assert np.max(np.abs(batch[k] - expect)) < 1e-12, k
+            assert np.max(np.abs(ar_forecast(m, X[k], warm[k]) - expect)) < 1e-12, k
+
+    def test_batched_sweep_equals_per_pixel_sweep(self):
+        rng = np.random.default_rng(31)
+        n_pix, T_fit, T_eval = len(GAP_KINDS), 300, 160
+        theta_fit, mask_fit, X_fit = [], [], []
+        for kind in GAP_KINDS:
+            theta, X = simulate_arx(int(rng.integers(1000)), T_fit)
+            theta_fit.append(theta)
+            mask_fit.append(gappy_mask(rng, T_fit, kind))
+            X_fit.append(X)
+        theta_eval = rng.uniform(0.1, 0.4, size=(n_pix, T_eval))
+        mask_eval = rng.uniform(size=(n_pix, T_eval)) > 0.3
+        X_eval = rng.normal(size=(n_pix, T_eval, 1))
+        warm = rng.uniform(0.1, 0.4, size=(n_pix, 5))
+        labels = [f"px_{k}" for k in range(n_pix)]
+        batched = select_ar_orders(theta_fit, mask_fit, X_fit, theta_eval,
+                                   mask_eval, X_eval, warm, p_max=5, labels=labels)
+        for k in range(n_pix):
+            model, best_p, rmse_by_p = select_ar_order(
+                theta_fit[k], mask_fit[k], X_fit[k], theta_eval[k], mask_eval[k],
+                X_eval[k], warm[k], p_max=5, label=labels[k])
+            b_model, b_best, b_rmse = batched[k]
+            assert b_best == best_p and b_rmse == rmse_by_p, labels[k]
+            assert b_model.c == model.c
+            assert np.array_equal(b_model.alpha, model.alpha)
+            assert np.array_equal(b_model.gamma, model.gamma)
+        # the every-other-day pixel rejects every order >= 1
+        assert batched[2][2] == {0: batched[2][2][0], **{p: float("inf") for p in range(1, 6)}}
+        assert batched[2][1] == 0
+
+    def test_batched_sweep_returns_per_pixel_errors(self):
+        rng = np.random.default_rng(5)
+        theta = rng.normal(size=(2, 50))
+        mask = np.ones((2, 50), dtype=bool)
+        mask[1] = False
+        mask_eval = np.ones((2, 20), dtype=bool)
+        mask_eval[0] = False
+        out = select_ar_orders(theta, mask, rng.normal(size=(2, 50, 1)),
+                               rng.normal(size=(2, 20)), mask_eval,
+                               rng.normal(size=(2, 20, 1)), np.zeros((2, 5)),
+                               labels=["a", "b"])
+        assert isinstance(out[0], ValidationError) and "no observed steps" in str(out[0])
+        assert isinstance(out[1], ValidationError) and "pixel b" in str(out[1])
 
 
 class TestFfnn:

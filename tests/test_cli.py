@@ -172,6 +172,20 @@ class TestHindcastCommand:
         assert (out1 / "model_lstm.json").read_bytes() == \
             (out2 / "model_lstm.json").read_bytes()
 
+        # each pixel's saved order is the one the 2% rule picks from its
+        # saved sweep scores
+        pixels = json.loads((out1 / "model_ar_p.json").read_text())["payload"]["pixels"]
+        assert len(pixels) == 4
+        for pid, doc in pixels.items():
+            rmse = {int(p): v for p, v in doc["order_rmse"].items()}
+            assert sorted(rmse) == list(range(6))
+            floor = min(rmse.values())
+            assert doc["order"] == min(p for p in rmse if rmse[p] <= floor * 1.02), pid
+            assert len(doc["alpha"]) == doc["order"]
+        counts = s1["ar_order_counts"]
+        assert counts == {str(p): sum(1 for d in pixels.values() if d["order"] == p)
+                          for p in range(6)}
+
 
 class TestCliErrors:
     def test_unknown_subcommand_exits_one(self, capsys):
@@ -220,6 +234,20 @@ class TestCliErrors:
                      "--out", str(tmp_path / "ev")])
         assert code == 1
         assert "temporal split" in capsys.readouterr().err
+
+    def test_container_missing_field_exits_one(self, workspace, tmp_path, capsys):
+        _, data, split_cfg = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--model", "ar_p", "--data", data,
+                     "--split", split_cfg, "--out", str(run)]) == 0
+        doc = json.loads((run / "model.json").read_text())
+        for pixel in doc["payload"]["pixels"].values():
+            del pixel["gamma"]
+        broken = write_json(tmp_path / "broken.json", doc)
+        code = main(["evaluate", "--data", data, "--split", split_cfg,
+                     "--model-file", broken, "--out", str(tmp_path / "ev")])
+        assert code == 1
+        assert "gamma" in capsys.readouterr().err
 
     def test_missing_data_exits_one(self, tmp_path, capsys):
         split_cfg = write_json(tmp_path / "s.json", temporal_split())

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hlstm.baselines import ArModel
 from hlstm.errors import ValidationError
 from hlstm.experiments import (
     SplitSpec,
+    _ar_in_sample,
     build_metrics_report,
     compute_metrics,
     make_split,
@@ -18,7 +20,7 @@ from hlstm.lstm import DropoutSpec
 from hlstm.synthetic import SyntheticConfig, generate_synthetic
 from hlstm.training import TrainingConfig
 
-from oracles import pearson_r_brute
+from oracles import pearson_r_brute, scalar_ar_in_sample
 
 
 def grid_dataset(rows=8, cols=8, years=2, **kw):
@@ -279,6 +281,23 @@ class TestRunExperiment:
         assert (tmp_path / "metrics_per_pixel.csv").exists()
         assert (tmp_path / "comparison.csv").exists()
         assert (tmp_path / "summary.json").exists()
+
+
+class TestArInSample:
+    @pytest.mark.parametrize("p,r", [(0, 2), (1, 2), (3, 2), (5, 1), (2, 0), (0, 0)])
+    def test_matches_loop_oracle(self, p, r):
+        rng = np.random.default_rng(60 + 7 * p + r)
+        T = 200
+        mask = rng.uniform(size=T) > 0.3
+        mask[:3] = False   # lags at the start read the mean too
+        theta = np.where(mask, rng.uniform(0.1, 0.4, size=T), 0.0)
+        X = rng.normal(size=(T, r))
+        model = ArModel(c=0.05, alpha=rng.uniform(-0.4, 0.6, size=p),
+                        gamma=rng.normal(size=r))
+        got = _ar_in_sample(model, theta, mask, X)
+        expect = scalar_ar_in_sample(model.c, model.alpha, model.gamma, theta, mask, X)
+        assert got.shape == (T,)
+        assert np.max(np.abs(got - expect)) < 1e-12
 
 
 class TestHindcast:

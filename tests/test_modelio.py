@@ -78,3 +78,42 @@ class TestContainer:
         back = ffnn_from_payload(payload)
         assert back.W1.tobytes() == model.W1.tobytes()
         assert back.b2 == model.b2
+
+
+class TestMalformedContainers:
+    def lstm_doc(self):
+        w = init_weights(3, 4, 1, seed=2)
+        return lstm_payload(w, ["a", "b", "c"], stats_fixture())
+
+    def test_lstm_missing_weight_array_rejected(self):
+        payload = self.lstm_doc()
+        del payload["weights"]["W_hy"]
+        with pytest.raises(DataError, match="W_hy"):
+            lstm_from_payload(payload)
+
+    def test_lstm_unknown_weight_key_rejected(self):
+        payload = self.lstm_doc()
+        payload["weights"]["hidden_size"] = 99
+        with pytest.raises(DataError, match="hidden_size"):
+            lstm_from_payload(payload)
+
+    def test_lasso_missing_field_named(self):
+        model = LassoModel(beta0=0.1, beta=np.array([0.5]), lam=0.002)
+        payload = lasso_payload(model, ["x1"], None)
+        del payload["lambda"]
+        with pytest.raises(DataError, match="lambda"):
+            lasso_from_payload(payload)
+
+    def test_ar_missing_field_named(self):
+        payload = ar_payload(ArModel(c=0.0, alpha=np.array([0.5]), gamma=np.zeros(0)))
+        del payload["gamma"]
+        with pytest.raises(DataError, match="gamma"):
+            ar_from_payload(payload)
+
+    def test_ffnn_missing_field_named(self):
+        model = FfnnModel(W1=np.zeros((2, 1)), b1=np.zeros(2), w2=np.zeros(2),
+                          b2=0.0, hidden_size=2, l2=0.0)
+        payload = ffnn_payload(model, ["x1"], None)
+        del payload["degenerate"]
+        with pytest.raises(DataError, match="degenerate"):
+            ffnn_from_payload(payload)
