@@ -18,7 +18,14 @@ On disk a dataset is a manifest JSON plus one CSV per pixel:
 
 Numbers are serialized with 17 significant digits so round-trips are
 lossless. The optional dense ``truth`` column stores the clean series behind
-a noisy synthetic target; real datasets simply omit it.
+a noisy synthetic target; real datasets simply omit it. Row t of a CSV is
+dated ``start_date + t`` days.
+
+The CSV body is formatted and parsed in bulk: the save formats each row with
+one ``%``-template and writes the file body at once; the load transposes the
+rows read by ``csv.reader`` and parses each column in one pass. The checks
+run on the whole file, and when one fails the rows are re-read in file order
+so the error names the first bad line.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import datetime as dt
 import json
 import os
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -36,8 +44,8 @@ from .errors import DataError, NumericError, ValidationError
 LAYER_BOUNDS_CM = ((0.0, 10.0), (10.0, 40.0), (40.0, 100.0), (100.0, 200.0))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# 17 significant digits make every float64 round-trip exactly
+_FMT = "%.17g"
 
 
 def parse_date(s: str) -> dt.date:
@@ -117,12 +125,6 @@ class GridDataset:
             raise ValidationError(f"date {d.isoformat()} outside the dataset range")
         return idx
 
-    def pixel_by_id(self, pixel_id: str) -> PixelSeries:
-        for px in self.pixels:
-            if px.pixel_id == pixel_id:
-                return px
-        raise ValidationError(f"no pixel with id {pixel_id!r}")
-
     @property
     def has_lsm(self) -> bool:
         return bool(self.pixels) and self.pixels[0].lsm is not None
@@ -143,6 +145,7 @@ def save_dataset(dataset: GridDataset, out_dir: str):
         "attribute_names": dataset.attribute_names,
         "pixels": [],
     }
+    days = [day.isoformat() for day in dataset.dates()]
     for px in dataset.pixels:
         series_file = f"{px.pixel_id}.csv"
         manifest["pixels"].append({
@@ -152,24 +155,21 @@ def save_dataset(dataset: GridDataset, out_dir: str):
             "region": px.region,
         })
         header = ["date", "target"]
-        if px.lsm is not None:
-            header.append("lsm")
-        if px.truth is not None:
-            header.append("truth")
+        dense = []
+        for name in ("lsm", "truth"):
+            series = getattr(px, name)
+            if series is not None:
+                header.append(name)
+                dense.append(series.tolist())
         header.extend(dataset.forcing_names)
+        dense.extend(px.forcing.T.tolist())
+        targets = [_FMT % v if seen else ""
+                   for v, seen in zip(px.target.tolist(), px.mask.tolist())]
+        template = "%s,%s" + ("," + _FMT) * len(dense) + "\r\n"
         path = os.path.join(out_dir, series_file)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t, day in enumerate(dataset.dates()):
-                row = [day.isoformat(),
-                       _fmt(px.target[t]) if px.mask[t] else ""]
-                if px.lsm is not None:
-                    row.append(_fmt(px.lsm[t]))
-                if px.truth is not None:
-                    row.append(_fmt(px.truth[t]))
-                row.extend(_fmt(v) for v in px.forcing[t])
-                writer.writerow(row)
+            csv.writer(fh).writerow(header)
+            fh.write("".join([template % row for row in zip(days, targets, *dense)]))
     tmp = os.path.join(out_dir, "manifest.json.tmp")
     with open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=1)
@@ -203,6 +203,8 @@ def load_dataset(manifest_path: str) -> GridDataset:
         raise DataError(f"{where}: not found") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{where}: manifest must be a JSON object")
 
     rows = _manifest_field(manifest, "rows", int, where)
     cols = _manifest_field(manifest, "cols", int, where)
@@ -213,17 +215,30 @@ def load_dataset(manifest_path: str) -> GridDataset:
     pixel_entries = _manifest_field(manifest, "pixels", list, where)
 
     base = os.path.dirname(manifest_path)
+    days = []  # expected ISO dates, grown as the files need them
     pixels = []
     for k, entry in enumerate(pixel_entries):
         pwhere = f"{where}: pixels[{k}]"
+        if not isinstance(entry, dict):
+            raise DataError(f"{pwhere}: must be an object")
         pid = str(_manifest_field(entry, "id", str, pwhere))
         series_file = _manifest_field(entry, "series_file", str, pwhere)
+        try:
+            attributes = np.asarray(entry.get("attributes", []), dtype=float)
+        except (TypeError, ValueError):
+            attributes = None
+        if attributes is None or attributes.ndim != 1:
+            raise DataError(f"{pwhere}: field 'attributes' must be a list of numbers")
         path = os.path.join(base, series_file)
         if not os.path.exists(path):
             raise DataError(f"{pwhere}: series file {series_file} missing "
                             f"for pixel {pid}")
-        px = _load_series(path, pid, entry, forcing_names, pwhere)
-        pixels.append(px)
+        series = _load_series(path, forcing_names, start_date, days)
+        pixels.append(PixelSeries(
+            pixel_id=pid,
+            row=_manifest_field(entry, "row", int, pwhere),
+            col=_manifest_field(entry, "col", int, pwhere),
+            attributes=attributes, region=entry.get("region"), **series))
 
     ds = GridDataset(rows=rows, cols=cols, start_date=start_date, n_days=n_days,
                      forcing_names=list(forcing_names),
@@ -231,8 +246,14 @@ def load_dataset(manifest_path: str) -> GridDataset:
     return ds.validate()
 
 
-def _load_series(path: str, pid: str, entry: dict, forcing_names: list[str],
-                 pwhere: str) -> PixelSeries:
+def _load_series(path: str, forcing_names: list[str], start_date: dt.date,
+                 days: list[str]) -> dict:
+    """Read one pixel CSV into its series arrays, parsed a column at a time.
+
+    Row t must be dated ``start_date + t`` days; ``days`` caches those dates
+    as ISO strings across the files of one dataset. Any failed check
+    re-reads the rows in file order to name the first bad line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -250,49 +271,55 @@ def _load_series(path: str, pid: str, entry: dict, forcing_names: list[str],
         if header[idx:] != list(forcing_names):
             raise DataError(f"{path}: forcing columns {header[idx:]} do not "
                             f"match manifest order {list(forcing_names)}")
-        n_forc = len(forcing_names)
-        targets, mask, forcing = [], [], []
-        lsm = [] if "lsm" in optional else None
-        truth = [] if "truth" in optional else None
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != idx + n_forc:
-                raise DataError(f"{path}:{ln}: expected {idx + n_forc} columns, "
-                                f"got {len(row)}")
-            parse_date(row[0])
-            cell = row[1].strip()
-            if cell == "":
-                targets.append(np.nan)
-                mask.append(False)
-            else:
-                targets.append(_parse_float(cell, path, ln))
-                mask.append(True)
-            col = 2
-            if lsm is not None:
-                lsm.append(_parse_float(row[col], path, ln))
-                col += 1
-            if truth is not None:
-                truth.append(_parse_float(row[col], path, ln))
-                col += 1
-            forcing.append([_parse_float(v, path, ln) for v in row[col:]])
-    return PixelSeries(
-        pixel_id=pid,
-        row=_manifest_field(entry, "row", int, pwhere),
-        col=_manifest_field(entry, "col", int, pwhere),
-        forcing=np.asarray(forcing, dtype=float),
-        attributes=np.asarray(entry.get("attributes", []), dtype=float),
-        target=np.asarray(targets, dtype=float),
-        mask=np.asarray(mask, dtype=bool),
-        lsm=None if lsm is None else np.asarray(lsm, dtype=float),
-        truth=None if truth is None else np.asarray(truth, dtype=float),
-        region=entry.get("region"),
-    )
+        rows = list(reader)
 
-
-def _parse_float(cell: str, path: str, ln: int) -> float:
+    n, width = len(rows), idx + len(forcing_names)
+    if set(map(len, rows)) - {width}:
+        _check_rows(rows, path, width, start_date)
+    days.extend((start_date + dt.timedelta(days=t)).isoformat()
+                for t in range(len(days), n))
+    columns = list(zip(*rows)) or [()] * width
+    if list(columns[0]) != days[:n]:
+        _check_rows(rows, path, width, start_date)  # passes for non-canonical ISO
     try:
-        return float(cell)
+        observed = list(map(bool, map(str.strip, columns[1])))
+        mask = np.array(observed, dtype=bool)
+        target = np.full(n, np.nan)
+        target[mask] = list(map(float, compress(columns[1], observed)))
+        dense = [np.fromiter(map(float, cells), float, n) for cells in columns[2:]]
     except ValueError:
-        raise DataError(f"{path}:{ln}: non-numeric value {cell!r}") from None
+        _check_rows(rows, path, width, start_date)
+        raise
+    dense = iter(dense)
+    lsm = next(dense) if "lsm" in optional else None
+    truth = next(dense) if "truth" in optional else None
+    forcing = np.empty((n, len(forcing_names)))
+    for j, column in enumerate(dense):
+        forcing[:, j] = column
+    return dict(forcing=forcing, target=target, mask=mask, lsm=lsm, truth=truth)
+
+
+def _check_rows(rows: list[list[str]], path: str, width: int, start_date: dt.date):
+    """Row-by-row checks in file order: raise DataError naming the first bad
+    ``file:line`` (line 1 is the header); return if every row is valid."""
+    for t, row in enumerate(rows):
+        ln = t + 2
+        if len(row) != width:
+            raise DataError(f"{path}:{ln}: expected {width} columns, got {len(row)}")
+        try:
+            day = parse_date(row[0])
+        except DataError as exc:
+            raise DataError(f"{path}:{ln}: {exc}") from None
+        want = start_date + dt.timedelta(days=t)
+        if day != want:
+            raise DataError(f"{path}:{ln}: date {row[0]} is not the expected "
+                            f"{want.isoformat()} (start date + {t} days)")
+        target = row[1].strip()
+        for cell in ([target] if target else []) + row[2:]:
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(f"{path}:{ln}: non-numeric value {cell!r}") from None
 
 
 @dataclass
@@ -347,21 +374,7 @@ def normalize(dataset: GridDataset, train_pixel_ids) -> tuple[GridDataset, Norma
     excluded = [names[j] for j in range(len(names)) if raw_std[j] == 0.0]
     std = np.where(raw_std == 0.0, 1.0, raw_std)
     stats = NormalizationStats(names=names, mean=mean, std=std, excluded=excluded)
-
-    nf = len(dataset.forcing_names)
-    has_lsm = dataset.has_lsm
-    new_pixels = []
-    for px in dataset.pixels:
-        forcing = (px.forcing - mean[:nf]) / std[:nf]
-        k = nf
-        lsm = px.lsm
-        if has_lsm:
-            lsm = (px.lsm - mean[k]) / std[k]
-            k += 1
-        attrs = (px.attributes - mean[k:]) / std[k:]
-        new_pixels.append(replace(px, forcing=forcing, lsm=lsm, attributes=attrs))
-    out = replace(dataset, pixels=new_pixels)
-    return out, stats
+    return apply_normalization(dataset, stats), stats
 
 
 def apply_normalization(dataset: GridDataset, stats: NormalizationStats) -> GridDataset:

@@ -11,11 +11,22 @@ P is a seeded wet-day precipitation process, ET demand follows a seasonal
 potential-evapotranspiration cycle, and the per-pixel parameters drawn from
 the heterogeneity ranges become the static attributes. The clean series is
 kept as ground truth; the target is a noisy, subsampled copy.
+
+Generation works on the whole grid at once. The calendar (day of year) and
+the seasonal cycles are computed once per dataset. A first pass draws each
+pixel's parameters and forcings from the pixel's own random stream, the
+bucket then steps all pixels together day by day, and a second pass
+continues each stream for the target, lsm channel and revisit schedule.
+The drainage power is taken with ``math.pow``, the C library ``pow`` behind
+Python's ``**``: numpy's array ``power`` may take a SIMD path that differs
+from it in the last bit, and the datasets are kept bit-identical to a
+one-pixel-at-a-time simulation.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,28 +145,55 @@ def add_noise(series: np.ndarray, kind: str, param: float, seed) -> np.ndarray:
     return series * (1.0 + eps)
 
 
-def _seasonal_cycle(n_days: int, start: dt.date, amplitude: float, base: float,
-                    jitter: np.ndarray) -> np.ndarray:
-    doy = np.array([(start + dt.timedelta(days=i)).timetuple().tm_yday
-                    for i in range(n_days)], dtype=float)
-    cyc = base + amplitude * np.sin(2.0 * np.pi * (doy - 105.0) / 365.25)
-    return np.maximum(cyc + jitter, 0.05)
+def _day_of_year(start: dt.date, n_days: int) -> np.ndarray:
+    """Day of year (1-366) of each of ``n_days`` days from ``start``."""
+    days = np.datetime64(start, "D") + np.arange(n_days)
+    return (days - days.astype("datetime64[Y]")).astype(float) + 1.0
+
+
+def _seasonal_cycle(doy: np.ndarray, amplitude: float, base: float) -> np.ndarray:
+    return base + amplitude * np.sin(2.0 * np.pi * (doy - 105.0) / 365.25)
+
+
+def _bucket_lockstep(precip: np.ndarray, pet: np.ndarray, et_coef, porosity,
+                     residual, infiltration, drainage_coef, drainage_exp,
+                     depth_mm, theta0) -> np.ndarray:
+    """Step every pixel's bucket together over time.
+
+    ``precip`` and ``pet`` are (T, P); the parameters and ``theta0`` are
+    (P,). ET demand is ``et_coef * pet``, formed one day at a time so no
+    second (T, P) array is held. Returns theta as (T, P). The drainage
+    power goes through ``math.pow`` (libm, the same as Python's ``**``)
+    rather than numpy's array ``power``, whose SIMD path can differ in the
+    last bit.
+    """
+    T, P = precip.shape
+    theta = np.empty((T, P))
+    b = np.asarray(drainage_exp, dtype=float).tolist()
+    x = np.asarray(theta0, dtype=float)
+    for t in range(T):
+        theta[t] = x
+        drain = np.fromiter(map(math.pow, x.tolist(), b), float, P)
+        flux = infiltration * precip[t] - (et_coef * pet[t]) * x - drainage_coef * drain
+        x = np.minimum(np.maximum(x + flux / depth_mm, residual), porosity)
+    return theta
 
 
 def simulate_bucket(precip: np.ndarray, et_demand: np.ndarray, porosity: float,
                     residual: float, infiltration: float, drainage_coef: float,
                     drainage_exp: float, depth_mm: float,
                     theta0: float | None = None) -> np.ndarray:
-    """Daily bucket water balance; the state stays inside [residual, porosity]."""
-    T = precip.size
-    theta = np.empty(T)
-    x = 0.5 * (residual + porosity) if theta0 is None else theta0
-    for t in range(T):
-        theta[t] = x
-        flux = infiltration * precip[t] - et_demand[t] * x \
-            - drainage_coef * x ** drainage_exp
-        x = min(max(x + flux / depth_mm, residual), porosity)
-    return theta
+    """Daily bucket water balance of one pixel; the state stays inside
+    [residual, porosity]. This is the one-pixel call of the lockstep kernel
+    (an ET coefficient of exactly 1 leaves ``et_demand`` unchanged)."""
+    x0 = 0.5 * (residual + porosity) if theta0 is None else theta0
+    one = lambda v: np.array([v], dtype=float)  # noqa: E731
+    theta = _bucket_lockstep(
+        np.asarray(precip, dtype=float)[:, None],
+        np.asarray(et_demand, dtype=float)[:, None], one(1.0),
+        one(porosity), one(residual), one(infiltration), one(drainage_coef),
+        one(drainage_exp), one(depth_mm), one(x0))
+    return theta[:, 0].copy()
 
 
 def _region_label(row: int, col: int, cfg: SyntheticConfig) -> str | None:
@@ -166,6 +204,9 @@ def _region_label(row: int, col: int, cfg: SyntheticConfig) -> str | None:
 
 
 BURN_IN_DAYS = 365  # simulated before the record starts, then discarded
+# per-pixel bucket parameters, in draw order; also the exposed attribute names
+BUCKET_PARAMS = ("porosity", "residual", "infiltration", "et_coef",
+                 "drainage_coef", "drainage_exp", "depth_mm")
 
 
 def generate_synthetic(config: SyntheticConfig) -> GridDataset:
@@ -176,6 +217,14 @@ def generate_synthetic(config: SyntheticConfig) -> GridDataset:
     that burn-in is discarded, so day 0 of the stored series is already in
     the stationary regime rather than relaxing from the bucket's arbitrary
     initial state.
+
+    Two passes over the pixels sit around one lockstep bucket run. Pass 1
+    draws each pixel's parameters, precipitation and forcing jitter from its
+    own stream ``make_rng([seed, k])``; the bucket then steps all pixels
+    together; pass 2 continues each pixel's same stream for the bias
+    attribute, the lsm bias and noise, the target noise and the irregular
+    revisit schedule. The draw order within each stream is that of a
+    pixel-at-a-time loop, so a pixel's series do not depend on the grid size.
     """
     cfg = config.validate()
     n_days = cfg.n_days
@@ -186,86 +235,85 @@ def generate_synthetic(config: SyntheticConfig) -> GridDataset:
 
     attribute_names = []
     if cfg.expose_bucket_attrs:
-        attribute_names = ["porosity", "residual", "infiltration", "et_coef",
-                           "drainage_coef", "drainage_exp", "depth_mm"]
+        attribute_names = list(BUCKET_PARAMS)
     if cfg.bias_attr_scale > 0 or cfg.lsm_bias_from_attr:
         attribute_names = attribute_names + ["biasattr"]
 
+    doy = _day_of_year(sim_start, sim_days)
+    pet_cycle = _seasonal_cycle(doy, amplitude=2.0, base=3.0)
+    tair_cycle = _seasonal_cycle(doy, amplitude=10.0, base=12.0)
+
+    # pass 1: parameters and forcings, one column per pixel
+    n_px = cfg.rows * cfg.cols
+    params = np.empty((len(BUCKET_PARAMS), n_px))
+    precip = np.empty((sim_days, n_px))
+    pet = np.empty((sim_days, n_px))
+    tair = np.empty((sim_days, n_px))
+    rngs = []
+    for k in range(n_px):
+        rng = make_rng([cfg.seed, k])
+        rngs.append(rng)
+        for j, name in enumerate(BUCKET_PARAMS):
+            params[j, k] = rng.uniform(*getattr(cfg, name))
+        wet_p = rng.uniform(*cfg.wet_day_prob)
+        wet_depth = rng.uniform(*cfg.wet_day_depth)
+        wet = rng.random(sim_days) < wet_p
+        precip[:, k] = np.where(wet, rng.exponential(wet_depth, size=sim_days), 0.0)
+        pet[:, k] = np.maximum(pet_cycle + rng.normal(0.0, 0.3, size=sim_days), 0.05)
+        tair[:, k] = np.maximum(tair_cycle + rng.normal(0.0, 1.5, size=sim_days), 0.05)
+
+    porosity, residual, infiltration, et_coef, k_drain, b_drain, depth = params
+    theta = _bucket_lockstep(precip, pet, et_coef, porosity, residual,
+                             infiltration, k_drain, b_drain, depth,
+                             theta0=0.5 * (residual + porosity))
+
+    # pass 2: target, lsm channel and schedule, continuing each pixel's stream
     pixels = []
-    for row in range(cfg.rows):
-        for col in range(cfg.cols):
-            k = row * cfg.cols + col
-            rng = make_rng([cfg.seed, k])
+    for k, rng in enumerate(rngs):
+        row, col = divmod(k, cfg.cols)
+        attrs = list(params[:, k]) if cfg.expose_bucket_attrs else []
+        truth = theta[burn:, k].copy()
+        bias_attr = None
+        if cfg.bias_attr_scale > 0 or cfg.lsm_bias_from_attr:
+            bias_attr = rng.uniform(-1.0, 1.0)
+            attrs.append(bias_attr)
+        if cfg.bias_attr_scale > 0:
+            # quadratic in the attribute, centered to zero mean over U(-1,1)
+            truth = truth + cfg.bias_attr_scale * (bias_attr ** 2 - 1.0 / 3.0)
 
-            porosity = rng.uniform(*cfg.porosity)
-            residual = rng.uniform(*cfg.residual)
-            infiltration = rng.uniform(*cfg.infiltration)
-            et_coef = rng.uniform(*cfg.et_coef)
-            k_drain = rng.uniform(*cfg.drainage_coef)
-            b_drain = rng.uniform(*cfg.drainage_exp)
-            depth = rng.uniform(*cfg.depth_mm)
+        region = _region_label(row, col, cfg)
+        lsm = None
+        if cfg.include_lsm:
+            lo, hi = cfg.lsm_bias_range
+            frac = _region_bias_fraction(row, col, cfg, rng)
+            if cfg.lsm_bias_from_attr:
+                # overwrite the sampled attribute so it encodes the bias
+                attrs[-1] = 2.0 * frac - 1.0
+            bias = lo + (hi - lo) * frac
+            lsm = truth + bias
+            if cfg.lsm_noise_std > 0:
+                lsm = lsm + rng.normal(0.0, cfg.lsm_noise_std, size=n_days)
 
-            wet_p = rng.uniform(*cfg.wet_day_prob)
-            wet_depth = rng.uniform(*cfg.wet_day_depth)
-            wet = rng.random(sim_days) < wet_p
-            precip = np.where(wet, rng.exponential(wet_depth, size=sim_days), 0.0)
+        if cfg.noise_kind == "none":
+            target = truth.copy()
+        else:
+            target = add_noise(truth, cfg.noise_kind, cfg.noise_param, rng)
+        target = np.clip(target, 0.0, 1.0)
 
-            pet = _seasonal_cycle(sim_days, sim_start, amplitude=2.0, base=3.0,
-                                  jitter=rng.normal(0.0, 0.3, size=sim_days))
-            tair = _seasonal_cycle(sim_days, sim_start, amplitude=10.0, base=12.0,
-                                   jitter=rng.normal(0.0, 1.5, size=sim_days))
+        if cfg.irregular_revisit:
+            observed = rng.random(n_days) < 1.0 / cfg.revisit_days
+        else:
+            offset = (row + col) % cfg.revisit_days  # destagger like swaths
+            observed = (np.arange(n_days) % cfg.revisit_days) == offset
+        target = np.where(observed, target, np.nan)
 
-            theta = simulate_bucket(precip, et_coef * pet, porosity, residual,
-                                    infiltration, k_drain, b_drain, depth)
-            precip, pet, tair = precip[burn:], pet[burn:], tair[burn:]
-            theta = theta[burn:]
-
-            attrs = []
-            if cfg.expose_bucket_attrs:
-                attrs = [porosity, residual, infiltration, et_coef,
-                         k_drain, b_drain, depth]
-            truth = theta
-            bias_attr = None
-            if cfg.bias_attr_scale > 0 or cfg.lsm_bias_from_attr:
-                bias_attr = rng.uniform(-1.0, 1.0)
-                attrs.append(bias_attr)
-            if cfg.bias_attr_scale > 0:
-                # quadratic in the attribute, centered to zero mean over U(-1,1)
-                truth = theta + cfg.bias_attr_scale * (bias_attr ** 2 - 1.0 / 3.0)
-
-            region = _region_label(row, col, cfg)
-            lsm = None
-            if cfg.include_lsm:
-                lo, hi = cfg.lsm_bias_range
-                frac = _region_bias_fraction(row, col, cfg, rng)
-                if cfg.lsm_bias_from_attr:
-                    # overwrite the sampled attribute so it encodes the bias
-                    attrs[-1] = 2.0 * frac - 1.0
-                bias = lo + (hi - lo) * frac
-                lsm = truth + bias
-                if cfg.lsm_noise_std > 0:
-                    lsm = lsm + rng.normal(0.0, cfg.lsm_noise_std, size=n_days)
-
-            if cfg.noise_kind == "none":
-                target = truth.copy()
-            else:
-                target = add_noise(truth, cfg.noise_kind, cfg.noise_param, rng)
-            target = np.clip(target, 0.0, 1.0)
-
-            if cfg.irregular_revisit:
-                observed = rng.random(n_days) < 1.0 / cfg.revisit_days
-            else:
-                offset = (row + col) % cfg.revisit_days  # destagger like swaths
-                observed = (np.arange(n_days) % cfg.revisit_days) == offset
-            target = np.where(observed, target, np.nan)
-
-            pixels.append(PixelSeries(
-                pixel_id=f"px_{row}_{col}", row=row, col=col,
-                forcing=np.column_stack([precip, pet, tair]),
-                attributes=np.asarray(attrs, dtype=float),
-                target=target, mask=observed,
-                lsm=lsm, truth=truth.copy(), region=region,
-            ))
+        pixels.append(PixelSeries(
+            pixel_id=f"px_{row}_{col}", row=row, col=col,
+            forcing=np.column_stack([precip[burn:, k], pet[burn:, k], tair[burn:, k]]),
+            attributes=np.asarray(attrs, dtype=float),
+            target=target, mask=observed,
+            lsm=lsm, truth=truth, region=region,
+        ))
 
     ds = GridDataset(rows=cfg.rows, cols=cfg.cols, start_date=start,
                      n_days=n_days, forcing_names=list(FORCING_NAMES),

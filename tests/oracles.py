@@ -4,6 +4,7 @@ Everything here is deliberately scalar / brute force and shares no code with
 the package under test.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -185,3 +186,42 @@ def scalar_ar_in_sample(c, alpha, gamma, theta, mask, X_exog):
             val += alpha[i - 1] * (theta[t - i] if t - i >= 0 and mask[t - i] else mean)
         out.append(val)
     return out
+
+
+def scalar_bucket(precip, et_demand, porosity, residual, infiltration,
+                  drainage_coef, drainage_exp, depth_mm, theta0=None):
+    """Daily bucket water balance one pixel and one day at a time, with the
+    drainage power taken by Python's ``**``."""
+    theta = np.empty(len(precip))
+    x = 0.5 * (residual + porosity) if theta0 is None else theta0
+    for t in range(len(precip)):
+        theta[t] = x
+        flux = infiltration * precip[t] - et_demand[t] * x \
+            - drainage_coef * x ** drainage_exp
+        x = min(max(x + flux / depth_mm, residual), porosity)
+    return theta
+
+
+def loop_save_series(path, dates, forcing_names, forcing, target, mask,
+                     lsm=None, truth=None):
+    """One pixel CSV written a cell at a time through ``csv.writer``:
+    header date,target[,lsm][,truth],<forcings>, 17 significant digits,
+    an empty target cell where unobserved."""
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    header = ["date", "target"]
+    if lsm is not None:
+        header.append("lsm")
+    if truth is not None:
+        header.append("truth")
+    header.extend(forcing_names)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t, day in enumerate(dates):
+            row = [day.isoformat(), fmt(target[t]) if mask[t] else ""]
+            if lsm is not None:
+                row.append(fmt(lsm[t]))
+            if truth is not None:
+                row.append(fmt(truth[t]))
+            row.extend(fmt(v) for v in forcing[t])
+            writer.writerow(row)

@@ -255,6 +255,19 @@ class TestCliErrors:
                      "--split", split_cfg, "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_malformed_manifest_entry_exits_one(self, workspace, tmp_path, capsys):
+        _, data, split_cfg = workspace
+        manifest_path = os.path.join(data, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["pixels"][0]["attributes"] = "0.4,0.1"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["train", "--model", "lstm", "--data", data,
+                     "--split", split_cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "pixels[0]: field 'attributes'" in capsys.readouterr().err
+
     def test_degenerate_training_data_exits_two(self, tmp_path, capsys):
         # a dataset with no observations at all loads fine but cannot train
         n_days = 120

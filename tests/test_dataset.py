@@ -16,9 +16,15 @@ from hlstm.dataset import (
     vertical_interpolate,
 )
 from hlstm.errors import DataError, NumericError, ValidationError
-from hlstm.synthetic import SyntheticConfig, add_noise, generate_synthetic, simulate_bucket
+from hlstm.synthetic import (
+    SyntheticConfig,
+    _bucket_lockstep,
+    add_noise,
+    generate_synthetic,
+    simulate_bucket,
+)
 
-from oracles import quadratic_layer_profile_average
+from oracles import loop_save_series, quadratic_layer_profile_average, scalar_bucket
 
 
 def small_dataset(seed=0, rows=2, cols=2, n_days=30, with_lsm=True):
@@ -97,6 +103,67 @@ class TestRoundTrip:
         ds.pixels[0].target[ds.pixels[0].mask.argmax()] = 1.7
         with pytest.raises(DataError, match=r"\[0, 1\]"):
             ds.validate()
+
+
+    def test_save_matches_loop_writer_byte_for_byte(self, tmp_path):
+        ds = small_dataset(seed=9)
+        ds.forcing_names = ['pr,"x"', "pet"]
+        px = ds.pixels[0]
+        px.truth = np.random.default_rng(1).uniform(0.1, 0.4, ds.n_days)
+        px.forcing[:4, 0] = [-0.0, 5e-324, 1e300, -1e-310]
+        px.lsm[:3] = [0.0, 1e300, 5e-324]
+        px.mask[:3] = True
+        px.target[:3] = [-0.0, 5e-324, 1.0]
+        save_dataset(ds, str(tmp_path / "bulk"))
+        for p in ds.pixels:
+            want = tmp_path / f"{p.pixel_id}.csv"
+            loop_save_series(str(want), ds.dates(), ds.forcing_names, p.forcing,
+                             p.target, p.mask, lsm=p.lsm, truth=p.truth)
+            got = (tmp_path / "bulk" / f"{p.pixel_id}.csv").read_bytes()
+            assert got == want.read_bytes()
+        assert b'"pr,""x"""' in (tmp_path / "bulk" / "px_0_0.csv").read_bytes()
+
+    def _rewrite_line(self, tmp_path, line_no, fn):
+        path = tmp_path / "px_0_0.csv"
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = fn(lines[line_no - 1])
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_out_of_sequence_date_names_file_and_line(self, tmp_path):
+        save_dataset(small_dataset(), str(tmp_path))
+        self._rewrite_line(tmp_path, 6, lambda ln: "1999-01-01" + ln[10:])
+        with pytest.raises(DataError, match=r"px_0_0\.csv:6: date 1999-01-01"):
+            load_dataset(str(tmp_path))
+
+    def test_bad_iso_date_names_file_and_line(self, tmp_path):
+        save_dataset(small_dataset(), str(tmp_path))
+        self._rewrite_line(tmp_path, 9, lambda ln: "2000-13-40" + ln[10:])
+        with pytest.raises(DataError, match=r"px_0_0\.csv:9: bad ISO date '2000-13-40'"):
+            load_dataset(str(tmp_path))
+
+    def test_first_non_numeric_cell_in_file_order_is_named(self, tmp_path):
+        save_dataset(small_dataset(), str(tmp_path))
+        # a bad target on line 9 and a bad last forcing on line 5
+        self._rewrite_line(tmp_path, 9, lambda ln: ln.split(",")[0] + ",x," + ln.split(",", 2)[2])
+        self._rewrite_line(tmp_path, 5, lambda ln: ln.rsplit(",", 1)[0] + ",oops")
+        with pytest.raises(DataError, match=r"px_0_0\.csv:5: non-numeric value 'oops'"):
+            load_dataset(str(tmp_path))
+
+    def _edit_manifest(self, tmp_path, fn):
+        save_dataset(small_dataset(), str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        fn(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_pixel_entry_not_an_object(self, tmp_path):
+        self._edit_manifest(tmp_path, lambda m: m["pixels"].__setitem__(1, 7))
+        with pytest.raises(DataError, match=r"pixels\[1\]: must be an object"):
+            load_dataset(str(tmp_path))
+
+    def test_attributes_not_a_list_of_numbers(self, tmp_path):
+        self._edit_manifest(tmp_path, lambda m: m["pixels"][2].update(attributes="abc"))
+        with pytest.raises(DataError, match=r"pixels\[2\]: field 'attributes'"):
+            load_dataset(str(tmp_path))
 
 
 class TestNormalize:
@@ -233,6 +300,47 @@ class TestGenerator:
             drainage_coef=60.0, drainage_exp=2.5, depth_mm=300.0)
         assert np.all(np.diff(theta) <= 0)
         assert abs(theta[-1] - 0.1) < 1e-6
+
+    def test_lockstep_bucket_matches_scalar_oracle(self):
+        rng = np.random.default_rng(12)
+        T, P = 300, 18
+        precip = np.where(rng.random((T, P)) < 0.3, rng.exponential(8.0, (T, P)), 0.0)
+        precip[:, 0] = 0.0      # dries out: clamps at residual
+        precip[:, 1] = 400.0    # floods: clamps at porosity
+        pet = rng.uniform(0.5, 6.0, (T, P))
+        et_coef = rng.uniform(0.8, 1.2, P)
+        porosity = rng.uniform(0.42, 0.48, P)
+        residual = rng.uniform(0.08, 0.12, P)
+        infiltration = rng.uniform(0.4, 0.6, P)
+        k_drain = rng.uniform(40.0, 80.0, P)
+        b_drain = rng.uniform(1.5, 3.5, P)
+        depth = rng.uniform(250.0, 350.0, P)
+        theta0 = 0.5 * (residual + porosity)
+        theta = _bucket_lockstep(precip, pet, et_coef, porosity, residual,
+                                 infiltration, k_drain, b_drain, depth, theta0)
+        for k in range(P):
+            want = scalar_bucket(precip[:, k], et_coef[k] * pet[:, k], porosity[k],
+                                 residual[k], infiltration[k], k_drain[k],
+                                 b_drain[k], depth[k])
+            assert theta[:, k].tobytes() == want.tobytes()
+        assert np.any(theta[:, 0] == residual[0])
+        assert np.any(theta[:, 1] == porosity[1])
+        one = simulate_bucket(precip[:, 2], et_coef[2] * pet[:, 2], porosity[2],
+                              residual[2], infiltration[2], k_drain[2], b_drain[2],
+                              depth[2], theta0=0.3)
+        want = scalar_bucket(precip[:, 2], et_coef[2] * pet[:, 2], porosity[2],
+                             residual[2], infiltration[2], k_drain[2], b_drain[2],
+                             depth[2], theta0=0.3)
+        assert one.tobytes() == want.tobytes()
+
+    def test_pixel_streams_do_not_depend_on_grid_size(self):
+        opts = dict(years=1, noise_kind="relative", noise_param=0.05,
+                    irregular_revisit=True, include_lsm=True, lsm_noise_std=0.01,
+                    lsm_bias_from_attr=True, seed=13)
+        big = generate_synthetic(SyntheticConfig(rows=4, cols=4, **opts)).pixels[0]
+        one = generate_synthetic(SyntheticConfig(rows=1, cols=1, **opts)).pixels[0]
+        for name in ("forcing", "attributes", "target", "mask", "lsm", "truth"):
+            assert getattr(big, name).tobytes() == getattr(one, name).tobytes(), name
 
     def test_bucket_bounds_hold(self):
         cfg = SyntheticConfig(rows=3, cols=3, years=2, seed=4)
