@@ -13,7 +13,7 @@ pixels still in the sweep, and :func:`select_ar_order` is its one-pixel case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,6 +26,43 @@ FFNN_L2_DEFAULT = 0.002        # tuned L2 weight for the feedforward net
 FFNN_HIDDEN_CONUS = 100        # shared-model hidden size
 FFNN_HIDDEN_POINT = 30         # point-by-point hidden size
 AR_MAX_ORDER = 5
+FFNN_EPOCHS_DEFAULT = 400      # epoch cap of the experiment and CLI fits
+
+
+@dataclass(frozen=True)
+class BaselineSettings:
+    """The baselines' settings, named as in the "baselines" section of a
+    training config."""
+
+    lasso_lambda: float = LASSO_LAMBDA_DEFAULT
+    ffnn_hidden: int = FFNN_HIDDEN_CONUS
+    ffnn_hidden_point: int = FFNN_HIDDEN_POINT
+    ffnn_l2: float = FFNN_L2_DEFAULT
+    ffnn_epochs: int = FFNN_EPOCHS_DEFAULT
+    ar_max_order: int = AR_MAX_ORDER
+
+    def validate(self):
+        for name, value in asdict(self).items():
+            real = name in ("lasso_lambda", "ffnn_l2")
+            low = 0 if real or name == "ar_max_order" else 1
+            high = AR_MAX_ORDER if name == "ar_max_order" else float("inf")
+            if (isinstance(value, bool) or not isinstance(value, (int, float) if real else int)
+                    or not low <= value <= high):
+                raise ValidationError(f"baselines.{name} must be {'a number' if real else 'an integer'}"
+                                      f" in [{low}, {high}], got {value!r}")
+        return self
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d) -> "BaselineSettings":
+        if not isinstance(d, dict):
+            raise ValidationError("config section 'baselines' must be a JSON object")
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValidationError(f"unknown baselines fields: {sorted(unknown)}")
+        return cls(**d).validate()
 
 
 @dataclass
@@ -375,6 +412,9 @@ class FfnnModel:
     degenerate: bool = False
     epochs_run: int = 0
     val_rmse: float = float("nan")
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return ffnn_predict(self, X)
 
 
 def ffnn_predict(model: FfnnModel, X: np.ndarray) -> np.ndarray:

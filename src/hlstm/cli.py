@@ -8,14 +8,15 @@ diagnostics go to stderr. Exit codes: 0 success, 1 validation/usage error,
 
 Config files are JSON. The train config mirrors TrainingConfig field names at
 the top level; the reserved sections "features" (include_lsm,
-include_attributes) and "baselines" (lasso_lambda, ffnn_hidden,
-ffnn_hidden_point, ffnn_l2, ffnn_epochs, ar_max_order) tune the rest.
-Command-line flags override config values.
+include_attributes) and "baselines" (BaselineSettings) tune the rest. An
+unknown key or a section that is not a JSON object exits 1. Command-line
+flags override config values.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -25,41 +26,22 @@ import time
 import numpy as np
 
 from . import __version__
-from .baselines import ar_forecast, ffnn_predict
-from .dataset import GridDataset, apply_normalization, load_dataset, normalize, save_dataset
+from .baselines import AR_MAX_ORDER, BaselineSettings
+from .dataset import GridDataset, load_dataset, normalize, save_dataset, write_json_atomic
 from .errors import DataError, ValidationError
 from .experiments import (
+    ExperimentResult,
     Split,
     SplitSpec,
-    build_metrics_report,
     make_split,
     require_point_split,
     run_hindcast_experiment,
-    _ar_warmup,
-    _fit_and_predict,
-    _ar_in_sample,
+    score_predictions,
     write_experiment_reports,
-    ExperimentResult,
 )
-from .lstm import predict_sequence
-from .modelio import (
-    ar_from_payload,
-    ar_payload,
-    ffnn_from_payload,
-    ffnn_payload,
-    lasso_from_payload,
-    lasso_payload,
-    load_model,
-    lstm_from_payload,
-    lstm_payload,
-    payload_fields,
-    per_pixel_payload,
-    save_model,
-)
+from .modelio import MODEL_KINDS, load_model, model_payload, predict_container, save_model
 from .synthetic import SyntheticConfig, generate_synthetic
-from .training import TrainingConfig, prepare_sequences, train_lstm, write_history_csv
-
-MODEL_KINDS = ("lstm", "lasso", "lasso_p", "ar_p", "nn", "nn_p")
+from .training import TrainingConfig, prepare_sequences, write_history_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,12 +63,15 @@ def _load_json(path: str, what: str) -> dict:
         raise ValidationError(f"{what} file {path}: invalid JSON ({exc})") from exc
 
 
-def _atomic_json(path: str, obj):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+def _object(value, what: str, known=None) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``known`` (any
+    keys when None), else ValidationError."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = sorted(set(value) - set(value if known is None else known))
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {unknown}")
+    return value
 
 
 class RunManifest:
@@ -108,7 +93,7 @@ class RunManifest:
     def write(self):
         self.doc["wall_seconds"] = round(time.perf_counter() - self._t0, 3)
         os.makedirs(self.out_dir, exist_ok=True)
-        _atomic_json(os.path.join(self.out_dir, "run_manifest.json"), self.doc)
+        write_json_atomic(os.path.join(self.out_dir, "run_manifest.json"), self.doc)
 
 
 def _load_split(path: str, dataset: GridDataset) -> Split:
@@ -125,8 +110,10 @@ def _load_split(path: str, dataset: GridDataset) -> Split:
 
 
 def _split_train_config(doc: dict, seed_override):
-    features = doc.pop("features", {})
-    baselines = doc.pop("baselines", {})
+    doc = dict(_object(doc, "training config"))
+    features = _object(doc.pop("features", {}), "features section",
+                       ("include_lsm", "include_attributes"))
+    baselines = BaselineSettings.from_dict(doc.pop("baselines", {}))
     config = TrainingConfig.from_dict(doc) if doc else TrainingConfig()
     if seed_override is not None:
         config.seed = seed_override
@@ -158,7 +145,7 @@ def cmd_split(args) -> int:
     spec = SplitSpec.from_dict(_load_json(args.config, "split spec"))
     split = make_split(dataset, spec)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_json(os.path.join(args.out, "split.json"), split.to_dict())
+    write_json_atomic(os.path.join(args.out, "split.json"), split.to_dict())
     manifest.doc["config"] = spec.to_dict()
     manifest.doc["inputs"] = {"dataset": args.data}
     manifest.doc["outputs"] = {"split": os.path.join(args.out, "split.json")}
@@ -186,132 +173,30 @@ def cmd_train(args) -> int:
 
     feature_flags = {"include_lsm": include_lsm,
                      "include_attributes": include_attributes}
-    model_path = os.path.join(args.out, "model.json")
-    if args.model == "lstm":
-        def ckpt_writer(path, weights):
-            save_model(path, "lstm", lstm_payload(
-                weights, data.feature_names, stats, config.to_dict(),
-                extra=feature_flags))
 
-        w, history = train_lstm(train_data, config, window=split.train_window,
-                                checkpoint_dir=args.out,
-                                checkpoint_writer=ckpt_writer)
-        save_model(model_path, "lstm", lstm_payload(
-            w, data.feature_names, stats, config.to_dict(), extra=feature_flags))
-        write_history_csv(history, os.path.join(args.out, "history.csv"))
-    else:
-        predictions, flags, model_obj = _fit_and_predict(
-            args.model, data, train_data, split, config,
-            baselines.get("lasso_lambda", 0.002),
-            baselines.get("ffnn_hidden", 100),
-            baselines.get("ffnn_hidden_point", 30),
-            baselines.get("ffnn_l2", 0.002),
-            baselines.get("ffnn_epochs", 400),
-            baselines.get("ar_max_order", 5),
-            config.seed)
-        payload = _baseline_payload(args.model, model_obj, data.feature_names,
-                                    stats, flags, extra=feature_flags)
-        save_model(model_path, args.model, payload)
+    def save(path, model):
+        save_model(path, args.model, model_payload(args.model, model, data.feature_names,
+                                                   stats, config, feature_flags))
+
+    checkpoint = {}
+    if args.model == "lstm":
+        checkpoint = {"checkpoint_dir": args.out,
+                      "checkpoint_writer": lambda path, w: save(path, (w, []))}
+    model = MODEL_KINDS[args.model].fit(data, train_data, split, config, baselines,
+                                        config.seed, **checkpoint)
+    model_path = os.path.join(args.out, "model.json")
+    save(model_path, model)
+    if args.model == "lstm":
+        write_history_csv(model[1], os.path.join(args.out, "history.csv"))
 
     manifest.doc["config"] = {**config.to_dict(), "features": feature_flags,
-                              "baselines": baselines, "model": args.model}
+                              "baselines": baselines.to_dict(), "model": args.model}
     manifest.doc["seeds"] = {"seed": config.seed}
     manifest.doc["inputs"] = {"dataset": args.data, "split": args.split}
     manifest.doc["outputs"] = {"model": model_path}
     manifest.write()
     print(f"trained {args.model}; model container at {model_path}", file=sys.stderr)
     return 0
-
-
-def _baseline_payload(kind, model_obj, feature_names, stats, flags, extra=None):
-    extra = dict(extra or {})
-    if kind == "lasso":
-        payload = lasso_payload(model_obj, feature_names, stats)
-    elif kind == "nn":
-        payload = ffnn_payload(model_obj, feature_names, stats)
-    elif kind == "lasso_p":
-        payload = per_pixel_payload(
-            model_obj, lambda m: lasso_payload(m, feature_names, None),
-            feature_names, stats, flags)
-    elif kind == "nn_p":
-        payload = per_pixel_payload(
-            model_obj, lambda m: ffnn_payload(m, feature_names, None),
-            feature_names, stats, flags)
-    elif kind == "ar_p":
-        payload = per_pixel_payload(
-            model_obj, lambda triple: {**ar_payload(triple[0], triple[2]),
-                                       "order": triple[1]},
-            feature_names, stats, flags)
-    else:
-        raise ValidationError(f"unknown model kind {kind!r}")
-    payload.update(extra)
-    return payload
-
-
-def _container_predictions(kind, payload, dataset, split):
-    """Rebuild a model from its container and produce per-phase predictions."""
-    include_lsm = payload.get("include_lsm", dataset.has_lsm)
-    include_attributes = payload.get("include_attributes", True)
-    stats_doc = payload.get("normalization")
-    if stats_doc is None:
-        raise DataError("model container lacks normalization statistics")
-    from .dataset import NormalizationStats
-
-    stats = NormalizationStats.from_dict(stats_doc)
-    norm_ds = apply_normalization(dataset, stats)
-    data = prepare_sequences(norm_ds, include_lsm=include_lsm,
-                             include_attributes=include_attributes)
-    (feature_names,) = payload_fields(payload, kind, "feature_names")
-    if data.feature_names != list(feature_names):
-        raise ValidationError(
-            f"dataset features {data.feature_names} do not match the model's "
-            f"{feature_names}")
-    idx = {pid: k for k, pid in enumerate(data.pixel_ids)}
-    tr0, tr1 = split.train_window
-    te0, te1 = split.test_window
-    preds = {"train": {}, "test": {}}
-
-    if kind == "lstm":
-        w, _, _ = lstm_from_payload(payload)
-        Y = predict_sequence(w, data.inputs)[..., 0]
-        for pid in split.train_pixels:
-            preds["train"][pid] = Y[idx[pid], tr0:tr1]
-        for pid in split.test_pixels:
-            preds["test"][pid] = Y[idx[pid], te0:te1]
-        return preds
-
-    if kind in ("lasso", "nn"):
-        model = lasso_from_payload(payload) if kind == "lasso" else ffnn_from_payload(payload)
-        predict = model.predict if kind == "lasso" else (lambda X: ffnn_predict(model, X))
-        for pid in split.train_pixels:
-            preds["train"][pid] = predict(data.inputs[idx[pid], tr0:tr1])
-        for pid in split.test_pixels:
-            preds["test"][pid] = predict(data.inputs[idx[pid], te0:te1])
-        return preds
-
-    # per-pixel containers
-    (pixel_payloads,) = payload_fields(payload, kind, "pixels")
-    for pid, doc in pixel_payloads.items():
-        if pid not in idx:
-            continue
-        k = idx[pid]
-        if kind == "lasso_p":
-            model = lasso_from_payload(doc)
-            preds["train"][pid] = model.predict(data.inputs[k, tr0:tr1])
-            preds["test"][pid] = model.predict(data.inputs[k, te0:te1])
-        elif kind == "nn_p":
-            model = ffnn_from_payload(doc)
-            preds["train"][pid] = ffnn_predict(model, data.inputs[k, tr0:tr1])
-            preds["test"][pid] = ffnn_predict(model, data.inputs[k, te0:te1])
-        else:  # ar_p
-            model = ar_from_payload(doc)
-            theta_tr = np.nan_to_num(data.targets[k, tr0:tr1])
-            mask_tr = data.mask[k, tr0:tr1]
-            preds["train"][pid] = _ar_in_sample(model, theta_tr, mask_tr,
-                                                data.inputs[k, tr0:tr1])
-            warm = _ar_warmup(theta_tr, mask_tr, max(model.p, 1))
-            preds["test"][pid] = ar_forecast(model, data.inputs[k, te0:te1], warm)
-    return preds
 
 
 def cmd_evaluate(args) -> int:
@@ -324,37 +209,18 @@ def cmd_evaluate(args) -> int:
             raise ValidationError("--against truth needs a dataset with the "
                                   "truth column")
         # score against the dense clean series instead of the observations
-        import dataclasses
-
         eval_ds = dataclasses.replace(dataset, pixels=[
             dataclasses.replace(px, target=px.truth.copy(),
                                 mask=np.ones(dataset.n_days, dtype=bool))
             for px in dataset.pixels])
 
     reports = []
-    comparison = []
     for path in args.model_file:
         kind, payload = load_model(path)
         require_point_split([kind], split)
-        predictions = _container_predictions(kind, payload, dataset, split)
-        for phase, pixel_ids, window in (
-                ("train", split.train_pixels, split.train_window),
-                ("test", split.test_pixels, split.test_window)):
-            rep = build_metrics_report(kind, phase, eval_ds,
-                                       predictions[phase], window, pixel_ids,
-                                       split.spec.to_dict(),
-                                       payload.get("flags"))
-            reports.append(rep)
-            comparison.append({
-                "model": kind, "phase": phase,
-                "median_bias": rep.percentiles["bias"]["p50"],
-                "median_rmse": rep.percentiles["rmse"]["p50"],
-                "median_r": rep.percentiles["r"]["p50"],
-            })
-    result = ExperimentResult(split=split, reports=reports,
-                              comparison=comparison, models={},
-                              bias_diagnostic=None, errors={})
-    write_experiment_reports(result, args.out)
+        reports += score_predictions(kind, eval_ds,
+                                     predict_container(kind, payload, dataset, split), split)
+    write_experiment_reports(ExperimentResult(split=split, reports=reports), args.out)
     manifest.doc["inputs"] = {"dataset": args.data, "split": args.split,
                               "models": list(args.model_file)}
     manifest.doc["config"] = {"against": args.against}
@@ -367,22 +233,23 @@ def cmd_evaluate(args) -> int:
 
 def cmd_hindcast(args) -> int:
     manifest = RunManifest("hindcast", sys.argv[1:], args.out)
-    doc = _load_json(args.config, "hindcast config")
-    synth_doc = doc.get("synthetic", {})
-    cfg = SyntheticConfig.from_dict(synth_doc)
+    doc = _object(_load_json(args.config, "hindcast config"), "hindcast config",
+                  ("synthetic", "training", "train_years", "window_days", "ar_max_order"))
+    cfg = SyntheticConfig.from_dict(_object(doc.get("synthetic", {}), "synthetic section"))
     if args.seed is not None:
         cfg.seed = args.seed
     train_years = doc.get("train_years", 2)
     window_days = doc.get("window_days", 730)
-    ar_max_order = doc.get("ar_max_order", 5)
-    tdoc = doc.get("training", {})
-    lstm_config = TrainingConfig.from_dict(tdoc) if tdoc else None
+    ar_max_order = BaselineSettings(
+        ar_max_order=doc.get("ar_max_order", AR_MAX_ORDER)).validate().ar_max_order
+    tdoc = _object(doc.get("training", {}), "training section")
+    config = TrainingConfig.from_dict(tdoc) if tdoc else TrainingConfig()
 
     dataset = generate_synthetic(cfg)
     if args.data:
         save_dataset(dataset, args.data)
     result = run_hindcast_experiment(dataset, train_days=train_years * 365,
-                                     lstm_config=lstm_config,
+                                     lstm_config=config,
                                      ar_max_order=ar_max_order,
                                      window_days=window_days,
                                      out_dir=args.out)
@@ -390,23 +257,20 @@ def cmd_hindcast(args) -> int:
     names = result.models["feature_names"]
     flags = {"include_lsm": False, "include_attributes": False}
     save_model(os.path.join(args.out, "model_lstm.json"), "lstm",
-               lstm_payload(result.models["lstm"], names, stats,
-                            (lstm_config or TrainingConfig()).to_dict(),
-                            extra=flags))
+               model_payload("lstm", (result.models["lstm"], []), names, stats,
+                             config, flags))
     ar_models = {px.pixel_id: (m, m.p, rmse_by_p) for px, m, rmse_by_p in
                  zip(dataset.pixels, result.models["ar_p"],
                      result.models["ar_rmse_by_p"])}
     save_model(os.path.join(args.out, "model_ar_p.json"), "ar_p",
-               _baseline_payload("ar_p", ar_models, names, stats,
-                                 result.summary["flags"], extra=flags))
+               model_payload("ar_p", ar_models, names, stats, extra=flags))
 
     manifest.doc["config"] = {"synthetic": cfg.to_dict(),
-                              "training": (lstm_config or TrainingConfig()).to_dict(),
+                              "training": config.to_dict(),
                               "train_years": train_years,
                               "window_days": window_days,
                               "ar_max_order": ar_max_order}
-    manifest.doc["seeds"] = {"synthetic": cfg.seed,
-                             "training": (lstm_config or TrainingConfig()).seed}
+    manifest.doc["seeds"] = {"synthetic": cfg.seed, "training": config.seed}
     manifest.doc["outputs"] = {"reports": args.out}
     manifest.write()
     med = result.summary

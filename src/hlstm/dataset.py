@@ -1,6 +1,4 @@
-"""Gridded data model, manifest/CSV round-trip, normalization and the
-vertical layer interpolation used to map 4-layer model output to a 0-5 cm
-average.
+"""Gridded data model, manifest/CSV round-trip and normalization.
 
 A dataset is a rectangular grid of pixels sharing one daily date axis. Each
 pixel carries dense forcing series, optional dense model-simulated moisture
@@ -25,7 +23,8 @@ The CSV body is formatted and parsed in bulk: the save formats each row with
 one ``%``-template and writes the file body at once; the load transposes the
 rows read by ``csv.reader`` and parses each column in one pass. The checks
 run on the whole file, and when one fails the rows are re-read in file order
-so the error names the first bad line.
+so the error names the first bad line. A cell that parses to NaN or inf
+fails the load as well: an empty target cell is the only missing value.
 """
 
 from __future__ import annotations
@@ -33,19 +32,27 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
 
-from .errors import DataError, NumericError, ValidationError
-
-LAYER_BOUNDS_CM = ((0.0, 10.0), (10.0, 40.0), (40.0, 100.0), (100.0, 200.0))
-
+from .errors import DataError, ValidationError
 
 # 17 significant digits make every float64 round-trip exactly
 _FMT = "%.17g"
+
+
+def write_json_atomic(path: str, obj):
+    """Write ``obj`` as indented JSON to a temp file, then rename it over
+    ``path``, so a reader never sees a half-written file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+    os.replace(tmp, path)
 
 
 def parse_date(s: str) -> dt.date:
@@ -170,11 +177,7 @@ def save_dataset(dataset: GridDataset, out_dir: str):
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(header)
             fh.write("".join([template % row for row in zip(days, targets, *dense)]))
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _manifest_field(manifest: dict, key: str, kind, where: str):
@@ -290,6 +293,8 @@ def _load_series(path: str, forcing_names: list[str], start_date: dt.date,
     except ValueError:
         _check_rows(rows, path, width, start_date)
         raise
+    if not all(np.isfinite(column).all() for column in (target[mask], *dense)):
+        _check_rows(rows, path, width, start_date)
     dense = iter(dense)
     lsm = next(dense) if "lsm" in optional else None
     truth = next(dense) if "truth" in optional else None
@@ -317,9 +322,11 @@ def _check_rows(rows: list[list[str]], path: str, width: int, start_date: dt.dat
         target = row[1].strip()
         for cell in ([target] if target else []) + row[2:]:
             try:
-                float(cell)
+                value = float(cell)
             except ValueError:
                 raise DataError(f"{path}:{ln}: non-numeric value {cell!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{ln}: non-finite value {cell!r}")
 
 
 @dataclass
@@ -422,38 +429,3 @@ def build_features(dataset: GridDataset, include_lsm: bool = True,
         features[px.pixel_id] = np.concatenate(parts, axis=1)
     return names, features
 
-
-def vertical_interpolate(layer_means, method: str, target_cm: tuple[float, float] = (0.0, 5.0)) -> float:
-    """Estimate the 0-5 cm average from four layer means (0-10, 10-40,
-    40-100, 100-200 cm).
-
-    "direct" returns the top-layer mean; "linear" averages, over the target
-    window, the line through the centers of layers 1-2; "integral" builds the
-    quadratic whose layer integrals match the top three layer means exactly
-    and averages it over the target window.
-    """
-    vals = np.asarray(layer_means, dtype=float)
-    if vals.shape != (4,):
-        raise ValidationError(f"expected 4 layer means, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("non-finite layer mean")
-    z_lo, z_hi = target_cm
-    if method == "direct":
-        return float(vals[0])
-    if method == "linear":
-        c1 = 0.5 * (LAYER_BOUNDS_CM[0][0] + LAYER_BOUNDS_CM[0][1])
-        c2 = 0.5 * (LAYER_BOUNDS_CM[1][0] + LAYER_BOUNDS_CM[1][1])
-        slope = (vals[1] - vals[0]) / (c2 - c1)
-        z_mid = 0.5 * (z_lo + z_hi)  # averaging a line = evaluating at midpoint
-        return float(vals[0] + slope * (z_mid - c1))
-    if method == "integral":
-        # quadratic theta(z) = a + b z + c z^2 whose mean over each of the top
-        # three layers equals that layer's value
-        A = []
-        for (a, b) in LAYER_BOUNDS_CM[:3]:
-            A.append([1.0, 0.5 * (a + b), (a * a + a * b + b * b) / 3.0])
-        coef = np.linalg.solve(np.asarray(A), vals[:3])
-        mean_z = 0.5 * (z_lo + z_hi)
-        mean_z2 = (z_lo * z_lo + z_lo * z_hi + z_hi * z_hi) / 3.0
-        return float(coef[0] + coef[1] * mean_z + coef[2] * mean_z2)
-    raise ValidationError(f"unknown interpolation method {method!r}")

@@ -17,32 +17,20 @@ from the R percentiles.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import (
-    AR_MAX_ORDER,
-    FFNN_HIDDEN_CONUS,
-    FFNN_HIDDEN_POINT,
-    FFNN_L2_DEFAULT,
-    LASSO_LAMBDA_DEFAULT,
-    ar_forecast_batch,
-    ffnn_predict,
-    fit_ffnn,
-    fit_lasso,
-    select_ar_orders,
-)
-from .dataset import GridDataset, normalize, parse_date
+from .baselines import AR_MAX_ORDER, BaselineSettings, ar_forecast_batch, select_ar_orders
+from .dataset import GridDataset, normalize, parse_date, write_json_atomic
 from .errors import ValidationError
 from .lstm import predict_sequence
-from .training import SequenceData, TrainingConfig, prepare_sequences, train_lstm
+from .modelio import MODEL_KINDS
+from .training import TrainingConfig, prepare_sequences, train_lstm
 
 PERCENTILES = (25, 50, 75, 90)
-MODEL_CHOICES = ("lstm", "lasso", "lasso_p", "ar_p", "nn", "nn_p")
 # IQR overlap below this fraction of the narrower box trips the
 # biased-training-sample flag.
 BIAS_OVERLAP_FLAG_THRESHOLD = 0.2
@@ -311,30 +299,23 @@ def training_bias_flag(self_assessed: dict, dataset: GridDataset,
     }
 
 
-def _observed_rows(data: SequenceData, window: tuple[int, int]):
-    """Stack (features, target) over all observed (pixel, day) cells."""
-    t0, t1 = window
-    X_parts, y_parts = [], []
-    for k in range(data.n_pixels):
-        m = data.mask[k, t0:t1]
-        if m.any():
-            X_parts.append(data.inputs[k, t0:t1][m])
-            y_parts.append(data.targets[k, t0:t1][m])
-    if not X_parts:
-        raise ValidationError("no observed rows in the training window")
-    return np.concatenate(X_parts), np.concatenate(y_parts)
-
-
 @dataclass
 class ExperimentResult:
     split: Split
     reports: list
-    comparison: list                 # rows: model, phase, metric medians
-    models: dict
-    bias_diagnostic: dict | None
-    errors: dict
+    models: dict = field(default_factory=dict)
+    bias_diagnostic: dict | None = None
+    errors: dict = field(default_factory=dict)
     stats: object = None             # NormalizationStats used for the run
     feature_names: list = field(default_factory=list)
+    predictions: dict = field(default_factory=dict)  # kind -> phase -> pid -> series
+
+    @property
+    def comparison(self) -> list:
+        """One row per report: model, phase and the median bias, rmse and r."""
+        return [{"model": r.model_kind, "phase": r.phase,
+                 **{f"median_{m}": r.percentiles[m]["p50"] for m in ("bias", "rmse", "r")}}
+                for r in self.reports]
 
     def summary_dict(self) -> dict:
         return {
@@ -355,31 +336,38 @@ def _strip_private(diag):
 def require_point_split(model_kinds, split: Split):
     """Reject point-by-point kinds on a split whose train and test pixels
     differ: they fit and score each pixel on its own series."""
-    point_kinds = {"lasso_p", "ar_p", "nn_p"}
-    if point_kinds & set(model_kinds) and set(split.train_pixels) != set(split.test_pixels):
+    if (any(MODEL_KINDS[kind].point for kind in model_kinds)
+            and set(split.train_pixels) != set(split.test_pixels)):
         raise ValidationError(
             "point-by-point models need the same pixels in train and test "
             "(temporal split)")
+
+
+def score_predictions(kind: str, dataset: GridDataset, predictions: dict,
+                      split: Split) -> list:
+    """The train and the test report of one kind's predictions against the
+    dataset's target."""
+    return [build_metrics_report(kind, phase, dataset, predictions[phase], window,
+                                 pixel_ids, split.spec.to_dict(), MODEL_KINDS[kind].flags)
+            for phase, pixel_ids, window in (
+                ("train", split.train_pixels, split.train_window),
+                ("test", split.test_pixels, split.test_window))]
 
 
 def run_experiment(dataset: GridDataset, split_spec: SplitSpec, model_kinds,
                    lstm_config: TrainingConfig | None = None,
                    include_lsm: bool | None = None,
                    include_attributes: bool = True,
-                   lasso_lambda: float = LASSO_LAMBDA_DEFAULT,
-                   ffnn_hidden: int = FFNN_HIDDEN_CONUS,
-                   ffnn_hidden_point: int = FFNN_HIDDEN_POINT,
-                   ffnn_l2: float = FFNN_L2_DEFAULT,
-                   ffnn_epochs: int = 400,
-                   ar_max_order: int = AR_MAX_ORDER,
+                   baselines: BaselineSettings | None = None,
                    seed: int = 0,
                    out_dir: str | None = None) -> ExperimentResult:
     """Train every requested model kind on the split's train set and report
     train/test metrics separately. A model failure is isolated to its own
     entry in ``errors``; the rest of the run completes."""
     for kind in model_kinds:
-        if kind not in MODEL_CHOICES:
+        if kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind {kind!r}")
+    baselines = (baselines or BaselineSettings()).validate()
     split = make_split(dataset, split_spec)
     if include_lsm is None:
         include_lsm = dataset.has_lsm
@@ -390,32 +378,17 @@ def run_experiment(dataset: GridDataset, split_spec: SplitSpec, model_kinds,
     data = prepare_sequences(norm_ds, include_lsm=include_lsm,
                              include_attributes=include_attributes)
     train_data = data.subset(split.train_pixels)
-    split_echo = split.spec.to_dict()
 
-    reports, comparison, models, errors = [], [], {}, {}
+    reports, models, predictions, errors = [], {}, {}, {}
     bias_diag = None
     for kind in model_kinds:
         try:
-            predictions, flags, model_obj = _fit_and_predict(
-                kind, data, train_data, split, lstm_config, lasso_lambda,
-                ffnn_hidden, ffnn_hidden_point, ffnn_l2, ffnn_epochs,
-                ar_max_order, seed)
-            models[kind] = model_obj
-            phases = (("train", split.train_pixels, split.train_window),
-                      ("test", split.test_pixels, split.test_window))
-            for phase, pixel_ids, window in phases:
-                rep = build_metrics_report(kind, phase, dataset,
-                                           predictions[phase], window,
-                                           pixel_ids, split_echo, flags)
-                reports.append(rep)
-                comparison.append({
-                    "model": kind, "phase": phase,
-                    "median_bias": rep.percentiles["bias"]["p50"],
-                    "median_rmse": rep.percentiles["rmse"]["p50"],
-                    "median_r": rep.percentiles["r"]["p50"],
-                })
+            entry = MODEL_KINDS[kind]
+            models[kind] = entry.fit(data, train_data, split, lstm_config, baselines, seed)
+            predictions[kind] = entry.predict(models[kind], data, split)
+            reports += score_predictions(kind, dataset, predictions[kind], split)
             if kind == "lstm" and dataset.has_lsm:
-                sab = self_assessed_bias(predictions["test"], dataset,
+                sab = self_assessed_bias(predictions[kind]["test"], dataset,
                                          split.test_window)
                 bias_diag = training_bias_flag(sab, dataset,
                                                split.train_pixels,
@@ -423,128 +396,13 @@ def run_experiment(dataset: GridDataset, split_spec: SplitSpec, model_kinds,
         except Exception as exc:  # noqa: BLE001 - isolate per-model failures
             errors[kind] = f"{type(exc).__name__}: {exc}"
 
-    result = ExperimentResult(split=split, reports=reports,
-                              comparison=comparison, models=models,
+    result = ExperimentResult(split=split, reports=reports, models=models,
                               bias_diagnostic=bias_diag, errors=errors,
-                              stats=stats, feature_names=data.feature_names)
+                              stats=stats, feature_names=data.feature_names,
+                              predictions=predictions)
     if out_dir is not None:
         write_experiment_reports(result, out_dir)
     return result
-
-
-def _fit_and_predict(kind, data: SequenceData, train_data: SequenceData,
-                     split: Split, lstm_config, lasso_lambda, ffnn_hidden,
-                     ffnn_hidden_point, ffnn_l2, ffnn_epochs, ar_max_order,
-                     seed):
-    """Returns ({"train": {pid: series}, "test": {...}}, flags, model)."""
-    tr0, tr1 = split.train_window
-    te0, te1 = split.test_window
-    flags = {}
-
-    if kind == "lstm":
-        config = lstm_config or TrainingConfig()
-        w, history = train_lstm(train_data, config, window=split.train_window)
-        # One dropout-free pass over the full series; slice out each phase.
-        Y = predict_sequence(w, data.inputs)[..., 0]
-        by_pid = {pid: Y[k] for k, pid in enumerate(data.pixel_ids)}
-        preds = {
-            "train": {pid: by_pid[pid][tr0:tr1] for pid in split.train_pixels},
-            "test": {pid: by_pid[pid][te0:te1] for pid in split.test_pixels},
-        }
-        return preds, flags, (w, history)
-
-    if kind in ("lasso", "nn"):
-        X, y = _observed_rows(train_data, split.train_window)
-        if kind == "lasso":
-            model = fit_lasso(X, y, lam=lasso_lambda)
-            predict = model.predict
-        else:
-            model = fit_ffnn(X, y, hidden_size=ffnn_hidden, l2=ffnn_l2,
-                             seed=seed, max_epochs=ffnn_epochs)
-            predict = lambda rows: ffnn_predict(model, rows)  # noqa: E731
-        preds = {"train": {}, "test": {}}
-        idx = {pid: k for k, pid in enumerate(data.pixel_ids)}
-        for pid in split.train_pixels:
-            preds["train"][pid] = predict(data.inputs[idx[pid], tr0:tr1])
-        for pid in split.test_pixels:
-            preds["test"][pid] = predict(data.inputs[idx[pid], te0:te1])
-        return preds, flags, model
-
-    if kind in ("lasso_p", "nn_p"):
-        preds = {"train": {}, "test": {}}
-        models = {}
-        idx = {pid: k for k, pid in enumerate(data.pixel_ids)}
-        for pid in split.train_pixels:
-            k = idx[pid]
-            m = data.mask[k, tr0:tr1]
-            if m.sum() < 10:
-                continue
-            X = data.inputs[k, tr0:tr1][m]
-            y = data.targets[k, tr0:tr1][m]
-            if kind == "lasso_p":
-                model = fit_lasso(X, y, lam=lasso_lambda)
-                predict = model.predict
-            else:
-                model = fit_ffnn(X, y, hidden_size=ffnn_hidden_point,
-                                 l2=ffnn_l2, seed=seed, max_epochs=ffnn_epochs)
-                predict = lambda rows, _m=model: ffnn_predict(_m, rows)  # noqa: E731
-            models[pid] = model
-            preds["train"][pid] = predict(data.inputs[k, tr0:tr1])
-            preds["test"][pid] = predict(data.inputs[k, te0:te1])
-        if not models:
-            raise ValidationError("no pixel had enough observed rows to fit")
-        return preds, flags, models
-
-    # ar_p: per-pixel AR with exogenous inputs, order swept on the test
-    # window per the source protocol (optimistic; flagged).
-    flags["optimistic_order_selection"] = True
-    flags["exogenous_inputs_normalized"] = True
-    idx = {pid: k for k, pid in enumerate(data.pixel_ids)}
-    pids = [pid for pid in split.train_pixels
-            if data.mask[idx[pid], tr0:tr1].sum() >= 10]
-    ks = [idx[pid] for pid in pids]
-    mask_tr = data.mask[ks, tr0:tr1]
-    theta_tr = np.where(mask_tr, data.targets[ks, tr0:tr1], 0.0)
-    X_tr = data.inputs[ks, tr0:tr1]
-    warm = np.array([_ar_warmup(th, m, ar_max_order)
-                     for th, m in zip(theta_tr, mask_tr)])
-    swept = select_ar_orders(theta_tr, mask_tr, X_tr, data.targets[ks, te0:te1],
-                             data.mask[ks, te0:te1], data.inputs[ks, te0:te1],
-                             warm, p_max=ar_max_order, labels=pids)
-    kept = [j for j, res in enumerate(swept) if not isinstance(res, ValidationError)]
-    if not kept:
-        raise ValidationError("no pixel could support an AR fit")
-    models = {pids[j]: swept[j] for j in kept}
-    test_pred = ar_forecast_batch([swept[j][0] for j in kept],
-                                  data.inputs[[ks[j] for j in kept], te0:te1],
-                                  warm[kept])
-    preds = {"train": {}, "test": {}}
-    for j, pred in zip(kept, test_pred):
-        preds["train"][pids[j]] = _ar_in_sample(swept[j][0], theta_tr[j],
-                                                mask_tr[j], X_tr[j])
-        preds["test"][pids[j]] = pred
-    return preds, flags, models
-
-
-def _ar_warmup(theta, mask, p_max):
-    obs = theta[mask]
-    if obs.size == 0:
-        raise ValidationError("no observations for AR warmup")
-    return obs[obs.size - p_max:] if obs.size >= p_max else np.full(p_max, obs.mean())
-
-
-def _ar_in_sample(model, theta, mask, X_exog):
-    """One-step-ahead predictions inside the training window; lags come from
-    observations (training-stage formulation), gaps fall back to the mean."""
-    p = model.p
-    obs_mean = theta[mask].mean()
-    # lagged[p + t] is the lag input at time t; times before the window and
-    # unobserved times read the mean
-    lagged = np.concatenate([np.full(p, obs_mean), np.where(mask, theta, obs_mean)])
-    out = model.c + (X_exog @ model.gamma if model.r else np.zeros(theta.size))
-    for i in range(1, p + 1):
-        out = out + model.alpha[i - 1] * lagged[p - i:p - i + theta.size]
-    return out
 
 
 def write_experiment_reports(result: ExperimentResult, out_dir: str):
@@ -571,11 +429,7 @@ def write_experiment_reports(result: ExperimentResult, out_dir: str):
                 _csv_num(row["median_bias"]), _csv_num(row["median_rmse"]),
                 _csv_num(row["median_r"]),
             ])
-    tmp = os.path.join(out_dir, "summary.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(result.summary_dict(), fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "summary.json"))
+    write_json_atomic(os.path.join(out_dir, "summary.json"), result.summary_dict())
 
 
 def _csv_num(v):
@@ -588,9 +442,6 @@ class HindcastResult:
     rmse_rows: list                  # dicts: pixel_id, model, window, rmse
     summary: dict
     models: dict
-
-    def summary_dict(self) -> dict:
-        return self.summary
 
 
 def run_hindcast_experiment(dataset: GridDataset, train_days: int,
@@ -611,6 +462,8 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
     n_days = dataset.n_days
     if train_days >= n_days:
         raise ValidationError("training window leaves no hindcast period")
+    if window_days < 1:
+        raise ValidationError(f"window_days must be >= 1, got {window_days}")
     h_end = n_days - train_days
     train_window = (h_end, n_days)
     all_ids = [px.pixel_id for px in dataset.pixels]
@@ -690,8 +543,7 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
                                  for m in per_window},
         "ar_order_counts": {str(p): sum(1 for m in ar_models if m.p == p)
                             for p in range(ar_max_order + 1)},
-        "flags": {"optimistic_order_selection": True,
-                  "exogenous_inputs_normalized": True},
+        "flags": dict(MODEL_KINDS["ar_p"].flags),
         "lstm_config": (lstm_config or TrainingConfig()).to_dict(),
         "final_training_loss": history[-1]["loss"] if history else None,
     }
@@ -714,8 +566,4 @@ def write_hindcast_reports(result: HindcastResult, out_dir: str):
         for row in result.rmse_rows:
             writer.writerow([row["pixel_id"], row["model"], row["window"],
                              format(row["rmse"], ".17g")])
-    tmp = os.path.join(out_dir, "hindcast_summary.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(result.summary, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "hindcast_summary.json"))
+    write_json_atomic(os.path.join(out_dir, "hindcast_summary.json"), result.summary)

@@ -205,12 +205,6 @@ class DropoutMasks:
         self.g = g          # (rho, ..., hidden) resampled each step
         self.rho = rho
 
-    def x_at(self, t: int):
-        return None if self.x is None else self.x[t]
-
-    def g_at(self, t: int):
-        return None if self.g is None else self.g[t]
-
     @property
     def is_identity(self) -> bool:
         return self.x is None and self.h is None and self.g is None

@@ -128,19 +128,6 @@ def pearson_r_brute(a, b):
     return float((am * bm).sum() / denom)
 
 
-def quadratic_layer_profile_average(layer_means, z_lo=0.0, z_hi=5.0, n=200001):
-    """Quadrature oracle: fit a quadratic through the top-three layer integrals
-    by brute solve, then average it over [z_lo, z_hi] with the trapezoid rule."""
-    bounds = [(0.0, 10.0), (10.0, 40.0), (40.0, 100.0)]
-    A = []
-    for (a, b) in bounds:
-        A.append([1.0, (a + b) / 2.0, (a * a + a * b + b * b) / 3.0])
-    coeff = np.linalg.solve(np.array(A), np.asarray(layer_means[:3], dtype=float))
-    z = np.linspace(z_lo, z_hi, n)
-    theta = coeff[0] + coeff[1] * z + coeff[2] * z * z
-    return float(np.trapezoid(theta, z) / (z_hi - z_lo))
-
-
 def loop_ar_design(theta, mask, X_exog, p):
     """Row-by-row AR(p) design: for each t >= p whose target and p lags are
     all observed, the row [1, theta_{t-1}, ..., theta_{t-p}, x_t] and the

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hlstm.baselines import fit_ar, fit_lasso, select_ar_order
+from hlstm.baselines import BaselineSettings, fit_ar, fit_lasso, select_ar_order
 from hlstm.cli import main as cli_main
 from hlstm.errors import ValidationError
 from hlstm.experiments import (
@@ -216,7 +216,8 @@ class TestCriterion6RankingSanity:
                               dropout=DropoutSpec("recurrent_constant", 0.2),
                               seed=3)
         result = run_experiment(ds, spec, ["lstm", "nn", "lasso"],
-                                lstm_config=lcfg, ffnn_epochs=600, seed=5)
+                                lstm_config=lcfg, baselines=BaselineSettings(ffnn_epochs=600),
+                                seed=5)
         med = {row["model"]: row["median_rmse"] for row in result.comparison
                if row["phase"] == "test"}
         elapsed = time.perf_counter() - t0

@@ -249,6 +249,52 @@ class TestCliErrors:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    def evaluate_edited(self, workspace, tmp_path, model, edit):
+        """Train ``model``, apply ``edit`` to its payload, evaluate the result."""
+        _, data, split_cfg = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--model", model, "--data", data,
+                     "--split", split_cfg, "--out", str(run)]) == 0
+        doc = json.loads((run / "model.json").read_text())
+        edit(doc["payload"])
+        broken = write_json(tmp_path / "broken.json", doc)
+        return main(["evaluate", "--data", data, "--split", split_cfg,
+                     "--model-file", broken, "--out", str(tmp_path / "ev")])
+
+    def test_container_pixels_not_an_object_exits_one(self, workspace, tmp_path, capsys):
+        code = self.evaluate_edited(workspace, tmp_path, "lasso_p", lambda payload: payload.update(
+            pixels=list(payload["pixels"].values())))
+        assert code == 1
+        assert "'pixels'" in capsys.readouterr().err
+
+    def test_container_ar_gamma_one_short_exits_one(self, workspace, tmp_path, capsys):
+        def drop_last(payload):
+            for pixel in payload["pixels"].values():
+                pixel["gamma"] = pixel["gamma"][:-1]
+        assert self.evaluate_edited(workspace, tmp_path, "ar_p", drop_last) == 1
+        assert "'gamma'" in capsys.readouterr().err
+
+    def test_container_non_numeric_lasso_beta_exits_one(self, workspace, tmp_path, capsys):
+        code = self.evaluate_edited(workspace, tmp_path, "lasso",
+                                    lambda payload: payload.update(beta="abc"))
+        assert code == 1
+        assert "'beta'" in capsys.readouterr().err
+
+    def test_non_finite_csv_cell_exits_one(self, workspace, tmp_path, capsys):
+        _, data, split_cfg = workspace
+        path = os.path.join(data, "px_1_1.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        cells = lines[9].split(",")
+        cells[-1] = "inf\r\n"
+        lines[9] = ",".join(cells)
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines)
+        code = main(["train", "--model", "lasso", "--data", data,
+                     "--split", split_cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "px_1_1.csv:10: non-finite value 'inf'" in capsys.readouterr().err
+
     def test_missing_data_exits_one(self, tmp_path, capsys):
         split_cfg = write_json(tmp_path / "s.json", temporal_split())
         code = main(["train", "--model", "lstm", "--data", str(tmp_path / "nope"),
@@ -293,3 +339,49 @@ class TestCliErrors:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "failure" in capsys.readouterr().err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("section,needle", [
+        ({"baselines": {"lasso_lamda": 5.0}}, "lasso_lamda"),
+        ({"features": {"include_lms": False}}, "include_lms"),
+        ({"baselines": [1, 2]}, "'baselines' must be a JSON object"),
+        ({"baselines": {"ar_max_order": 9}}, "ar_max_order"),
+    ], ids=["misspelt_baseline", "misspelt_feature", "section_not_object",
+            "ar_order_out_of_range"])
+    def test_bad_train_config_exits_one(self, workspace, tmp_path, capsys, section, needle):
+        _, data, split_cfg = workspace
+        cfg = write_json(tmp_path / "train.json", {**train_config(), **section})
+        out = tmp_path / "run"
+        code = main(["train", "--model", "ar_p", "--data", data, "--split", split_cfg,
+                     "--config", cfg, "--out", str(out)])
+        assert code == 1
+        assert needle in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_manifest_records_resolved_baselines(self, workspace, tmp_path):
+        _, data, split_cfg = workspace
+        cfg = write_json(tmp_path / "train.json",
+                         {**train_config(), "baselines": {"lasso_lambda": 0.01}})
+        out = tmp_path / "run"
+        assert main(["train", "--model", "lasso", "--data", data, "--split", split_cfg,
+                     "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["baselines"] == {
+            "lasso_lambda": 0.01, "ffnn_hidden": 100, "ffnn_hidden_point": 30,
+            "ffnn_l2": 0.002, "ffnn_epochs": 400, "ar_max_order": 5}
+        doc = json.loads((out / "model.json").read_text())
+        assert doc["payload"]["lambda"] == 0.01
+
+    @pytest.mark.parametrize("doc,needle", [
+        ({"synthetic": synth_config(), "train_yaers": 2}, "train_yaers"),
+        ({"synthetic": [1, 2]}, "synthetic section must be a JSON object"),
+        ({"synthetic": synth_config(), "ar_max_order": 6}, "ar_max_order"),
+        ({"synthetic": synth_config(years=3), "window_days": 0}, "window_days"),
+    ], ids=["misspelt_key", "section_not_object", "ar_order_out_of_range",
+            "empty_window"])
+    def test_bad_hindcast_config_exits_one(self, tmp_path, capsys, doc, needle):
+        cfg = write_json(tmp_path / "h.json", {"training": train_config(epochs=2), **doc})
+        code = main(["hindcast", "--config", cfg, "--out", str(tmp_path / "h")])
+        assert code == 1
+        assert needle in capsys.readouterr().err

@@ -13,9 +13,8 @@ from hlstm.dataset import (
     load_dataset,
     normalize,
     save_dataset,
-    vertical_interpolate,
 )
-from hlstm.errors import DataError, NumericError, ValidationError
+from hlstm.errors import DataError, ValidationError
 from hlstm.synthetic import (
     SyntheticConfig,
     _bucket_lockstep,
@@ -24,7 +23,7 @@ from hlstm.synthetic import (
     simulate_bucket,
 )
 
-from oracles import loop_save_series, quadratic_layer_profile_average, scalar_bucket
+from oracles import loop_save_series, scalar_bucket
 
 
 def small_dataset(seed=0, rows=2, cols=2, n_days=30, with_lsm=True):
@@ -149,6 +148,19 @@ class TestRoundTrip:
         with pytest.raises(DataError, match=r"px_0_0\.csv:5: non-numeric value 'oops'"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("column,cell", [(1, "nan"), (2, "inf"), (4, "-inf")])
+    def test_non_finite_cell_names_file_and_line(self, tmp_path, column, cell):
+        # an observed target, the lsm channel and the last forcing column
+        save_dataset(small_dataset(), str(tmp_path))
+
+        def put(ln):
+            cells = ln.split(",")
+            cells[column] = cell
+            return ",".join(cells)
+        self._rewrite_line(tmp_path, 7, put)
+        with pytest.raises(DataError, match=rf"px_0_0\.csv:7: non-finite value '{cell}'"):
+            load_dataset(str(tmp_path))
+
     def _edit_manifest(self, tmp_path, fn):
         save_dataset(small_dataset(), str(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -239,34 +251,6 @@ class TestBuildFeatures:
         ds = small_dataset(seed=8, with_lsm=False)
         with pytest.raises(ValidationError):
             build_features(ds, include_lsm=True)
-
-
-class TestVerticalInterpolate:
-    def test_constant_profile_all_methods_agree(self):
-        for method in ("direct", "linear", "integral"):
-            assert vertical_interpolate([0.3, 0.3, 0.3, 0.3], method) == 0.3
-
-    def test_direct_returns_top_layer(self):
-        assert vertical_interpolate([0.25, 0.31, 0.33, 0.35], "direct") == 0.25
-
-    def test_integral_recovers_linear_profile(self):
-        # theta(z) = 0.2 + 0.002 z gives layer means at the layer mid-depths
-        means = [0.2 + 0.002 * z for z in (5.0, 25.0, 70.0, 150.0)]
-        got = vertical_interpolate(means, "integral")
-        assert abs(got - 0.205) < 1e-10
-        assert abs(got - quadratic_layer_profile_average(means)) < 1e-8
-
-    def test_linear_matches_two_point_line(self):
-        means = [0.22, 0.30, 0.35, 0.4]
-        got = vertical_interpolate(means, "linear")
-        slope = (0.30 - 0.22) / 20.0
-        assert got == pytest.approx(0.22 + slope * (2.5 - 5.0), abs=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            vertical_interpolate([0.2, np.nan, 0.3, 0.3], "integral")
-        with pytest.raises(ValidationError):
-            vertical_interpolate([0.2, 0.3, 0.3, 0.3], "cubic")
 
 
 class TestAddNoise:

@@ -1,13 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hlstm.baselines import ArModel
+from hlstm.baselines import ArModel, BaselineSettings
 from hlstm.errors import ValidationError
 from hlstm.experiments import (
     SplitSpec,
-    _ar_in_sample,
     build_metrics_report,
     compute_metrics,
     make_split,
@@ -17,6 +17,16 @@ from hlstm.experiments import (
     training_bias_flag,
 )
 from hlstm.lstm import DropoutSpec
+from hlstm.cli import main
+from hlstm.dataset import save_dataset
+from hlstm.modelio import (
+    MODEL_KINDS,
+    _ar_in_sample,
+    load_model,
+    model_payload,
+    predict_container,
+    save_model,
+)
 from hlstm.synthetic import SyntheticConfig, generate_synthetic
 from hlstm.training import TrainingConfig
 
@@ -281,6 +291,55 @@ class TestRunExperiment:
         assert (tmp_path / "metrics_per_pixel.csv").exists()
         assert (tmp_path / "comparison.csv").exists()
         assert (tmp_path / "summary.json").exists()
+
+
+class TestContainerParity:
+    """run_experiment's in-memory predictions equal, bit for bit, those of
+    its models saved to containers, loaded and evaluated."""
+
+    @pytest.mark.parametrize("synth,orders", [
+        (dict(revisit_days=2, noise_param=0.04), None),
+        # daily revisit lets ar_p select lag orders up to 5
+        (dict(revisit_days=1, noise_param=0.01, include_lsm=False),
+         [0, 0, 0, 1, 1, 1, 2, 3, 5]),
+    ], ids=["two_day_revisit_lsm", "daily_no_lsm"])
+    def test_every_kind_round_trips_bit_identically(self, tmp_path, synth, orders):
+        ds = generate_synthetic(SyntheticConfig(rows=3, cols=3, years=2, seed=3,
+                                                noise_kind="white", **synth))
+        spec = SplitSpec(kind="temporal", train_window=window_dates(ds, 0, 364),
+                         test_window=window_dates(ds, 365, 729))
+        lcfg = tiny_lstm_config(hidden_size=6, unroll_length=40, batch_size=6, epochs=25)
+        result = run_experiment(ds, spec, list(MODEL_KINDS), lstm_config=lcfg,
+                                baselines=BaselineSettings(ffnn_epochs=40, ffnn_hidden=10,
+                                                           ffnn_hidden_point=5),
+                                out_dir=str(tmp_path / "experiment"))
+        assert not result.errors
+        if orders is not None:
+            assert sorted(p for _, p, _ in result.models["ar_p"].values()) == orders
+
+        model_files = []
+        for kind in MODEL_KINDS:
+            path = str(tmp_path / f"{kind}.json")
+            save_model(path, kind, model_payload(kind, result.models[kind],
+                                                 result.feature_names, result.stats, lcfg))
+            model_files += ["--model-file", path]
+            got = predict_container(*load_model(path), ds, result.split)
+            want = result.predictions[kind]
+            assert {ph: list(p) for ph, p in got.items()} == \
+                {ph: list(p) for ph, p in want.items()}, kind
+            for phase, series in want.items():
+                for pid, pred in series.items():
+                    assert got[phase][pid].tobytes() == pred.tobytes(), (kind, phase, pid)
+
+        # the CLI scores the loaded containers into the same report files
+        save_dataset(ds, str(tmp_path / "data"))
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(spec.to_dict()))
+        assert main(["evaluate", "--data", str(tmp_path / "data"), "--split", str(split_path),
+                     "--out", str(tmp_path / "evaluate")] + model_files) == 0
+        for name in ("metrics_per_pixel.csv", "comparison.csv"):
+            assert (tmp_path / "evaluate" / name).read_bytes() == \
+                (tmp_path / "experiment" / name).read_bytes(), name
 
 
 class TestArInSample:

@@ -61,10 +61,7 @@ class TestDropoutMasks:
     def test_none_variant_is_identity(self):
         masks = sample_dropout_masks(DropoutSpec("none", 0.5), 3, 4, rho=5, seed=1)
         assert masks.is_identity
-        assert masks.x_at(0) is None and masks.h is None and masks.g_at(0) is None
-        v = np.arange(3.0)
-        out = v if masks.x_at(0) is None else v * masks.x_at(0)
-        assert np.array_equal(out, v)
+        assert masks.x is None and masks.h is None and masks.g is None
 
     def test_rate_zero_is_identity(self):
         masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.0), 3, 4, rho=5, seed=1)
