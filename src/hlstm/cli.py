@@ -97,16 +97,36 @@ class RunManifest:
 
 
 def _load_split(path: str, dataset: GridDataset) -> Split:
-    """Accept either a SplitSpec JSON or a materialized split JSON."""
-    doc = _load_json(path, "split")
-    if "train_pixels" in doc:
-        spec = SplitSpec.from_dict(doc.get("spec", {"kind": doc.get("kind", "temporal")}))
-        return Split(train_pixels=list(doc["train_pixels"]),
-                     test_pixels=list(doc["test_pixels"]),
-                     train_window=tuple(doc["train_window"]),
-                     test_window=tuple(doc["test_window"]),
-                     spec=spec)
-    return make_split(dataset, SplitSpec.from_dict(doc))
+    """Accept either a SplitSpec JSON or a materialized split JSON, whose
+    pixel ids must be in the dataset and whose windows must be non-empty
+    day ranges [t0, t1) within the record (else ValidationError naming the
+    field)."""
+    doc = _object(_load_json(path, "split"), "split")
+    if "train_pixels" not in doc:
+        return make_split(dataset, SplitSpec.from_dict(doc))
+    missing = [k for k in ("test_pixels", "train_window", "test_window") if k not in doc]
+    if missing:
+        raise ValidationError(f"split lacks field(s) {', '.join(map(repr, missing))}")
+    known = {px.pixel_id for px in dataset.pixels}
+    for name in ("train_pixels", "test_pixels"):
+        ids = doc[name]
+        bad = ids if not isinstance(ids, list) else [
+            pid for pid in ids if not (isinstance(pid, str) and pid in known)]
+        if bad:
+            raise ValidationError(f"split field {name!r} holds ids not in the dataset: {bad}")
+    for name in ("train_window", "test_window"):
+        t = doc[name]
+        if not (isinstance(t, list) and len(t) == 2 and all(type(v) is int for v in t)
+                and 0 <= t[0] < t[1] <= dataset.n_days):
+            raise ValidationError(f"split field {name!r} must be [t0, t1] with "
+                                  f"0 <= t0 < t1 <= {dataset.n_days}, got {t!r}")
+    spec = SplitSpec.from_dict(_object(doc.get("spec", {"kind": doc.get("kind", "temporal")}),
+                                       "split field 'spec'"))
+    return Split(train_pixels=list(doc["train_pixels"]),
+                 test_pixels=list(doc["test_pixels"]),
+                 train_window=tuple(doc["train_window"]),
+                 test_window=tuple(doc["test_window"]),
+                 spec=spec)
 
 
 def _split_train_config(doc: dict, seed_override):

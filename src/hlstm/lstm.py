@@ -12,6 +12,14 @@ The cell follows the standard formulation with four gates:
 
 with sigma(z) = 0.5 + 0.5 * tanh(z / 2).
 
+The parameters live in one flat float64 vector, ``LstmWeights.theta``: the
+fused gate weights Wx (4*hidden, input), Wh (4*hidden, hidden) and b
+(4*hidden,), with rows in g, i, f, o blocks (W_gx above W_ix, and so on),
+then the readout W_hy (output, hidden) and b_y (output,). Code reads and
+writes them through views of theta and never rebinds a view. This is the
+layout of a flattened ``torch.nn.LSTM``, whose ``weight_ih`` is (4*hidden,
+input) in one buffer.
+
 All arithmetic is float64. Sequences may be a single (rho, input) matrix or a
 batch tensor (batch, rho, input); batch gradients are accumulated by the
 matrix products themselves, in fixed instance order, so results do not depend
@@ -36,7 +44,8 @@ construction) shared by the rest of the toolkit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,83 +84,72 @@ def _require_finite(arr, what: str):
         raise NumericError(f"non-finite values in {what}")
 
 
-@dataclass
-class LstmWeights:
-    """All weight matrices and bias vectors of the cell plus the output layer.
+# The hlstm-v1 container names of the per-gate views: (name, fused view,
+# gate block in g, i, f, o order, or None for the whole view).
+_V1_LAYOUT = (
+    ("W_gx", "Wx", 0), ("W_ix", "Wx", 1), ("W_fx", "Wx", 2), ("W_ox", "Wx", 3),
+    ("W_gh", "Wh", 0), ("W_ih", "Wh", 1), ("W_fh", "Wh", 2), ("W_oh", "Wh", 3),
+    ("b_g", "b", 0), ("b_i", "b", 1), ("b_f", "b", 2), ("b_o", "b", 3),
+    ("W_hy", "W_hy", None), ("b_y", "b_y", None),
+)
 
-    Matrices are row-major with shapes (hidden, input) for the x paths,
-    (hidden, hidden) for the h paths and (output, hidden) for the readout.
-    The same container doubles as the gradient holder returned by
-    :func:`bptt_gradients`.
+
+class LstmWeights:
+    """All parameters of the cell and the readout, in one flat float64 vector.
+
+    ``theta`` holds, each row-major and in this order, ``Wx`` (4*hidden,
+    input), ``Wh`` (4*hidden, hidden), ``b`` (4*hidden,), ``W_hy`` (output,
+    hidden) and ``b_y`` (output,); the rows of Wx, Wh and b run in g, i, f,
+    o gate blocks. These five attributes are views into theta: write through
+    them (``w.b_y[...] = value``), never rebind them or theta, so that every
+    view and theta stay one buffer. The same class holds the gradients that
+    :func:`bptt_gradients` returns, so an optimizer step is one expression on
+    theta. :meth:`named_arrays` yields the per-gate views under their
+    ``hlstm-v1`` container names.
     """
 
-    W_gx: np.ndarray
-    W_ix: np.ndarray
-    W_fx: np.ndarray
-    W_ox: np.ndarray
-    W_gh: np.ndarray
-    W_ih: np.ndarray
-    W_fh: np.ndarray
-    W_oh: np.ndarray
-    b_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    W_hy: np.ndarray
-    b_y: np.ndarray
-    input_size: int
-    hidden_size: int
-    output_size: int
+    __slots__ = ("theta", "input_size", "hidden_size", "output_size")
 
-    ARRAY_FIELDS = (
-        "W_gx", "W_ix", "W_fx", "W_ox",
-        "W_gh", "W_ih", "W_fh", "W_oh",
-        "b_g", "b_i", "b_f", "b_o",
-        "W_hy", "b_y",
-    )
-
-    def named_arrays(self):
-        """Yield (name, array) pairs in a fixed, documented order."""
-        for name in self.ARRAY_FIELDS:
-            yield name, getattr(self, name)
-
-    def validate(self):
-        n_in, n_hid, n_out = self.input_size, self.hidden_size, self.output_size
-        if min(n_in, n_hid, n_out) < 1:
+    def __init__(self, input_size: int, hidden_size: int, output_size: int):
+        """Zero parameters of the given layer sizes."""
+        if min(input_size, hidden_size, output_size) < 1:
             raise ValidationError("all layer sizes must be >= 1")
-        expect = {
-            "W_gx": (n_hid, n_in), "W_ix": (n_hid, n_in),
-            "W_fx": (n_hid, n_in), "W_ox": (n_hid, n_in),
-            "W_gh": (n_hid, n_hid), "W_ih": (n_hid, n_hid),
-            "W_fh": (n_hid, n_hid), "W_oh": (n_hid, n_hid),
-            "b_g": (n_hid,), "b_i": (n_hid,), "b_f": (n_hid,), "b_o": (n_hid,),
-            "W_hy": (n_out, n_hid), "b_y": (n_out,),
-        }
-        for name, arr in self.named_arrays():
-            if arr.shape != expect[name]:
-                raise ValidationError(
-                    f"{name} has shape {arr.shape}, expected {expect[name]}")
-            _require_finite(arr, name)
-        return self
+        self.input_size, self.hidden_size, self.output_size = (
+            input_size, hidden_size, output_size)
+        self.theta = np.zeros(sum(math.prod(shape) for shape in self._shapes()))
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int, output_size: int) -> "LstmWeights":
-        h, i, o = hidden_size, input_size, output_size
-        return cls(
-            W_gx=np.zeros((h, i)), W_ix=np.zeros((h, i)),
-            W_fx=np.zeros((h, i)), W_ox=np.zeros((h, i)),
-            W_gh=np.zeros((h, h)), W_ih=np.zeros((h, h)),
-            W_fh=np.zeros((h, h)), W_oh=np.zeros((h, h)),
-            b_g=np.zeros(h), b_i=np.zeros(h), b_f=np.zeros(h), b_o=np.zeros(h),
-            W_hy=np.zeros((o, h)), b_y=np.zeros(o),
-            input_size=i, hidden_size=h, output_size=o,
-        )
+        return cls(input_size, hidden_size, output_size)
 
-    def copy(self) -> "LstmWeights":
-        out = LstmWeights.zeros(self.input_size, self.hidden_size, self.output_size)
+    def _shapes(self):
+        """The shapes of Wx, Wh, b, W_hy and b_y, in theta order."""
+        H, n_out = self.hidden_size, self.output_size
+        return (4 * H, self.input_size), (4 * H, H), (4 * H,), (n_out, H), (n_out,)
+
+    def _view(self, k: int) -> np.ndarray:
+        shapes = self._shapes()
+        start = sum(math.prod(shape) for shape in shapes[:k])
+        return self.theta[start:start + math.prod(shapes[k])].reshape(shapes[k])
+
+    # Read-only properties: assigning to a view raises AttributeError.
+    Wx = property(lambda self: self._view(0))
+    Wh = property(lambda self: self._view(1))
+    b = property(lambda self: self._view(2))
+    W_hy = property(lambda self: self._view(3))
+    b_y = property(lambda self: self._view(4))
+
+    def named_arrays(self):
+        """Yield (hlstm-v1 name, per-gate view) pairs in container order."""
+        H = self.hidden_size
+        for name, view, gate in _V1_LAYOUT:
+            arr = getattr(self, view)
+            yield name, arr if gate is None else arr[gate * H:(gate + 1) * H]
+
+    def validate(self):
         for name, arr in self.named_arrays():
-            setattr(out, name, arr.copy())
-        return out
+            _require_finite(arr, name)
+        return self
 
 
 @dataclass
@@ -216,17 +214,15 @@ def _apply(value, mask):
 
 def init_weights(input_size: int, hidden_size: int, output_size: int, seed) -> LstmWeights:
     """Sample initial weights uniformly in +-1/sqrt(hidden); forget bias 1, other biases 0."""
-    if min(input_size, hidden_size, output_size) < 1:
-        raise ValidationError("layer sizes must be positive")
+    w = LstmWeights.zeros(input_size, hidden_size, output_size)
     rng = make_rng(seed)
     bound = 1.0 / np.sqrt(hidden_size)
-    w = LstmWeights.zeros(input_size, hidden_size, output_size)
-    # Fixed sampling order for seed determinism.
-    for name in ("W_gx", "W_ix", "W_fx", "W_ox", "W_gh", "W_ih", "W_fh", "W_oh", "W_hy"):
-        shape = getattr(w, name).shape
-        setattr(w, name, rng.uniform(-bound, bound, size=shape))
-    w.b_f = np.ones(hidden_size)
-    return w.validate()
+    # One draw per matrix, in theta order. A draw fills its view row by row,
+    # so it equals the four per-gate draws in g, i, f, o order.
+    for view in (w.Wx, w.Wh, w.W_hy):
+        view[...] = rng.uniform(-bound, bound, size=view.shape)
+    w.b[2 * hidden_size:3 * hidden_size] = 1.0
+    return w
 
 
 def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
@@ -256,30 +252,6 @@ def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
     return DropoutMasks(g=bernoulli((rho, *inst, hidden_size)), rho=rho)
 
 
-class _Fused:
-    """Gate weights stacked into (4*hidden, .) buffers in g, i, f, o order.
-
-    ``Wx_half``, ``Wh_half`` and ``b_half`` are the forward pass's copies
-    with the i, f, o rows halved, so that one tanh over a step's gate slice
-    gives tanh(a_g) and tanh(a/2) for the sigmoid gates. Halving is exact in
-    binary floating point: the products equal halving the pre-activations
-    afterwards, bit for bit.
-    """
-
-    def __init__(self, w: LstmWeights):
-        self.Wx = np.concatenate([w.W_gx, w.W_ix, w.W_fx, w.W_ox], axis=0)
-        self.Wh = np.concatenate([w.W_gh, w.W_ih, w.W_fh, w.W_oh], axis=0)
-        self.b = np.concatenate([w.b_g, w.b_i, w.b_f, w.b_o])
-        self.W_hy = w.W_hy
-        self.b_y = w.b_y
-        self.H = w.hidden_size
-        half = np.full((4 * self.H, 1), 0.5)
-        half[:self.H] = 1.0
-        self.Wx_half = self.Wx * half
-        self.Wh_half = self.Wh * half
-        self.b_half = self.b[:, None] * half
-
-
 def _to_fm(v) -> np.ndarray:
     """A (..., dim) state or mask as a contiguous feature-major (dim, batch)
     array; a single instance becomes (dim, 1)."""
@@ -304,7 +276,7 @@ def _loop_masks(masks: DropoutMasks | None, batched: bool):
             with_batch(masks.g))
 
 
-def _run_cell(fw: _Fused, x, h, s, xm=None, hm=None, gm=None,
+def _run_cell(w: LstmWeights, x, h, s, xm=None, hm=None, gm=None,
               block: int | None = None):
     """The LSTM time loop shared by the forward pass, prediction and lstm_step.
 
@@ -323,23 +295,31 @@ def _run_cell(fw: _Fused, x, h, s, xm=None, hm=None, gm=None,
     buffers (with one block, the whole pass, as the cache keeps them).
     """
     T, n_batch = x.shape[:2]
-    H = fw.H
+    H = w.hidden_size
+    # Copies of Wx, Wh and b with the i, f, o rows halved, so that one tanh
+    # over a step's gate slice gives tanh(a_g) and tanh(a/2) for the sigmoid
+    # gates. Halving is exact in binary floating point: the products equal
+    # halving the pre-activations afterwards, bit for bit.
+    half = np.full((4 * H, 1), 0.5)
+    half[:H] = 1.0
+    Wx_half, Wh_half, b_half = w.Wx * half, w.Wh * half, w.b[:, None] * half
+    W_hy, b_y = w.W_hy, w.b_y[:, None]
     n = max(1, T if block is None else min(block, T))
     gates = np.empty((n, 4 * H, n_batch))
     S = np.empty((n, H, n_batch))
     Hs = np.empty_like(S)
-    Y = np.empty((T, fw.W_hy.shape[0], n_batch))
+    Y = np.empty((T, w.output_size, n_batch))
     rec = np.empty(gates.shape[1:])
     sf = np.empty(S.shape[1:])
     for t0 in range(0, T, n):
         m = min(n, T - t0)
         xb = _apply(x[t0:t0 + m], None if xm is None else xm[t0:t0 + m])
         A = gates[:m]
-        np.matmul(fw.Wx_half, xb.transpose(0, 2, 1), out=A)
-        A += fw.b_half
+        np.matmul(Wx_half, xb.transpose(0, 2, 1), out=A)
+        A += b_half
         for t in range(m):
             a = A[t]
-            a += np.matmul(fw.Wh_half, _apply(h, hm), out=rec)
+            a += np.matmul(Wh_half, _apply(h, hm), out=rec)
             np.tanh(a, out=a)
             # The i, f, o rows were pre-halved: finish sigma(z) = 0.5 + 0.5 tanh(z/2).
             sig = a[H:]
@@ -352,8 +332,8 @@ def _run_cell(fw: _Fused, x, h, s, xm=None, hm=None, gm=None,
             h = np.tanh(s, out=Hs[t])
             h *= o
         Yb = Y[t0:t0 + m]
-        np.matmul(fw.W_hy, Hs[:m], out=Yb)
-        Yb += fw.b_y[:, None]
+        np.matmul(W_hy, Hs[:m], out=Yb)
+        Yb += b_y
     return Y, h, s, gates, S, Hs
 
 
@@ -420,7 +400,7 @@ def lstm_step(w: LstmWeights, x_t: np.ndarray, state: LstmState,
     batched = x_t.ndim == 2
     xm, hm, gm = _loop_masks(masks, batched)
     Y, h, s, gates, _, _ = _run_cell(
-        _Fused(w), x_t.reshape(1, -1, w.input_size), _to_fm(state.h), _to_fm(state.s),
+        w, x_t.reshape(1, -1, w.input_size), _to_fm(state.h), _to_fm(state.s),
         None if xm is None else xm[t:t + 1], hm, None if gm is None else gm[t:t + 1])
     H = w.hidden_size
     record = {k: _from_fm(gates[0, n * H:(n + 1) * H], batched)
@@ -464,7 +444,7 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
     # Time-major copy of the inputs; the cache keeps it for BPTT.
     x = np.array(np.swapaxes(X, 0, 1) if batched else X[:, None], order="C")
     Y, _, _, gates, S, Hs = _run_cell(
-        _Fused(w), x, _to_fm(initial_state.h), _to_fm(initial_state.s),
+        w, x, _to_fm(initial_state.h), _to_fm(initial_state.s),
         *_loop_masks(masks, batched))
     cache = ForwardCache(
         x=x, masks=masks, h0=initial_state.h, s0=initial_state.s,
@@ -494,7 +474,7 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
     n_batch = X.shape[0] if batched else None
     state = initial_state or LstmState.zeros(w.hidden_size, batch=n_batch)
     x = np.swapaxes(X, 0, 1) if batched else X[:, None]
-    Y, h, s, _, _, _ = _run_cell(_Fused(w), x, _to_fm(state.h), _to_fm(state.s),
+    Y, h, s, _, _, _ = _run_cell(w, x, _to_fm(state.h), _to_fm(state.s),
                                  block=PREDICT_BLOCK_DAYS)
     Y = Y.transpose(2, 0, 1) if batched else Y[..., 0]
     if return_final_state:
@@ -522,18 +502,17 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
           else dL_dY[..., None])
 
     xm, hm, gm = _loop_masks(cache.masks, cache.batched)
+    # The gradients accumulate straight into the views of one flat buffer.
     grads = LstmWeights.zeros(w.input_size, w.hidden_size, w.output_size)
-    fw = _Fused(w)
+    dWx, dWh, db = grads.Wx, grads.Wh, grads.b
+    Wh, W_hy = w.Wh, w.W_hy
     H = w.hidden_size
     G, S, Hs = cache.gates, cache.s_fm, cache.h_fm
 
     # The readout's gradients over all steps at once.
-    grads.W_hy = np.matmul(dY, Hs.transpose(0, 2, 1)).sum(axis=0)
-    grads.b_y = dY.sum(axis=(0, 2))
+    grads.W_hy[...] = np.matmul(dY, Hs.transpose(0, 2, 1)).sum(axis=0)
+    grads.b_y[...] = dY.sum(axis=(0, 2))
 
-    dWx = np.zeros_like(fw.Wx)
-    dWh = np.zeros_like(fw.Wh)
-    db = np.zeros_like(fw.b)
     h0, s0 = _to_fm(cache.h0), _to_fm(cache.s0)
     dh_carry = np.zeros_like(h0)
     ds_carry = np.zeros_like(s0)
@@ -544,7 +523,7 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     da_g, da_i, da_f, da_o = da[:H], da[H:2 * H], da[2 * H:3 * H], da[3 * H:]
 
     for t in range(cache.rho - 1, -1, -1):
-        dh = fw.W_hy.T @ dY[t]
+        dh = W_hy.T @ dY[t]
         dh += dh_carry
 
         a = G[t]
@@ -572,12 +551,6 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
         dWx += da @ xd
         dWh += da @ hd.T
         db += da.sum(axis=1)
-        dh_carry = _apply(fw.Wh.T @ da, hm)
+        dh_carry = _apply(Wh.T @ da, hm)
 
-    grads.W_gx, grads.W_ix, grads.W_fx, grads.W_ox = (
-        dWx[:H], dWx[H:2 * H], dWx[2 * H:3 * H], dWx[3 * H:])
-    grads.W_gh, grads.W_ih, grads.W_fh, grads.W_oh = (
-        dWh[:H], dWh[H:2 * H], dWh[2 * H:3 * H], dWh[3 * H:])
-    grads.b_g, grads.b_i, grads.b_f, grads.b_o = (
-        db[:H], db[H:2 * H], db[2 * H:3 * H], db[3 * H:])
     return grads

@@ -14,6 +14,8 @@ Container layout:
     {"format": "hlstm-v1", "kind": "<model kind>", "toolkit_version": "...",
      "payload": {...}}
 
+An lstm payload's "weights" object holds the per-gate views of
+``LstmWeights.theta`` by name (W_gx ... b_y; see ``LstmWeights.named_arrays``).
 Weight arrays are stored as nested row-major lists; Python's float repr is
 shortest-round-trip, so save/load is bit-exact. Files are written atomically
 (temp file + rename). A malformed payload raises DataError naming the field.
@@ -100,9 +102,8 @@ def _array(value, what: str, shape) -> np.ndarray:
 
 
 def lstm_payload(w: LstmWeights, feature_names, stats: NormalizationStats | None,
-                 config_echo: dict | None = None,
-                 extra: dict | None = None) -> dict:
-    payload = {
+                 config_echo: dict | None = None) -> dict:
+    return {
         "input_size": w.input_size,
         "hidden_size": w.hidden_size,
         "output_size": w.output_size,
@@ -111,14 +112,12 @@ def lstm_payload(w: LstmWeights, feature_names, stats: NormalizationStats | None
         "normalization": None if stats is None else stats.to_dict(),
         "config": config_echo,
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def lstm_from_payload(payload: dict, n_features: int | None = None):
     """Returns (weights, feature_names, stats or None). The weights must hold
-    exactly the arrays of ``LstmWeights.ARRAY_FIELDS``."""
+    exactly the per-gate arrays of ``LstmWeights.named_arrays``, each of its
+    view's shape; each is copied into its view."""
     n_in, n_hid, n_out, weights, names = payload_fields(
         payload, "lstm", "input_size", "hidden_size", "output_size", "weights",
         "feature_names")
@@ -128,14 +127,14 @@ def lstm_from_payload(payload: dict, n_features: int | None = None):
     if not all(isinstance(n, int) for n in (n_in, n_hid, n_out)):
         raise DataError("container fields input_size, hidden_size and output_size "
                         "must be integers")
-    payload_fields(weights, "lstm weights", *LstmWeights.ARRAY_FIELDS)
-    unknown = sorted(set(weights) - set(LstmWeights.ARRAY_FIELDS))
+    w = LstmWeights.zeros(n_in, n_hid, n_out)
+    views = dict(w.named_arrays())
+    payload_fields(weights, "lstm weights", *views)
+    unknown = sorted(set(weights) - set(views))
     if unknown:
         raise DataError(f"lstm container has unknown weight array(s) {', '.join(unknown)}")
-    # validate() checks every array's shape against the three sizes
-    w = LstmWeights(**{name: _array(weights[name], name, (None,) * (1 + (name[0] == "W")))
-                       for name in LstmWeights.ARRAY_FIELDS},
-                    input_size=n_in, hidden_size=n_hid, output_size=n_out)
+    for name, view in views.items():
+        view[...] = _array(weights[name], name, view.shape)
     w.validate()
     stats = payload.get("normalization")
     stats = None if stats is None else NormalizationStats.from_dict(stats)

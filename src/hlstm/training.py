@@ -215,14 +215,11 @@ def sample_batch(data: SequenceData, config: TrainingConfig, rng,
 
 
 def clip_gradients(grads: LstmWeights, max_norm: float) -> float:
-    """Scale all gradient arrays in place so the global norm is at most
+    """Scale the gradients in place so their global norm is at most
     max_norm; returns the pre-clip norm. A norm that is not finite raises
     NumericError before anything is scaled, naming the first array that
     holds a NaN or inf."""
-    total = 0.0
-    for _, arr in grads.named_arrays():
-        total += float((arr * arr).sum())
-    norm = float(np.sqrt(total))
+    norm = float(np.sqrt(grads.theta @ grads.theta))
     if not math.isfinite(norm):
         bad = next((name for name, arr in grads.named_arrays()
                     if not np.all(np.isfinite(arr))), None)
@@ -230,16 +227,16 @@ def clip_gradients(grads: LstmWeights, max_norm: float) -> float:
             f"non-finite gradient norm {norm}"
             + (f"; first non-finite array {bad}" if bad else ""))
     if norm > max_norm:
-        scale = max_norm / norm
-        for name, arr in grads.named_arrays():
-            setattr(grads, name, arr * scale)
+        grads.theta *= max_norm / norm
     return norm
 
 
 class AdamState:
+    """First and second moment estimates, laid out like ``theta``, and the step count."""
+
     def __init__(self, w: LstmWeights):
-        self.m = {name: np.zeros_like(arr) for name, arr in w.named_arrays()}
-        self.v = {name: np.zeros_like(arr) for name, arr in w.named_arrays()}
+        self.m = np.zeros_like(w.theta)
+        self.v = np.zeros_like(w.theta)
         self.t = 0
 
 
@@ -249,16 +246,14 @@ def adam_step(w: LstmWeights, grads: LstmWeights, state: AdamState,
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for name, g in grads.named_arrays():
-        m = state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        setattr(w, name, getattr(w, name) - step)
+    g = grads.theta
+    m = state.m = beta1 * state.m + (1 - beta1) * g
+    v = state.v = beta2 * state.v + (1 - beta2) * g * g
+    w.theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def sgd_step(w: LstmWeights, grads: LstmWeights, lr: float):
-    for name, g in grads.named_arrays():
-        setattr(w, name, getattr(w, name) - lr * g)
+    w.theta -= lr * grads.theta
 
 
 def train_lstm(data: SequenceData, config: TrainingConfig,
@@ -268,7 +263,8 @@ def train_lstm(data: SequenceData, config: TrainingConfig,
     """Run the full training loop; returns (weights, history).
 
     ``window`` restricts sampling to [t0, t1) on the time axis. History rows
-    are dicts of epoch, loss and cumulative wall seconds. Checkpoints go
+    are dicts of epoch, loss, the gradient norm before clipping, whether it
+    was clipped, and cumulative wall seconds. Checkpoints go
     through ``checkpoint_writer(path, weights)`` every ``checkpoint_every``
     epochs when a directory is given.
     """
@@ -312,13 +308,14 @@ def train_lstm(data: SequenceData, config: TrainingConfig,
         # Free this epoch's activations now, not when the next forward pass
         # has already allocated its own: two caches would double the peak.
         del Y, cache
-        clip_gradients(grads, config.gradient_clip_norm)
+        grad_norm = clip_gradients(grads, config.gradient_clip_norm)
         if adam is not None:
             adam_step(w, grads, adam, config.learning_rate)
         else:
             sgd_step(w, grads, config.learning_rate)
 
-        history.append({"epoch": epoch, "loss": loss,
+        history.append({"epoch": epoch, "loss": loss, "grad_norm": grad_norm,
+                        "clipped": grad_norm > config.gradient_clip_norm,
                         "seconds": time.perf_counter() - started})
         if (checkpoint_dir is not None and checkpoint_writer is not None
                 and epoch % config.checkpoint_every == 0):
@@ -333,7 +330,8 @@ def write_history_csv(history, path: str):
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "seconds"])
+        writer.writerow(["epoch", "loss", "grad_norm", "clipped", "seconds"])
         for row in history:
             writer.writerow([row["epoch"], format(row["loss"], ".17g"),
+                             format(row["grad_norm"], ".17g"), int(row["clipped"]),
                              format(row["seconds"], ".3f")])

@@ -6,6 +6,7 @@ the package under test.
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,11 +21,13 @@ def scalar_sigmoid(z):
 def scalar_lstm_sequence(w, X, h0=None, s0=None, x_masks=None, h_mask=None, g_masks=None):
     """Straight-line scalar evaluation of the cell equations over a sequence.
 
-    w is an LstmWeights-like object (attribute access only); X is (rho, input).
+    w is an LstmWeights-like object whose named_arrays() yields the per-gate
+    arrays (W_gx ... b_y); X is (rho, input).
     Masks, when given, are plain lists/arrays of the same shapes the package
     uses. Returns the (rho, output) outputs as a list of lists.
     """
     H, F, O = w.hidden_size, w.input_size, w.output_size
+    w = SimpleNamespace(**dict(w.named_arrays()))
     h = list(h0) if h0 is not None else [0.0] * H
     s = list(s0) if s0 is not None else [0.0] * H
     ys = []

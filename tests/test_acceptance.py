@@ -63,7 +63,7 @@ class TestCriterion1GradientOracle:
             rate = 0.0 if variant == "none" else float(rng.uniform(0.1, 0.6))
             w = LstmWeights.zeros(n_in, n_hid, 1)
             for name, arr in w.named_arrays():
-                setattr(w, name, rng.normal(0.0, 0.5, size=arr.shape))
+                arr[...] = rng.normal(0.0, 0.5, size=arr.shape)
             X = rng.normal(size=(rho, n_in))
             targets = rng.normal(size=(rho, 1))
             masks = sample_dropout_masks(DropoutSpec(variant, rate), n_in,

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import json
 import os
@@ -97,7 +98,11 @@ class TestTrainEvaluate:
         tmp, data, split_cfg = workspace
         out = self.train(tmp_path, data, split_cfg, "lstm", "run1")
         assert (out / "model.json").exists()
-        assert (out / "history.csv").exists()
+        with open(out / "history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["epoch", "loss", "grad_norm", "clipped", "seconds"]
+        assert [int(r["epoch"]) for r in rows] == list(range(1, 26))
+        assert all(float(r["grad_norm"]) > 0.0 and r["clipped"] in ("0", "1") for r in rows)
         assert (out / "run_manifest.json").exists()
         doc = json.loads((out / "model.json").read_text())
         assert doc["format"] == "hlstm-v1"
@@ -294,6 +299,26 @@ class TestCliErrors:
                      "--split", split_cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "px_1_1.csv:10: non-finite value 'inf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,edit", [
+        ("test_pixels", lambda doc: doc["test_pixels"].append("px_9_9")),
+        ("test_window", lambda doc: doc.pop("test_window")),
+        ("test_window", lambda doc: doc.update(test_window=[365, 900])),
+        ("train_window", lambda doc: doc.update(train_window=[300, 200])),
+        ("spec", lambda doc: doc.update(spec=["temporal"])),
+    ], ids=["unknown_pixel", "missing_key", "window_past_end", "window_reversed", "spec"])
+    def test_bad_materialized_split_exits_one(self, workspace, tmp_path, capsys,
+                                              field, edit):
+        _, data, split_cfg = workspace
+        assert main(["split", "--data", data, "--config", split_cfg,
+                     "--out", str(tmp_path / "s")]) == 0
+        doc = json.loads((tmp_path / "s" / "split.json").read_text())
+        edit(doc)
+        code = main(["train", "--model", "lasso", "--data", data,
+                     "--split", write_json(tmp_path / "bad.json", doc),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"'{field}'" in capsys.readouterr().err
 
     def test_missing_data_exits_one(self, tmp_path, capsys):
         split_cfg = write_json(tmp_path / "s.json", temporal_split())

@@ -28,7 +28,7 @@ def random_weights(n_in, n_hid, n_out, seed):
     rng = np.random.default_rng(seed)
     w = LstmWeights.zeros(n_in, n_hid, n_out)
     for name, arr in w.named_arrays():
-        setattr(w, name, rng.normal(0.0, 0.4, size=arr.shape))
+        arr[...] = rng.normal(0.0, 0.4, size=arr.shape)
     return w
 
 
@@ -42,19 +42,67 @@ class TestInitWeights:
     def test_forget_bias_is_one(self):
         for seed in (0, 7, 123):
             w = init_weights(3, 4, 1, seed=seed)
-            assert np.array_equal(w.b_f, np.ones(4))
+            assert np.array_equal(dict(w.named_arrays())["b_f"], np.ones(4))
 
     def test_entries_within_uniform_bound(self):
         # bound is 1/sqrt(hidden) = 0.5 for hidden 4
-        w = init_weights(3, 4, 1, seed=7)
+        arrays = dict(init_weights(3, 4, 1, seed=7).named_arrays())
         for name in ("W_gx", "W_ix", "W_fx", "W_ox", "W_gh", "W_ih", "W_fh", "W_oh", "W_hy"):
-            assert np.max(np.abs(getattr(w, name))) <= 0.5, name
+            assert np.max(np.abs(arrays[name])) <= 0.5, name
+
+    @pytest.mark.parametrize("sizes,seed", [((3, 4, 1), 7), ((11, 64, 2), 2024)])
+    def test_block_draws_equal_the_per_gate_draws(self, sizes, seed):
+        # The nine per-gate draws of the per-array storage, in their order:
+        # each fused draw must reproduce its four gate blocks bit for bit.
+        n_in, n_hid, n_out = sizes
+        rng = np.random.default_rng(seed)
+        bound = 1.0 / np.sqrt(n_hid)
+        expected = {}
+        for name in ("W_gx", "W_ix", "W_fx", "W_ox", "W_gh", "W_ih", "W_fh", "W_oh", "W_hy"):
+            shape = ((n_out if name == "W_hy" else n_hid),
+                     (n_in if name.endswith("x") else n_hid))
+            expected[name] = rng.uniform(-bound, bound, size=shape)
+        expected.update(b_g=np.zeros(n_hid), b_i=np.zeros(n_hid), b_f=np.ones(n_hid),
+                        b_o=np.zeros(n_hid), b_y=np.zeros(n_out))
+        got = dict(init_weights(*sizes, seed=seed).named_arrays())
+        assert set(got) == set(expected)
+        for name, arr in expected.items():
+            assert got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), name
 
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ValidationError):
             init_weights(0, 4, 1, seed=1)
         with pytest.raises(ValidationError):
             init_weights(3, -2, 1, seed=1)
+
+
+class TestFlatParameters:
+    def test_views_share_memory_with_theta(self):
+        w = random_weights(3, 4, 2, seed=60)
+        for view in (w.Wx, w.Wh, w.b, w.W_hy, w.b_y):
+            assert np.shares_memory(view, w.theta)
+        for name, arr in w.named_arrays():
+            assert np.shares_memory(arr, w.theta), name
+        assert sum(arr.size for _, arr in w.named_arrays()) == w.theta.size
+        assert (w.Wx.shape, w.Wh.shape, w.b.shape, w.W_hy.shape, w.b_y.shape) == (
+            (16, 3), (16, 4), (16,), (2, 4), (2,))
+
+    def test_fused_views_stack_the_gates_in_g_i_f_o_order(self):
+        w = random_weights(3, 4, 1, seed=61)
+        arrays = dict(w.named_arrays())
+        assert np.array_equal(w.Wx, np.concatenate([arrays[f"W_{k}x"] for k in "gifo"]))
+        assert np.array_equal(w.Wh, np.concatenate([arrays[f"W_{k}h"] for k in "gifo"]))
+        assert np.array_equal(w.b, np.concatenate([arrays[f"b_{k}"] for k in "gifo"]))
+        assert np.array_equal(w.theta, np.concatenate(
+            [w.Wx.ravel(), w.Wh.ravel(), w.b, w.W_hy.ravel(), w.b_y]))
+
+    def test_rebinding_a_view_is_refused(self):
+        w = LstmWeights.zeros(2, 3, 1)
+        with pytest.raises(AttributeError):
+            w.b_y = np.array([0.42])
+        with pytest.raises(AttributeError):
+            setattr(w, "W_gx", np.zeros((3, 2)))
 
 
 class TestDropoutMasks:
@@ -114,7 +162,7 @@ class TestLstmStep:
 
     def test_output_bias_only(self):
         w = LstmWeights.zeros(2, 3, 1)
-        w.b_y = np.array([0.42])
+        w.b_y[...] = 0.42
         _, y, _ = lstm_step(w, np.zeros(2), LstmState.zeros(3))
         assert y[0] == pytest.approx(0.42, abs=1e-15)
 

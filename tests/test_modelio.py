@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+import golden
 
 from hlstm.baselines import ArModel, FfnnModel, LassoModel
 from hlstm.dataset import NormalizationStats
@@ -15,6 +19,7 @@ from hlstm.modelio import (
     load_model,
     lstm_from_payload,
     lstm_payload,
+    predict_container,
     save_model,
 )
 
@@ -117,3 +122,27 @@ class TestMalformedContainers:
         del payload["degenerate"]
         with pytest.raises(DataError, match="degenerate"):
             ffnn_from_payload(payload)
+
+
+class TestGoldenContainer:
+    """An hlstm-v1 container written while the weights were 14 per-gate
+    arrays (see tests/golden.py)."""
+
+    def test_predictions_reproduced_bit_for_bit(self):
+        kind, payload = load_model(golden.CONTAINER)
+        got = predict_container(kind, payload, golden.golden_dataset(), golden.golden_split())
+        with open(golden.PREDICTIONS) as fh:
+            expected = json.load(fh)
+        assert {phase: set(series) for phase, series in got.items()} == {
+            phase: set(series) for phase, series in expected.items()}
+        for phase, series in expected.items():
+            for pid, values in series.items():
+                assert got[phase][pid].tobytes() == np.array(values).tobytes(), (phase, pid)
+
+    def test_resave_gives_the_same_bytes(self, tmp_path):
+        kind, payload = load_model(golden.CONTAINER)
+        w, names, stats = lstm_from_payload(payload)
+        path = tmp_path / "again.json"
+        save_model(str(path), kind, lstm_payload(w, names, stats, payload["config"]))
+        with open(golden.CONTAINER, "rb") as fh:
+            assert path.read_bytes() == fh.read()

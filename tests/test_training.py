@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from hlstm.errors import DegenerateBatchError, NumericError, ValidationError
-from hlstm.lstm import DropoutSpec, predict_sequence
+from hlstm.lstm import (
+    DropoutSpec,
+    LstmWeights,
+    bptt_gradients,
+    forward_sequence,
+    init_weights,
+    predict_sequence,
+)
 from hlstm.training import (
+    AdamState,
     Batch,
     SequenceData,
     TrainingConfig,
@@ -11,6 +19,7 @@ from hlstm.training import (
     clip_gradients,
     masked_loss,
     sample_batch,
+    sgd_step,
     train_lstm,
 )
 
@@ -129,7 +138,7 @@ class TestClipping:
         rng = np.random.default_rng(5)
         g = LstmWeights.zeros(3, 4, 1)
         for name, arr in g.named_arrays():
-            setattr(g, name, rng.normal(0, 10, size=arr.shape))
+            arr[...] = rng.normal(0, 10, size=arr.shape)
         pre = clip_gradients(g, 5.0)
         assert pre > 5.0
         post = np.sqrt(sum(float((a * a).sum()) for _, a in g.named_arrays()))
@@ -138,7 +147,7 @@ class TestClipping:
     def test_small_gradients_untouched(self):
         from hlstm.lstm import LstmWeights
         g = LstmWeights.zeros(3, 4, 1)
-        g.b_y = np.array([0.5])
+        g.b_y[...] = 0.5
         before = g.b_y.copy()
         clip_gradients(g, 5.0)
         assert np.array_equal(g.b_y, before)
@@ -148,13 +157,36 @@ class TestClipping:
         rng = np.random.default_rng(6)
         g = LstmWeights.zeros(3, 4, 1)
         for name, arr in g.named_arrays():
-            setattr(g, name, rng.normal(0, 0.1, size=arr.shape))
-        g.W_ih[1, 2] = np.nan
+            arr[...] = rng.normal(0, 0.1, size=arr.shape)
+        dict(g.named_arrays())["W_ih"][1, 2] = np.nan
         before = {name: arr.copy() for name, arr in g.named_arrays()}
         with pytest.raises(NumericError, match="W_ih"):
             clip_gradients(g, 5.0)
         for name, arr in g.named_arrays():
             assert np.array_equal(arr, before[name], equal_nan=True), name
+
+
+class TestOptimizerSteps:
+    def test_steps_update_theta_in_place_and_the_forward_pass_reads_it(self):
+        w = init_weights(3, 4, 1, seed=5)
+        views = [w.Wx, w.Wh, w.b, w.W_hy, w.b_y] + [a for _, a in w.named_arrays()]
+        X = np.random.default_rng(6).normal(size=(6, 3))
+        Y0, cache = forward_sequence(w, X)
+        grads = bptt_gradients(w, cache, np.ones_like(Y0))
+        start = w.theta.copy()
+        adam_step(w, grads, AdamState(w), 0.01)
+        after_adam = w.theta.copy()
+        sgd_step(w, grads, 0.1)
+        assert not np.array_equal(after_adam, start)
+        assert np.array_equal(w.theta, after_adam - 0.1 * grads.theta)
+        for view in views:
+            assert np.shares_memory(view, w.theta)
+        # A fresh container holding only the updated theta gives the same outputs.
+        fresh = LstmWeights.zeros(3, 4, 1)
+        fresh.theta[...] = w.theta
+        Y1, _ = forward_sequence(w, X)
+        assert not np.array_equal(Y1, Y0)
+        assert np.array_equal(Y1, forward_sequence(fresh, X)[0])
 
 
 class TestTrainLstm:
@@ -201,6 +233,19 @@ class TestTrainLstm:
         for (name, a), (_, b) in zip(w1.named_arrays(), w2.named_arrays()):
             assert a.tobytes() == b.tobytes(), name
         assert [r["loss"] for r in h1] == [r["loss"] for r in h2]
+
+    def test_history_records_the_pre_clip_norm(self):
+        data = make_data(4, 60, lambda p, T: np.random.default_rng(p).normal(size=(T, 2)),
+                         lambda p, T, x: 0.2 + 0.05 * np.tanh(x[:, 0]))
+        runs = {}
+        for clip in (1e-6, 1e6):
+            cfg = TrainingConfig(hidden_size=5, unroll_length=20, batch_size=4,
+                                 epochs=6, gradient_clip_norm=clip, seed=4)
+            runs[clip] = train_lstm(data, cfg)[1]
+        assert all(r["clipped"] and r["grad_norm"] > 1e-6 for r in runs[1e-6])
+        assert not any(r["clipped"] for r in runs[1e6])
+        # The first update starts from the same weights and batch in both runs.
+        assert runs[1e-6][0]["grad_norm"] == runs[1e6][0]["grad_norm"]
 
     def test_loss_divergence_tripwire(self):
         data = make_data(4, 120, lambda p, T: np.full((T, 2), 0.5),
