@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import Config
 from .errors import ValidationError
 from .lstm import make_rng
 
@@ -30,7 +31,7 @@ FFNN_EPOCHS_DEFAULT = 400      # epoch cap of the experiment and CLI fits
 
 
 @dataclass(frozen=True)
-class BaselineSettings:
+class BaselineSettings(Config):
     """The baselines' settings, named as in the "baselines" section of a
     training config."""
 
@@ -43,26 +44,12 @@ class BaselineSettings:
 
     def validate(self):
         for name, value in asdict(self).items():
-            real = name in ("lasso_lambda", "ffnn_l2")
-            low = 0 if real or name == "ar_max_order" else 1
+            low = 0 if name in ("lasso_lambda", "ffnn_l2", "ar_max_order") else 1
             high = AR_MAX_ORDER if name == "ar_max_order" else float("inf")
-            if (isinstance(value, bool) or not isinstance(value, (int, float) if real else int)
-                    or not low <= value <= high):
-                raise ValidationError(f"baselines.{name} must be {'a number' if real else 'an integer'}"
-                                      f" in [{low}, {high}], got {value!r}")
+            if not low <= value <= high:
+                raise ValidationError(f"baselines.{name} must lie in [{low}, {high}], "
+                                      f"got {value!r}")
         return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d) -> "BaselineSettings":
-        if not isinstance(d, dict):
-            raise ValidationError("config section 'baselines' must be a JSON object")
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown baselines fields: {sorted(unknown)}")
-        return cls(**d).validate()
 
 
 @dataclass

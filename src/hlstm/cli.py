@@ -6,11 +6,14 @@ the run can be replayed exactly. Data goes to the declared output paths;
 diagnostics go to stderr. Exit codes: 0 success, 1 validation/usage error,
 2 runtime failure.
 
-Config files are JSON. The train config mirrors TrainingConfig field names at
-the top level; the reserved sections "features" (include_lsm,
-include_attributes) and "baselines" (BaselineSettings) tune the rest. An
-unknown key or a section that is not a JSON object exits 1. Command-line
-flags override config values.
+Config files are JSON, and every section is read by ``Config.from_dict``
+(hlstm.config), which names the field at fault. The train config mirrors
+TrainingConfig field names at the top level; the reserved sections
+"features" (Features) and "baselines" (BaselineSettings) tune the rest. A
+hindcast config is a HindcastConfig, a split config a SplitSpec or a
+materialized Split. A section that is not a JSON object, an unknown or
+missing key, a value of the wrong JSON type or one out of range exits 1.
+Command-line flags override config values.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .baselines import AR_MAX_ORDER, BaselineSettings
+from .baselines import BaselineSettings
 from .dataset import GridDataset, load_dataset, normalize, save_dataset, write_json_atomic
 from .errors import DataError, ValidationError
 from .experiments import (
     ExperimentResult,
+    HindcastConfig,
     Split,
     SplitSpec,
     make_split,
@@ -41,7 +45,7 @@ from .experiments import (
 )
 from .modelio import MODEL_KINDS, load_model, model_payload, predict_container, save_model
 from .synthetic import SyntheticConfig, generate_synthetic
-from .training import TrainingConfig, prepare_sequences, write_history_csv
+from .training import Features, TrainingConfig, prepare_sequences, write_history_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,17 +65,6 @@ def _load_json(path: str, what: str) -> dict:
         raise ValidationError(f"{what} file {path} not found") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} file {path}: invalid JSON ({exc})") from exc
-
-
-def _object(value, what: str, known=None) -> dict:
-    """``value`` if it is a JSON object whose keys are all in ``known`` (any
-    keys when None), else ValidationError."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    unknown = sorted(set(value) - set(value if known is None else known))
-    if unknown:
-        raise ValidationError(f"unknown {what} fields: {unknown}")
-    return value
 
 
 class RunManifest:
@@ -101,53 +94,29 @@ def _load_split(path: str, dataset: GridDataset) -> Split:
     pixel ids must be in the dataset and whose windows must be non-empty
     day ranges [t0, t1) within the record (else ValidationError naming the
     field)."""
-    doc = _object(_load_json(path, "split"), "split")
-    if "train_pixels" not in doc:
-        return make_split(dataset, SplitSpec.from_dict(doc))
-    missing = [k for k in ("test_pixels", "train_window", "test_window") if k not in doc]
-    if missing:
-        raise ValidationError(f"split lacks field(s) {', '.join(map(repr, missing))}")
+    doc = _load_json(path, "split")
+    if not (isinstance(doc, dict) and "train_pixels" in doc):
+        return make_split(dataset, SplitSpec.from_dict(doc, "split"))
+    split = Split.from_dict(doc, "split")
     known = {px.pixel_id for px in dataset.pixels}
     for name in ("train_pixels", "test_pixels"):
-        ids = doc[name]
-        bad = ids if not isinstance(ids, list) else [
-            pid for pid in ids if not (isinstance(pid, str) and pid in known)]
+        bad = [pid for pid in getattr(split, name) if pid not in known]
         if bad:
             raise ValidationError(f"split field {name!r} holds ids not in the dataset: {bad}")
     for name in ("train_window", "test_window"):
-        t = doc[name]
-        if not (isinstance(t, list) and len(t) == 2 and all(type(v) is int for v in t)
-                and 0 <= t[0] < t[1] <= dataset.n_days):
+        t0, t1 = getattr(split, name)
+        if not 0 <= t0 < t1 <= dataset.n_days:
             raise ValidationError(f"split field {name!r} must be [t0, t1] with "
-                                  f"0 <= t0 < t1 <= {dataset.n_days}, got {t!r}")
-    spec = SplitSpec.from_dict(_object(doc.get("spec", {"kind": doc.get("kind", "temporal")}),
-                                       "split field 'spec'"))
-    return Split(train_pixels=list(doc["train_pixels"]),
-                 test_pixels=list(doc["test_pixels"]),
-                 train_window=tuple(doc["train_window"]),
-                 test_window=tuple(doc["test_window"]),
-                 spec=spec)
-
-
-def _split_train_config(doc: dict, seed_override):
-    doc = dict(_object(doc, "training config"))
-    features = _object(doc.pop("features", {}), "features section",
-                       ("include_lsm", "include_attributes"))
-    baselines = BaselineSettings.from_dict(doc.pop("baselines", {}))
-    config = TrainingConfig.from_dict(doc) if doc else TrainingConfig()
-    if seed_override is not None:
-        config.seed = seed_override
-    config.validate()
-    return config, features, baselines
+                                  f"0 <= t0 < t1 <= {dataset.n_days}, got {[t0, t1]}")
+    return split
 
 
 def cmd_synth(args) -> int:
     manifest = RunManifest("synth", sys.argv[1:], args.out)
     doc = _load_json(args.config, "synthetic config") if args.config else {}
-    cfg = SyntheticConfig.from_dict(doc)
+    cfg = SyntheticConfig.from_dict(doc, "synthetic config")
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.validate()
     dataset = generate_synthetic(cfg)
     save_dataset(dataset, args.out)
     manifest.doc["config"] = cfg.to_dict()
@@ -162,7 +131,7 @@ def cmd_synth(args) -> int:
 def cmd_split(args) -> int:
     manifest = RunManifest("split", sys.argv[1:], args.out)
     dataset = load_dataset(args.data)
-    spec = SplitSpec.from_dict(_load_json(args.config, "split spec"))
+    spec = SplitSpec.from_dict(_load_json(args.config, "split spec"), "split spec")
     split = make_split(dataset, spec)
     os.makedirs(args.out, exist_ok=True)
     write_json_atomic(os.path.join(args.out, "split.json"), split.to_dict())
@@ -181,18 +150,23 @@ def cmd_train(args) -> int:
     split = _load_split(args.split, dataset)
     require_point_split([args.model], split)
     doc = _load_json(args.config, "training config") if args.config else {}
-    config, features, baselines = _split_train_config(doc, args.seed)
-    include_lsm = features.get("include_lsm", dataset.has_lsm)
-    include_attributes = features.get("include_attributes", True)
+    if not isinstance(doc, dict):
+        raise ValidationError("training config must be a JSON object")
+    config = TrainingConfig.from_dict(
+        {k: v for k, v in doc.items() if k not in ("features", "baselines")}, "training config")
+    features = Features.from_dict(doc.get("features", {}), "features section")
+    baselines = BaselineSettings.from_dict(doc.get("baselines", {}), "config section 'baselines'")
+    if args.seed is not None:
+        config.seed = args.seed
+    if features.include_lsm is None:
+        features.include_lsm = dataset.has_lsm
 
     norm_ds, stats = normalize(dataset, split.train_pixels)
-    data = prepare_sequences(norm_ds, include_lsm=include_lsm,
-                             include_attributes=include_attributes)
+    data = prepare_sequences(norm_ds, include_lsm=features.include_lsm,
+                             include_attributes=features.include_attributes)
     train_data = data.subset(split.train_pixels)
     os.makedirs(args.out, exist_ok=True)
-
-    feature_flags = {"include_lsm": include_lsm,
-                     "include_attributes": include_attributes}
+    feature_flags = features.to_dict()
 
     def save(path, model):
         save_model(path, args.model, model_payload(args.model, model, data.feature_names,
@@ -200,8 +174,8 @@ def cmd_train(args) -> int:
 
     checkpoint = {}
     if args.model == "lstm":
-        checkpoint = {"checkpoint_dir": args.out,
-                      "checkpoint_writer": lambda path, w: save(path, (w, []))}
+        checkpoint["checkpoint"] = lambda epoch, w: save(
+            os.path.join(args.out, f"checkpoint_{epoch:06d}.json"), (w, []))
     model = MODEL_KINDS[args.model].fit(data, train_data, split, config, baselines,
                                         config.seed, **checkpoint)
     model_path = os.path.join(args.out, "model.json")
@@ -253,44 +227,33 @@ def cmd_evaluate(args) -> int:
 
 def cmd_hindcast(args) -> int:
     manifest = RunManifest("hindcast", sys.argv[1:], args.out)
-    doc = _object(_load_json(args.config, "hindcast config"), "hindcast config",
-                  ("synthetic", "training", "train_years", "window_days", "ar_max_order"))
-    cfg = SyntheticConfig.from_dict(_object(doc.get("synthetic", {}), "synthetic section"))
+    hc = HindcastConfig.from_dict(_load_json(args.config, "hindcast config"),
+                                  "hindcast config")
     if args.seed is not None:
-        cfg.seed = args.seed
-    train_years = doc.get("train_years", 2)
-    window_days = doc.get("window_days", 730)
-    ar_max_order = BaselineSettings(
-        ar_max_order=doc.get("ar_max_order", AR_MAX_ORDER)).validate().ar_max_order
-    tdoc = _object(doc.get("training", {}), "training section")
-    config = TrainingConfig.from_dict(tdoc) if tdoc else TrainingConfig()
+        hc.synthetic.seed = args.seed
 
-    dataset = generate_synthetic(cfg)
+    dataset = generate_synthetic(hc.synthetic)
     if args.data:
         save_dataset(dataset, args.data)
-    result = run_hindcast_experiment(dataset, train_days=train_years * 365,
-                                     lstm_config=config,
-                                     ar_max_order=ar_max_order,
-                                     window_days=window_days,
+    result = run_hindcast_experiment(dataset, train_days=hc.train_years * 365,
+                                     lstm_config=hc.training,
+                                     ar_max_order=hc.ar_max_order,
+                                     window_days=hc.window_days,
                                      out_dir=args.out)
     stats = result.models["stats"]
     names = result.models["feature_names"]
     flags = {"include_lsm": False, "include_attributes": False}
     save_model(os.path.join(args.out, "model_lstm.json"), "lstm",
                model_payload("lstm", (result.models["lstm"], []), names, stats,
-                             config, flags))
+                             hc.training, flags))
     ar_models = {px.pixel_id: (m, m.p, rmse_by_p) for px, m, rmse_by_p in
                  zip(dataset.pixels, result.models["ar_p"],
                      result.models["ar_rmse_by_p"])}
     save_model(os.path.join(args.out, "model_ar_p.json"), "ar_p",
                model_payload("ar_p", ar_models, names, stats, extra=flags))
 
-    manifest.doc["config"] = {"synthetic": cfg.to_dict(),
-                              "training": config.to_dict(),
-                              "train_years": train_years,
-                              "window_days": window_days,
-                              "ar_max_order": ar_max_order}
-    manifest.doc["seeds"] = {"synthetic": cfg.seed, "training": config.seed}
+    manifest.doc["config"] = hc.to_dict()
+    manifest.doc["seeds"] = {"synthetic": hc.synthetic.seed, "training": hc.training.seed}
     manifest.doc["outputs"] = {"reports": args.out}
     manifest.write()
     med = result.summary

@@ -346,11 +346,6 @@ class NormalizationStats:
         return {"names": list(self.names), "mean": [float(v) for v in self.mean],
                 "std": [float(v) for v in self.std], "excluded": list(self.excluded)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationStats":
-        return cls(names=list(d["names"]), mean=np.asarray(d["mean"], dtype=float),
-                   std=np.asarray(d["std"], dtype=float), excluded=list(d["excluded"]))
-
 
 def normalize(dataset: GridDataset, train_pixel_ids) -> tuple[GridDataset, NormalizationStats]:
     """Z-score every forcing channel, the lsm channel and every attribute

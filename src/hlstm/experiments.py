@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import AR_MAX_ORDER, BaselineSettings, ar_forecast_batch, select_ar_orders
+from .config import Config
 from .dataset import GridDataset, normalize, parse_date, write_json_atomic
 from .errors import ValidationError
 from .lstm import predict_sequence
 from .modelio import MODEL_KINDS
+from .synthetic import SyntheticConfig
 from .training import TrainingConfig, prepare_sequences, train_lstm
 
 PERCENTILES = (25, 50, 75, 90)
@@ -37,7 +39,7 @@ BIAS_OVERLAP_FLAG_THRESHOLD = 0.2
 
 
 @dataclass
-class SplitSpec:
+class SplitSpec(Config):
     kind: str
     train_window: tuple[str, str] | None = None   # inclusive ISO dates
     test_window: tuple[str, str] | None = None
@@ -57,35 +59,9 @@ class SplitSpec:
             raise ValidationError("regional holdout needs training regions")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "train_window": list(self.train_window) if self.train_window else None,
-            "test_window": list(self.test_window) if self.test_window else None,
-            "stride": self.stride,
-            "offset": list(self.offset),
-            "train_regions": list(self.train_regions),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        unknown = set(d) - {"kind", "train_window", "test_window", "stride",
-                            "offset", "train_regions"}
-        if unknown:
-            raise ValidationError(f"unknown split fields: {sorted(unknown)}")
-        spec = cls(
-            kind=d.get("kind", ""),
-            train_window=tuple(d["train_window"]) if d.get("train_window") else None,
-            test_window=tuple(d["test_window"]) if d.get("test_window") else None,
-            stride=d.get("stride", 4),
-            offset=tuple(d.get("offset", (0, 0))),
-            train_regions=list(d.get("train_regions", [])),
-        )
-        return spec.validate()
-
 
 @dataclass
-class Split:
+class Split(Config):
     """A materialized partition: pixel id lists plus [t0, t1) day windows."""
 
     train_pixels: list[str]
@@ -93,15 +69,6 @@ class Split:
     train_window: tuple[int, int]
     test_window: tuple[int, int]
     spec: SplitSpec
-
-    def to_dict(self) -> dict:
-        return {
-            "train_pixels": self.train_pixels,
-            "test_pixels": self.test_pixels,
-            "train_window": list(self.train_window),
-            "test_window": list(self.test_window),
-            "spec": self.spec.to_dict(),
-        }
 
 
 def _window_indices(dataset: GridDataset, window: tuple[str, str] | None):
@@ -434,6 +401,27 @@ def write_experiment_reports(result: ExperimentResult, out_dir: str):
 
 def _csv_num(v):
     return "" if v is None else format(v, ".17g")
+
+
+@dataclass
+class HindcastConfig(Config):
+    """A hindcast config file: the synthetic dataset, the LSTM's training
+    config, the trailing years trained on, the scoring window in days and the
+    largest AR order swept."""
+
+    synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
+    training: TrainingConfig = field(default_factory=TrainingConfig)
+    train_years: int = 2
+    window_days: int = 730
+    ar_max_order: int = AR_MAX_ORDER
+
+    def validate(self):
+        if self.train_years < 1:
+            raise ValidationError(f"train_years must be >= 1, got {self.train_years}")
+        if not 0 <= self.ar_max_order <= AR_MAX_ORDER:
+            raise ValidationError(f"ar_max_order must lie in [0, {AR_MAX_ORDER}], "
+                                  f"got {self.ar_max_order}")
+        return self
 
 
 @dataclass

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .errors import NumericError, ValidationError
 
 DROPOUT_VARIANTS = ("none", "non_recurrent", "recurrent_constant", "memory_cell")
@@ -166,7 +167,7 @@ class LstmState:
 
 
 @dataclass
-class DropoutSpec:
+class DropoutSpec(Config):
     """Which dropout masks to sample and at what rate.
 
     variant "non_recurrent" resamples an input mask every step,
@@ -197,11 +198,10 @@ class DropoutMasks:
     expectation of a masked value equals the unmasked value.
     """
 
-    def __init__(self, x=None, h=None, g=None, rho: int = 0):
+    def __init__(self, x=None, h=None, g=None):
         self.x = x          # (rho, ..., input) resampled each step
         self.h = h          # (..., hidden) constant across the sequence
         self.g = g          # (rho, ..., hidden) resampled each step
-        self.rho = rho
 
     @property
     def is_identity(self) -> bool:
@@ -236,7 +236,7 @@ def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
     if rho < 1:
         raise ValidationError(f"sequence length must be >= 1, got {rho}")
     if spec.is_identity:
-        return DropoutMasks(rho=rho)
+        return DropoutMasks()
     rng = make_rng(seed)
     keep = 1.0 - spec.rate
 
@@ -245,11 +245,11 @@ def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
 
     inst = () if batch is None else (batch,)
     if spec.variant == "non_recurrent":
-        return DropoutMasks(x=bernoulli((rho, *inst, input_size)), rho=rho)
+        return DropoutMasks(x=bernoulli((rho, *inst, input_size)))
     if spec.variant == "recurrent_constant":
-        return DropoutMasks(h=bernoulli((*inst, hidden_size)), rho=rho)
+        return DropoutMasks(h=bernoulli((*inst, hidden_size)))
     # memory_cell: per-step mask on the candidate node.
-    return DropoutMasks(g=bernoulli((rho, *inst, hidden_size)), rho=rho)
+    return DropoutMasks(g=bernoulli((rho, *inst, hidden_size)))
 
 
 def _to_fm(v) -> np.ndarray:
@@ -433,7 +433,7 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
     n_batch = X.shape[0] if batched else None
     if masks is None:
         if spec is None or spec.is_identity:
-            masks = DropoutMasks(rho=rho)
+            masks = DropoutMasks()
         else:
             masks = sample_dropout_masks(spec, w.input_size, w.hidden_size,
                                          rho, seed, batch=n_batch)

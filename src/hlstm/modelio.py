@@ -18,7 +18,9 @@ An lstm payload's "weights" object holds the per-gate views of
 ``LstmWeights.theta`` by name (W_gx ... b_y; see ``LstmWeights.named_arrays``).
 Weight arrays are stored as nested row-major lists; Python's float repr is
 shortest-round-trip, so save/load is bit-exact. Files are written atomically
-(temp file + rename). A malformed payload raises DataError naming the field.
+(temp file + rename). A malformed payload (a missing field, an array of
+the wrong shape or holding a NaN or infinity, a normalization std that is not
+positive) raises DataError naming the field.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ def payload_fields(payload, what: str, *names):
 
 
 def _array(value, what: str, shape) -> np.ndarray:
-    """A numeric field of the given shape; None in ``shape`` matches any
-    length, and shape () is a number."""
+    """A finite numeric field of the given shape; None in ``shape`` matches
+    any length, and shape () is a number."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -98,7 +100,29 @@ def _array(value, what: str, shape) -> np.ndarray:
     if arr is None or arr.ndim != len(shape) or any(
             n is not None and n != m for n, m in zip(shape, arr.shape)):
         raise DataError(f"container field {what!r} must be numeric with shape {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"container field {what!r} holds a NaN or infinity")
     return arr
+
+
+def _names(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise DataError(f"container field {what!r} must be a list of strings")
+    return list(value)
+
+
+def _normalization(doc) -> NormalizationStats:
+    """A container's normalization section: channel names, and one finite
+    mean and one finite std > 0 per name."""
+    names, mean, std, excluded = payload_fields(doc, "normalization", "names", "mean",
+                                                "std", "excluded")
+    names = _names(names, "normalization.names")
+    std = _array(std, "normalization.std", (len(names),))
+    if not np.all(std > 0):
+        raise DataError("container field 'normalization.std' must be positive")
+    return NormalizationStats(names=names, std=std,
+                              mean=_array(mean, "normalization.mean", (len(names),)),
+                              excluded=_names(excluded, "normalization.excluded"))
 
 
 def lstm_payload(w: LstmWeights, feature_names, stats: NormalizationStats | None,
@@ -137,8 +161,7 @@ def lstm_from_payload(payload: dict, n_features: int | None = None):
         view[...] = _array(weights[name], name, view.shape)
     w.validate()
     stats = payload.get("normalization")
-    stats = None if stats is None else NormalizationStats.from_dict(stats)
-    return w, list(names), stats
+    return w, _names(names, "feature_names"), None if stats is None else _normalization(stats)
 
 
 def lasso_payload(model: LassoModel, feature_names,
@@ -228,9 +251,9 @@ def _phases(data, split, series, only=None):
                 ("test", split.test_pixels, split.test_window))}
 
 
-def _fit_lstm(data, train_data, split, lstm_config, baselines, seed, **checkpoint):
+def _fit_lstm(data, train_data, split, lstm_config, baselines, seed, checkpoint=None):
     return train_lstm(train_data, lstm_config or TrainingConfig(),
-                      window=split.train_window, **checkpoint)
+                      window=split.train_window, checkpoint=checkpoint)
 
 
 def _predict_lstm(model, data, split):
@@ -386,14 +409,10 @@ def predict_container(kind: str, payload: dict, dataset, split) -> dict:
     with the container's statistics and given the features it was trained
     on."""
     names, stats = payload_fields(payload, kind, "feature_names", "normalization")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise DataError("container field 'feature_names' must be a list of strings")
+    names = _names(names, "feature_names")
     if stats is None:
         raise DataError("model container lacks normalization statistics")
-    try:
-        stats = NormalizationStats.from_dict(stats)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"container field 'normalization' is malformed ({exc!r})") from None
+    stats = _normalization(stats)
     data = prepare_sequences(apply_normalization(dataset, stats),
                              include_lsm=payload.get("include_lsm", dataset.has_lsm),
                              include_attributes=payload.get("include_attributes", True))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .dataset import GridDataset, PixelSeries, parse_date
 from .errors import ValidationError
 from .lstm import make_rng
@@ -40,7 +41,7 @@ FORCING_NAMES = ["precip", "pet", "tair"]
 
 
 @dataclass
-class SyntheticConfig:
+class SyntheticConfig(Config):
     rows: int = 8
     cols: int = 8
     years: int = 3
@@ -91,7 +92,7 @@ class SyntheticConfig:
             raise ValidationError("porosity range must sit above residual range")
         if self.region_layout is not None:
             nr, nc = self.region_layout
-            if self.rows % nr or self.cols % nc:
+            if min(nr, nc) < 1 or self.rows % nr or self.cols % nc:
                 raise ValidationError("region layout must tile the grid evenly")
         if self.lsm_bias_from_attr and not self.include_lsm:
             raise ValidationError("lsm_bias_from_attr requires include_lsm")
@@ -103,28 +104,6 @@ class SyntheticConfig:
     @property
     def n_days(self) -> int:
         return self.years * 365
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            val = getattr(self, name)
-            out[name] = list(val) if isinstance(val, tuple) else val
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticConfig":
-        kwargs = {}
-        for name, f in cls.__dataclass_fields__.items():
-            if name not in d:
-                continue
-            val = d[name]
-            if isinstance(val, list):
-                val = tuple(val)
-            kwargs[name] = val
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown synthetic config fields: {sorted(unknown)}")
-        return cls(**kwargs)
 
 
 def add_noise(series: np.ndarray, kind: str, param: float, seed) -> np.ndarray:

@@ -17,12 +17,12 @@ a (config, seed) pair fully determines the trained weights.
 from __future__ import annotations
 
 import math
-import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config
 from .dataset import GridDataset, build_features
 from .errors import DegenerateBatchError, NumericError, ValidationError
 from .lstm import (
@@ -40,7 +40,7 @@ LOSS_DIVISORS = ("rho", "observed")
 
 
 @dataclass
-class TrainingConfig:
+class TrainingConfig(Config):
     hidden_size: int = 64
     unroll_length: int = 365
     batch_size: int = 100
@@ -70,22 +70,14 @@ class TrainingConfig:
         self.dropout.validate()
         return self
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dropout"] = {"variant": self.dropout.variant, "rate": self.dropout.rate}
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingConfig":
-        d = dict(d)
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown training config fields: {sorted(unknown)}")
-        if "dropout" in d:
-            dro = d["dropout"]
-            d["dropout"] = DropoutSpec(variant=dro.get("variant", "none"),
-                                       rate=dro.get("rate", 0.0))
-        return cls(**d).validate()
+@dataclass
+class Features(Config):
+    """The "features" section of a train config: which inputs the models
+    see. ``include_lsm`` None means "when the dataset has an lsm channel"."""
+
+    include_lsm: bool | None = None
+    include_attributes: bool = True
 
 
 @dataclass
@@ -119,24 +111,15 @@ class SequenceData:
 
 
 def prepare_sequences(dataset: GridDataset, include_lsm: bool = True,
-                      include_attributes: bool = True,
-                      pixel_ids=None) -> SequenceData:
+                      include_attributes: bool = True) -> SequenceData:
     """Stack the dataset's pixels into the arrays the training loop consumes."""
     names, feats = build_features(dataset, include_lsm=include_lsm,
                                   include_attributes=include_attributes)
-    if pixel_ids is None:
-        pixel_ids = [px.pixel_id for px in dataset.pixels]
-    by_id = {px.pixel_id: px for px in dataset.pixels}
-    inputs, targets, mask = [], [], []
-    for pid in pixel_ids:
-        if pid not in by_id:
-            raise ValidationError(f"unknown pixel id {pid!r}")
-        px = by_id[pid]
-        inputs.append(feats[pid])
-        targets.append(px.target)
-        mask.append(px.mask)
-    return SequenceData(pixel_ids=list(pixel_ids), inputs=np.stack(inputs),
-                        targets=np.stack(targets), mask=np.stack(mask),
+    pixels = dataset.pixels
+    return SequenceData(pixel_ids=[px.pixel_id for px in pixels],
+                        inputs=np.stack([feats[px.pixel_id] for px in pixels]),
+                        targets=np.stack([px.target for px in pixels]),
+                        mask=np.stack([px.mask for px in pixels]),
                         feature_names=names)
 
 
@@ -257,16 +240,14 @@ def sgd_step(w: LstmWeights, grads: LstmWeights, lr: float):
 
 
 def train_lstm(data: SequenceData, config: TrainingConfig,
-               window: tuple[int, int] | None = None,
-               checkpoint_dir: str | None = None,
-               checkpoint_writer=None):
+               window: tuple[int, int] | None = None, checkpoint=None):
     """Run the full training loop; returns (weights, history).
 
     ``window`` restricts sampling to [t0, t1) on the time axis. History rows
     are dicts of epoch, loss, the gradient norm before clipping, whether it
-    was clipped, and cumulative wall seconds. Checkpoints go
-    through ``checkpoint_writer(path, weights)`` every ``checkpoint_every``
-    epochs when a directory is given.
+    was clipped, and cumulative wall seconds. When given,
+    ``checkpoint(epoch, weights)`` is called every ``checkpoint_every``
+    epochs.
     """
     config.validate()
     n_features = data.inputs.shape[2]
@@ -280,8 +261,6 @@ def train_lstm(data: SequenceData, config: TrainingConfig,
 
     history = []
     started = time.perf_counter()
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
 
     for epoch in range(1, config.epochs + 1):
         batch = None
@@ -317,10 +296,8 @@ def train_lstm(data: SequenceData, config: TrainingConfig,
         history.append({"epoch": epoch, "loss": loss, "grad_norm": grad_norm,
                         "clipped": grad_norm > config.gradient_clip_norm,
                         "seconds": time.perf_counter() - started})
-        if (checkpoint_dir is not None and checkpoint_writer is not None
-                and epoch % config.checkpoint_every == 0):
-            checkpoint_writer(
-                os.path.join(checkpoint_dir, f"checkpoint_{epoch:06d}.json"), w)
+        if checkpoint is not None and epoch % config.checkpoint_every == 0:
+            checkpoint(epoch, w)
 
     return w, history
 

@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+import golden
+
 from hlstm.cli import main
 from hlstm.dataset import GridDataset, PixelSeries, load_dataset, save_dataset
 
@@ -320,6 +322,27 @@ class TestCliErrors:
         assert code == 1
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,edit", [
+        ("W_fh", lambda payload: payload["weights"]["W_fh"][0].__setitem__(0, float("nan"))),
+        ("normalization.mean",
+         lambda payload: payload["normalization"]["mean"].__setitem__(0, float("nan"))),
+        ("normalization.std", lambda payload: payload["normalization"]["std"].pop()),
+        ("normalization.std",
+         lambda payload: payload["normalization"]["std"].__setitem__(0, 0.0)),
+    ], ids=["nan_weight", "nan_mean", "std_one_short", "zero_std"])
+    def test_malformed_lstm_container_exits_one(self, tmp_path, capsys, field, edit):
+        data = str(tmp_path / "data")
+        save_dataset(golden.golden_dataset(), data)
+        split = write_json(tmp_path / "split.json", golden.golden_split().to_dict())
+        with open(golden.CONTAINER) as fh:
+            doc = json.load(fh)
+        edit(doc["payload"])
+        code = main(["evaluate", "--data", data, "--split", split,
+                     "--model-file", write_json(tmp_path / "bad.json", doc),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_missing_data_exits_one(self, tmp_path, capsys):
         split_cfg = write_json(tmp_path / "s.json", temporal_split())
         code = main(["train", "--model", "lstm", "--data", str(tmp_path / "nope"),
@@ -410,3 +433,43 @@ class TestConfigValidation:
         code = main(["hindcast", "--config", cfg, "--out", str(tmp_path / "h")])
         assert code == 1
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,edit,field", [
+        ("train", {"hidden_size": "4"}, "hidden_size"),
+        ("train", {"hidden_size": 4.5}, "hidden_size"),
+        ("train", {"learning_rate": "0.01"}, "learning_rate"),
+        ("train", {"epochs": True}, "epochs"),
+        ("train", {"dropout": 0.5}, "dropout"),
+        ("train", {"dropout": {"variant": "none", "rat": 0.3}}, "rat"),
+        ("train", {"features": {"include_lsm": "no"}}, "include_lsm"),
+        ("synth", {"rows": "3"}, "rows"),
+        ("synth", {"porosity": 0.45}, "porosity"),
+        ("synth", {"noise_param": "0.1"}, "noise_param"),
+        ("synth", {"years": 1.5}, "years"),
+        ("split", {"kind": "spatial_subsample", "stride": "2"}, "stride"),
+        ("split", {"train_window": "2000-01-01"}, "train_window"),
+        ("hindcast", {"train_years": "2"}, "train_years"),
+        ("hindcast", {"train_years": 1.5}, "train_years"),
+        ("hindcast", {"window_days": "300"}, "window_days"),
+        ("hindcast", {"training": 5}, "training"),
+    ], ids=["train_hidden_str", "train_hidden_float", "train_lr_str", "train_epochs_bool",
+            "train_dropout_number", "train_dropout_misspelt", "train_include_lsm_str",
+            "synth_rows_str", "synth_porosity_number", "synth_noise_str", "synth_years_float",
+            "split_stride_str", "split_window_str", "hindcast_years_str",
+            "hindcast_years_float", "hindcast_window_str", "hindcast_training_number"])
+    def test_wrong_json_type_exits_one(self, workspace, tmp_path, capsys, command, edit,
+                                       field):
+        _, data, split_cfg = workspace
+        docs = {
+            "train": lambda: {**train_config(), **edit},
+            "synth": lambda: synth_config(**edit),
+            "split": lambda: {**temporal_split(), **edit},
+            "hindcast": lambda: {"synthetic": synth_config(rows=2, cols=2, years=3),
+                                 "training": train_config(epochs=2), **edit},
+        }
+        cfg = write_json(tmp_path / "bad.json", docs[command]())
+        argv = {"train": ["train", "--model", "lasso", "--data", data, "--split", split_cfg],
+                "split": ["split", "--data", data]}.get(command, [command])
+        code = main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"'{field}'" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,17 @@ class TestTrainLstm:
         assert not any(r["clipped"] for r in runs[1e6])
         # The first update starts from the same weights and batch in both runs.
         assert runs[1e-6][0]["grad_norm"] == runs[1e6][0]["grad_norm"]
+
+    def test_checkpoint_sees_the_weights_every_checkpoint_every_epochs(self):
+        data = make_data(4, 60, lambda p, T: np.random.default_rng(p).normal(size=(T, 2)),
+                         lambda p, T, x: 0.2 + 0.05 * np.tanh(x[:, 0]))
+        cfg = TrainingConfig(hidden_size=5, unroll_length=20, batch_size=4,
+                             epochs=7, checkpoint_every=3, seed=4)
+        seen = []
+        train_lstm(data, cfg, checkpoint=lambda epoch, w: seen.append((epoch, w.theta.copy())))
+        assert [epoch for epoch, _ in seen] == [3, 6]
+        six, _ = train_lstm(data, dataclasses.replace(cfg, epochs=6))
+        assert seen[-1][1].tobytes() == six.theta.tobytes()
 
     def test_loss_divergence_tripwire(self):
         data = make_data(4, 120, lambda p, T: np.full((T, 2), 0.5),
