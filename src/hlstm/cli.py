@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import BaselineSettings
-from .dataset import GridDataset, load_dataset, normalize, save_dataset, write_json_atomic
+from .dataset import GridDataset, load_dataset, save_dataset, write_json_atomic
 from .errors import DataError, ValidationError
 from .experiments import (
     ExperimentResult,
@@ -38,6 +38,7 @@ from .experiments import (
     Split,
     SplitSpec,
     make_split,
+    prepare_split,
     require_point_split,
     run_hindcast_experiment,
     score_predictions,
@@ -45,7 +46,7 @@ from .experiments import (
 )
 from .modelio import MODEL_KINDS, load_model, model_payload, predict_container, save_model
 from .synthetic import SyntheticConfig, generate_synthetic
-from .training import Features, TrainingConfig, prepare_sequences, write_history_csv
+from .training import Features, TrainingConfig, write_history_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,10 +69,10 @@ def _load_json(path: str, what: str) -> dict:
 
 
 class RunManifest:
-    def __init__(self, command: str, argv, out_dir: str):
+    def __init__(self, args):
         self.doc = {
-            "command": command,
-            "argv": list(argv),
+            "command": args.command,
+            "argv": list(args.argv),
             "toolkit_version": __version__,
             "started_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "config": {},
@@ -80,7 +81,7 @@ class RunManifest:
             "outputs": {},
             "wall_seconds": None,
         }
-        self.out_dir = out_dir
+        self.out_dir = args.out
         self._t0 = time.perf_counter()
 
     def write(self):
@@ -112,7 +113,7 @@ def _load_split(path: str, dataset: GridDataset) -> Split:
 
 
 def cmd_synth(args) -> int:
-    manifest = RunManifest("synth", sys.argv[1:], args.out)
+    manifest = RunManifest(args)
     doc = _load_json(args.config, "synthetic config") if args.config else {}
     cfg = SyntheticConfig.from_dict(doc, "synthetic config")
     if args.seed is not None:
@@ -129,7 +130,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    manifest = RunManifest("split", sys.argv[1:], args.out)
+    manifest = RunManifest(args)
     dataset = load_dataset(args.data)
     spec = SplitSpec.from_dict(_load_json(args.config, "split spec"), "split spec")
     split = make_split(dataset, spec)
@@ -145,7 +146,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest = RunManifest("train", sys.argv[1:], args.out)
+    manifest = RunManifest(args)
     dataset = load_dataset(args.data)
     split = _load_split(args.split, dataset)
     require_point_split([args.model], split)
@@ -158,32 +159,26 @@ def cmd_train(args) -> int:
     baselines = BaselineSettings.from_dict(doc.get("baselines", {}), "config section 'baselines'")
     if args.seed is not None:
         config.seed = args.seed
-    if features.include_lsm is None:
-        features.include_lsm = dataset.has_lsm
 
-    norm_ds, stats = normalize(dataset, split.train_pixels)
-    data = prepare_sequences(norm_ds, include_lsm=features.include_lsm,
-                             include_attributes=features.include_attributes)
-    train_data = data.subset(split.train_pixels)
+    data, train_data, stats = prepare_split(dataset, split, features)
     os.makedirs(args.out, exist_ok=True)
-    feature_flags = features.to_dict()
 
     def save(path, model):
         save_model(path, args.model, model_payload(args.model, model, data.feature_names,
-                                                   stats, config, feature_flags))
+                                                   stats, config, data.features))
 
     checkpoint = {}
     if args.model == "lstm":
         checkpoint["checkpoint"] = lambda epoch, w: save(
             os.path.join(args.out, f"checkpoint_{epoch:06d}.json"), (w, []))
-    model = MODEL_KINDS[args.model].fit(data, train_data, split, config, baselines,
-                                        config.seed, **checkpoint)
+    model = MODEL_KINDS[args.model].fit(train_data, split, config, baselines, config.seed,
+                                        **checkpoint)
     model_path = os.path.join(args.out, "model.json")
     save(model_path, model)
     if args.model == "lstm":
         write_history_csv(model[1], os.path.join(args.out, "history.csv"))
 
-    manifest.doc["config"] = {**config.to_dict(), "features": feature_flags,
+    manifest.doc["config"] = {**config.to_dict(), "features": data.features.to_dict(),
                               "baselines": baselines.to_dict(), "model": args.model}
     manifest.doc["seeds"] = {"seed": config.seed}
     manifest.doc["inputs"] = {"dataset": args.data, "split": args.split}
@@ -194,7 +189,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    manifest = RunManifest("evaluate", sys.argv[1:], args.out)
+    manifest = RunManifest(args)
     dataset = load_dataset(args.data)
     split = _load_split(args.split, dataset)
     eval_ds = dataset
@@ -226,7 +221,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hindcast(args) -> int:
-    manifest = RunManifest("hindcast", sys.argv[1:], args.out)
+    manifest = RunManifest(args)
     hc = HindcastConfig.from_dict(_load_json(args.config, "hindcast config"),
                                   "hindcast config")
     if args.seed is not None:
@@ -240,17 +235,15 @@ def cmd_hindcast(args) -> int:
                                      ar_max_order=hc.ar_max_order,
                                      window_days=hc.window_days,
                                      out_dir=args.out)
-    stats = result.models["stats"]
-    names = result.models["feature_names"]
-    flags = {"include_lsm": False, "include_attributes": False}
+    names, stats, features = (result.models[k] for k in ("feature_names", "stats", "features"))
     save_model(os.path.join(args.out, "model_lstm.json"), "lstm",
                model_payload("lstm", (result.models["lstm"], []), names, stats,
-                             hc.training, flags))
+                             hc.training, features))
     ar_models = {px.pixel_id: (m, m.p, rmse_by_p) for px, m, rmse_by_p in
                  zip(dataset.pixels, result.models["ar_p"],
                      result.models["ar_rmse_by_p"])}
     save_model(os.path.join(args.out, "model_ar_p.json"), "ar_p",
-               model_payload("ar_p", ar_models, names, stats, extra=flags))
+               model_payload("ar_p", ar_models, names, stats, features=features))
 
     manifest.doc["config"] = hc.to_dict()
     manifest.doc["seeds"] = {"synthetic": hc.synthetic.seed, "training": hc.training.seed}
@@ -273,7 +266,7 @@ def build_parser() -> _Parser:
                model_file=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="override the config seed (a non-negative integer)")
         if data:
             p.add_argument("--data", required=True, help="dataset directory")
         if split:
@@ -316,8 +309,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv
     if getattr(args, "config", None) is None and args.command in ("split", "hindcast"):
         parser.error(f"{args.command} requires --config")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         return args.func(args)
     except (ValidationError, DataError) as exc:

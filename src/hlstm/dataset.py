@@ -1,5 +1,8 @@
 """Gridded data model, manifest/CSV round-trip and normalization.
 
+The layout of the model inputs built from a dataset (which channels, in what
+order) belongs to ``training.prepare_sequences``, not to this module.
+
 A dataset is a rectangular grid of pixels sharing one daily date axis. Each
 pixel carries dense forcing series, optional dense model-simulated moisture
 (the "lsm" channel), static attributes, and a sparse target with an
@@ -398,29 +401,3 @@ def apply_normalization(dataset: GridDataset, stats: NormalizationStats) -> Grid
         attrs = (px.attributes - stats.mean[k:]) / stats.std[k:]
         new_pixels.append(replace(px, forcing=forcing, lsm=lsm, attributes=attrs))
     return replace(dataset, pixels=new_pixels)
-
-
-def build_features(dataset: GridDataset, include_lsm: bool = True,
-                   include_attributes: bool = True):
-    """Assemble the per-pixel input matrices the models consume.
-
-    Returns (feature_names, {pixel_id: (T, n_features) array}); attribute
-    values are broadcast along the time axis.
-    """
-    names = list(dataset.forcing_names)
-    if include_lsm:
-        if not dataset.has_lsm:
-            raise ValidationError("dataset has no lsm channel")
-        names.append("lsm")
-    if include_attributes:
-        names.extend(dataset.attribute_names)
-    features = {}
-    for px in dataset.pixels:
-        parts = [px.forcing]
-        if include_lsm:
-            parts.append(px.lsm[:, None])
-        if include_attributes and len(dataset.attribute_names):
-            parts.append(np.tile(px.attributes, (dataset.n_days, 1)))
-        features[px.pixel_id] = np.concatenate(parts, axis=1)
-    return names, features
-

@@ -30,7 +30,7 @@ from .errors import ValidationError
 from .lstm import predict_sequence
 from .modelio import MODEL_KINDS
 from .synthetic import SyntheticConfig
-from .training import TrainingConfig, prepare_sequences, train_lstm
+from .training import Features, TrainingConfig, prepare_sequences, train_lstm
 
 PERCENTILES = (25, 50, 75, 90)
 # IQR overlap below this fraction of the narrower box trips the
@@ -321,10 +321,17 @@ def score_predictions(kind: str, dataset: GridDataset, predictions: dict,
                 ("test", split.test_pixels, split.test_window))]
 
 
+def prepare_split(dataset: GridDataset, split: Split, features: Features | None = None):
+    """(data, its training pixels' rows, stats): the dataset normalized with
+    the training pixels' statistics, stacked as ``features`` selects."""
+    norm_ds, stats = normalize(dataset, split.train_pixels)
+    data = prepare_sequences(norm_ds, features)
+    return data, data.subset(split.train_pixels), stats
+
+
 def run_experiment(dataset: GridDataset, split_spec: SplitSpec, model_kinds,
                    lstm_config: TrainingConfig | None = None,
-                   include_lsm: bool | None = None,
-                   include_attributes: bool = True,
+                   features: Features | None = None,
                    baselines: BaselineSettings | None = None,
                    seed: int = 0,
                    out_dir: str | None = None) -> ExperimentResult:
@@ -336,22 +343,15 @@ def run_experiment(dataset: GridDataset, split_spec: SplitSpec, model_kinds,
             raise ValidationError(f"unknown model kind {kind!r}")
     baselines = (baselines or BaselineSettings()).validate()
     split = make_split(dataset, split_spec)
-    if include_lsm is None:
-        include_lsm = dataset.has_lsm
-
     require_point_split(model_kinds, split)
-
-    norm_ds, stats = normalize(dataset, split.train_pixels)
-    data = prepare_sequences(norm_ds, include_lsm=include_lsm,
-                             include_attributes=include_attributes)
-    train_data = data.subset(split.train_pixels)
+    data, train_data, stats = prepare_split(dataset, split, features)
 
     reports, models, predictions, errors = [], {}, {}, {}
     bias_diag = None
     for kind in model_kinds:
         try:
             entry = MODEL_KINDS[kind]
-            models[kind] = entry.fit(data, train_data, split, lstm_config, baselines, seed)
+            models[kind] = entry.fit(train_data, split, lstm_config, baselines, seed)
             predictions[kind] = entry.predict(models[kind], data, split)
             reports += score_predictions(kind, dataset, predictions[kind], split)
             if kind == "lstm" and dataset.has_lsm:
@@ -458,7 +458,7 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
 
     norm_ds, stats = normalize(dataset, all_ids)
     # Forcings only: no model-simulated channel, no static attributes.
-    data = prepare_sequences(norm_ds, include_lsm=False, include_attributes=False)
+    data = prepare_sequences(norm_ds, Features(include_lsm=False, include_attributes=False))
 
     config = lstm_config or TrainingConfig()
     w, history = train_lstm(data, config, window=train_window)
@@ -497,25 +497,17 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
         windows.append((t0, t1, f"window_{len(windows)}"))
         t0 = t1
     rmse_rows = []
-    per_window = {"lstm": {}, "ar_p": {}}
     for (t0, t1, label) in windows:
-        for model_name, pred in (("lstm", lstm_pred[:, t0:t1]),
-                                 ("ar_p", ar_pred[:, t0:t1])):
-            vals = []
+        for model_name, pred in (("lstm", lstm_pred), ("ar_p", ar_pred)):
             for k, px in enumerate(dataset.pixels):
-                err = pred[k] - truth[k, t0:t1]
-                rmse = float(np.sqrt(np.mean(err * err)))
+                err = pred[k, t0:t1] - truth[k, t0:t1]
                 rmse_rows.append({"pixel_id": px.pixel_id, "model": model_name,
-                                  "window": label, "rmse": rmse})
-                vals.append(rmse)
-            per_window[model_name][label] = {
-                f"p{q}": float(np.percentile(vals, q)) for q in PERCENTILES}
-
-    pooled = {}
-    for model_name in ("lstm", "ar_p"):
-        vals = [r["rmse"] for r in rmse_rows if r["model"] == model_name]
-        pooled[model_name] = {f"p{q}": float(np.percentile(vals, q))
-                              for q in PERCENTILES}
+                                  "window": label, "rmse": float(np.sqrt(np.mean(err * err)))})
+    per_window = {m: {label: _percentile_block(r["rmse"] for r in rmse_rows
+                                               if r["model"] == m and r["window"] == label)
+                      for *_, label in windows} for m in ("lstm", "ar_p")}
+    pooled = {m: _percentile_block(r["rmse"] for r in rmse_rows if r["model"] == m)
+              for m in ("lstm", "ar_p")}
     first_label, last_label = windows[0][2], windows[-1][2]
     summary = {
         "train_days": train_days,
@@ -540,7 +532,8 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
                             models={"lstm": w, "ar_p": ar_models,
                                     "ar_rmse_by_p": [rmse for _, _, rmse in swept],
                                     "stats": stats,
-                                    "feature_names": data.feature_names})
+                                    "feature_names": data.feature_names,
+                                    "features": data.features})
     if out_dir is not None:
         write_hindcast_reports(result, out_dir)
     return result

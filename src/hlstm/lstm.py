@@ -409,6 +409,24 @@ def lstm_step(w: LstmWeights, x_t: np.ndarray, state: LstmState,
             _from_fm(Y[0], batched), record)
 
 
+def _sequence_inputs(w: LstmWeights, X, initial_state: LstmState | None):
+    """Check a finite (rho, input) or (batch, rho, input) X with rho >= 1;
+    return its time-major (rho, batch, input) view, whether it is a batch,
+    and the initial state (default zeros)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (2, 3):
+        raise ValidationError(f"X must be 2-D or 3-D, got shape {X.shape}")
+    if X.shape[-2] < 1:
+        raise ValidationError("sequence length must be >= 1")
+    if X.shape[-1] != w.input_size:
+        raise ValidationError(
+            f"input width {X.shape[-1]} does not match input_size {w.input_size}")
+    _require_finite(X, "X")
+    if X.ndim == 3:
+        return np.swapaxes(X, 0, 1), True, initial_state or LstmState.zeros(w.hidden_size, len(X))
+    return X[:, None], False, initial_state or LstmState.zeros(w.hidden_size)
+
+
 def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | None = None,
                      spec: DropoutSpec | None = None, seed=None,
                      masks: DropoutMasks | None = None):
@@ -418,31 +436,16 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
     ``spec``/``seed`` unless given explicitly; passing the masks from a cache
     replays a previous pass bit-exactly. Returns (Y, ForwardCache).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim not in (2, 3):
-        raise ValidationError(f"X must be 2-D or 3-D, got shape {X.shape}")
-    batched = X.ndim == 3
-    rho = X.shape[1] if batched else X.shape[0]
-    if rho < 1:
-        raise ValidationError("sequence length must be >= 1")
-    if X.shape[-1] != w.input_size:
-        raise ValidationError(
-            f"input width {X.shape[-1]} does not match input_size {w.input_size}")
-    _require_finite(X, "X")
-
-    n_batch = X.shape[0] if batched else None
+    x, batched, initial_state = _sequence_inputs(w, X, initial_state)
     if masks is None:
         if spec is None or spec.is_identity:
             masks = DropoutMasks()
         else:
-            masks = sample_dropout_masks(spec, w.input_size, w.hidden_size,
-                                         rho, seed, batch=n_batch)
+            masks = sample_dropout_masks(spec, w.input_size, w.hidden_size, x.shape[0],
+                                         seed, batch=x.shape[1] if batched else None)
 
-    if initial_state is None:
-        initial_state = LstmState.zeros(w.hidden_size, batch=n_batch)
-
-    # Time-major copy of the inputs; the cache keeps it for BPTT.
-    x = np.array(np.swapaxes(X, 0, 1) if batched else X[:, None], order="C")
+    # A time-major copy of the inputs; the cache keeps it for BPTT.
+    x = np.array(x, order="C")
     Y, _, _, gates, S, Hs = _run_cell(
         w, x, _to_fm(initial_state.h), _to_fm(initial_state.s),
         *_loop_masks(masks, batched))
@@ -460,20 +463,13 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
                      return_final_state: bool = False):
     """Mask-free evaluation forward pass that keeps no cache (long sequences).
 
-    Time runs in blocks of PREDICT_BLOCK_DAYS steps, so memory does not grow
-    with the sequence length beyond the inputs and outputs. With
-    ``return_final_state`` the result is (Y, LstmState), e.g. for spin-up
-    passes that only need the terminal state.
+    X is as for :func:`forward_sequence`. Time runs in blocks of
+    PREDICT_BLOCK_DAYS steps, so memory does not grow with the sequence
+    length beyond the inputs and outputs. With ``return_final_state`` the
+    result is (Y, LstmState), e.g. for spin-up passes that only need the
+    terminal state.
     """
-    X = np.asarray(X, dtype=float)
-    batched = X.ndim == 3
-    if X.shape[-1] != w.input_size:
-        raise ValidationError(
-            f"input width {X.shape[-1]} does not match input_size {w.input_size}")
-    _require_finite(X, "X")
-    n_batch = X.shape[0] if batched else None
-    state = initial_state or LstmState.zeros(w.hidden_size, batch=n_batch)
-    x = np.swapaxes(X, 0, 1) if batched else X[:, None]
+    x, batched, state = _sequence_inputs(w, X, initial_state)
     Y, h, s, _, _, _ = _run_cell(w, x, _to_fm(state.h), _to_fm(state.s),
                                  block=PREDICT_BLOCK_DAYS)
     Y = Y.transpose(2, 0, 1) if batched else Y[..., 0]

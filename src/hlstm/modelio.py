@@ -1,9 +1,10 @@
 """The model-kind table and the versioned model container.
 
 ``MODEL_KINDS`` is the one table of the six model kinds. An entry's
-``fit(data, train_data, split, lstm_config, baselines, seed)`` returns a
-model and ``predict(model, data, split)`` returns {"train": {pid: series},
-"test": {...}}; ``to_payload(model, feature_names, stats, config)`` and
+``fit(train_data, split, lstm_config, baselines, seed)`` returns a model
+fitted on the training pixels' rows and ``predict(model, data, split)``
+returns {"train": {pid: series}, "test": {...}};
+``to_payload(model, feature_names, stats, config)`` and
 ``from_payload(payload, n_features)`` convert the model to and from its
 container payload. ``point`` kinds fit and score each pixel on its own
 series. Models are (weights, history) for lstm, {pixel id: model} for
@@ -16,6 +17,8 @@ Container layout:
 
 An lstm payload's "weights" object holds the per-gate views of
 ``LstmWeights.theta`` by name (W_gx ... b_y; see ``LstmWeights.named_arrays``).
+A payload may end with the fields of the resolved ``training.Features`` the
+model was trained on; ``predict_container`` stacks the inputs by them.
 Weight arrays are stored as nested row-major lists; Python's float repr is
 shortest-round-trip, so save/load is bit-exact. Files are written atomically
 (temp file + rename). A malformed payload (a missing field, an array of
@@ -26,7 +29,7 @@ positive) raises DataError naming the field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -44,7 +47,7 @@ from .baselines import (
 from .dataset import NormalizationStats, apply_normalization, write_json_atomic
 from .errors import DataError, ValidationError
 from .lstm import LstmWeights, predict_sequence
-from .training import TrainingConfig, prepare_sequences, train_lstm
+from .training import Features, TrainingConfig, prepare_sequences, train_lstm
 
 FORMAT_TAG = "hlstm-v1"
 MIN_POINT_ROWS = 10  # observed training days a pixel needs for a point fit
@@ -251,7 +254,7 @@ def _phases(data, split, series, only=None):
                 ("test", split.test_pixels, split.test_window))}
 
 
-def _fit_lstm(data, train_data, split, lstm_config, baselines, seed, checkpoint=None):
+def _fit_lstm(train_data, split, lstm_config, baselines, seed, checkpoint=None):
     return train_lstm(train_data, lstm_config or TrainingConfig(),
                       window=split.train_window, checkpoint=checkpoint)
 
@@ -267,7 +270,7 @@ def _rows(fit_rows, point=False):
     value with ``model.predict``: one model over the observed rows of all
     training pixels or, for a point kind, one per training pixel with
     MIN_POINT_ROWS of them."""
-    def fit(data, train_data, split, lstm_config, baselines, seed):
+    def fit(train_data, split, lstm_config, baselines, seed):
         t0, t1 = split.train_window
         rows = {}
         for k, pid in enumerate(train_data.pixel_ids):
@@ -288,7 +291,7 @@ def _rows(fit_rows, point=False):
     return fit, predict
 
 
-def _fit_ar(data, train_data, split, lstm_config, baselines, seed):
+def _fit_ar(train_data, split, lstm_config, baselines, seed):
     """Per-pixel AR with exogenous inputs, the order swept on the test
     window per the source protocol (optimistic; flagged)."""
     (t0, t1), (e0, e1) = split.train_window, split.test_window
@@ -394,14 +397,15 @@ MODEL_KINDS = {
 
 
 def model_payload(kind: str, model, feature_names, stats: NormalizationStats | None,
-                  config: TrainingConfig | None = None, extra: dict | None = None) -> dict:
+                  config: TrainingConfig | None = None,
+                  features: Features | None = None) -> dict:
     """The container payload of a fitted model, followed by the kind's flags
-    and ``extra`` (the feature flags). An lstm echoes ``config``."""
+    and the fields of ``features``. An lstm echoes ``config``."""
     entry = MODEL_KINDS[kind]
     payload = entry.to_payload(model, feature_names, stats, config)
     if entry.flags:
         payload["flags"] = dict(entry.flags)
-    return {**payload, **(extra or {})}
+    return {**payload, **(features.to_dict() if features else {})}
 
 
 def predict_container(kind: str, payload: dict, dataset, split) -> dict:
@@ -413,9 +417,12 @@ def predict_container(kind: str, payload: dict, dataset, split) -> dict:
     if stats is None:
         raise DataError("model container lacks normalization statistics")
     stats = _normalization(stats)
-    data = prepare_sequences(apply_normalization(dataset, stats),
-                             include_lsm=payload.get("include_lsm", dataset.has_lsm),
-                             include_attributes=payload.get("include_attributes", True))
+    try:
+        features = Features.from_dict({f.name: payload[f.name] for f in fields(Features)
+                                       if f.name in payload}, "model container")
+    except ValidationError as exc:
+        raise DataError(str(exc)) from None
+    data = prepare_sequences(apply_normalization(dataset, stats), features)
     if data.feature_names != names:
         raise ValidationError(
             f"dataset features {data.feature_names} do not match the model's {names}")

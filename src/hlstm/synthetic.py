@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,15 @@ class SyntheticConfig(Config):
     def validate(self):
         if self.rows < 1 or self.cols < 1 or self.years < 1:
             raise ValidationError("grid dims and years must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for name, tp in typing.get_type_hints(type(self)).items():
+            if tp == tuple[float, float] and getattr(self, name)[0] > getattr(self, name)[1]:
+                raise ValidationError(f"{name!r} must be a [low, high] range, "
+                                      f"got {list(getattr(self, name))}")
+        if not 0 <= self.wet_day_prob[0] <= self.wet_day_prob[1] <= 1:
+            raise ValidationError(f"'wet_day_prob' must lie in [0, 1], "
+                                  f"got {list(self.wet_day_prob)}")
         if self.noise_kind not in NOISE_KINDS:
             raise ValidationError(f"noise kind must be one of {NOISE_KINDS}")
         if self.noise_kind != "none" and self.noise_param <= 0:

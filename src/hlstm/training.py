@@ -1,5 +1,6 @@
-"""Masked sequence loss, mini-batch sampling over pixels, optimizers, and the
-LSTM training loop.
+"""Model inputs (:func:`prepare_sequences` alone lays out their channels, as
+a :class:`Features` value selects), masked sequence loss, mini-batch
+sampling over pixels, optimizers, and the LSTM training loop.
 
 The loss for one instance over an unrolled window of length rho is
 
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import Config
-from .dataset import GridDataset, build_features
+from .dataset import GridDataset
 from .errors import DegenerateBatchError, NumericError, ValidationError
 from .lstm import (
     DropoutSpec,
@@ -67,14 +68,17 @@ class TrainingConfig(Config):
             raise ValidationError(f"optimizer must be one of {OPTIMIZERS}")
         if self.loss_divisor not in LOSS_DIVISORS:
             raise ValidationError(f"loss_divisor must be one of {LOSS_DIVISORS}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         self.dropout.validate()
         return self
 
 
 @dataclass
 class Features(Config):
-    """The "features" section of a train config: which inputs the models
-    see. ``include_lsm`` None means "when the dataset has an lsm channel"."""
+    """Which inputs the models see: the "features" section of a train config,
+    echoed in every model container. ``include_lsm`` None means "when the
+    dataset has an lsm channel"; :func:`prepare_sequences` resolves it."""
 
     include_lsm: bool | None = None
     include_attributes: bool = True
@@ -89,6 +93,7 @@ class SequenceData:
     targets: np.ndarray   # (n_pixels, T), NaN where unobserved
     mask: np.ndarray      # (n_pixels, T) bool
     feature_names: list[str]
+    features: Features = field(default_factory=Features)  # as prepare_sequences resolved it
 
     @property
     def n_pixels(self) -> int:
@@ -105,22 +110,35 @@ class SequenceData:
         except KeyError as exc:
             raise ValidationError(f"unknown pixel id {exc.args[0]!r}") from exc
         sel = np.asarray(rows, dtype=int)
-        return SequenceData(pixel_ids=list(pixel_ids), inputs=self.inputs[sel],
-                            targets=self.targets[sel], mask=self.mask[sel],
-                            feature_names=self.feature_names)
+        return replace(self, pixel_ids=list(pixel_ids), inputs=self.inputs[sel],
+                       targets=self.targets[sel], mask=self.mask[sel])
 
 
-def prepare_sequences(dataset: GridDataset, include_lsm: bool = True,
-                      include_attributes: bool = True) -> SequenceData:
-    """Stack the dataset's pixels into the arrays the training loop consumes."""
-    names, feats = build_features(dataset, include_lsm=include_lsm,
-                                  include_attributes=include_attributes)
-    pixels = dataset.pixels
-    return SequenceData(pixel_ids=[px.pixel_id for px in pixels],
-                        inputs=np.stack([feats[px.pixel_id] for px in pixels]),
-                        targets=np.stack([px.target for px in pixels]),
-                        mask=np.stack([px.mask for px in pixels]),
-                        feature_names=names)
+def prepare_sequences(dataset: GridDataset, features: Features | None = None,
+                      **flags) -> SequenceData:
+    """Stack the dataset's pixels into one (pixels, days, features) array:
+    the forcings, then lsm, then the attributes along time, as ``features``
+    (default ``Features()``; keywords such as ``include_lsm=False`` override
+    its fields) selects."""
+    features = replace(features or Features(), **flags)
+    lsm = dataset.has_lsm if features.include_lsm is None else features.include_lsm
+    if lsm and not dataset.has_lsm:
+        raise ValidationError("dataset has no lsm channel")
+    features = replace(features, include_lsm=lsm)
+    nf = len(dataset.forcing_names)
+    names = (dataset.forcing_names + ["lsm"] * lsm
+             + dataset.attribute_names * features.include_attributes)
+    inputs = np.empty((len(dataset.pixels), dataset.n_days, len(names)))
+    for k, px in enumerate(dataset.pixels):
+        inputs[k, :, :nf] = px.forcing
+        if lsm:
+            inputs[k, :, nf] = px.lsm
+        if features.include_attributes:
+            inputs[k, :, nf + lsm:] = px.attributes
+    return SequenceData(pixel_ids=[px.pixel_id for px in dataset.pixels], inputs=inputs,
+                        targets=np.array([px.target for px in dataset.pixels]),
+                        mask=np.array([px.mask for px in dataset.pixels]),
+                        feature_names=names, features=features)
 
 
 @dataclass

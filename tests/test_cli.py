@@ -67,6 +67,13 @@ class TestSynth:
         manifest = json.loads((out_a / "run_manifest.json").read_text())
         assert manifest["seeds"]["seed"] == 9
 
+    def test_manifest_records_the_given_argv(self, tmp_path):
+        argv = ["synth", "--config", write_json(tmp_path / "c.json", synth_config()),
+                "--out", str(tmp_path / "o"), "--seed", "4"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+        assert manifest["argv"] == argv
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", synth_config(noise_kind="pink"))
         code = main(["synth", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -206,6 +213,12 @@ class TestCliErrors:
             main(["synth", "--out", "x", "--wat"])
         assert exc.value.code == 1
 
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert exc.value.code == 1
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model,split", [
         ("lasso_p", {"kind": "spatial_subsample", "stride": 2}),
         ("nn_p", {"kind": "spatial_subsample", "stride": 2}),
@@ -273,6 +286,15 @@ class TestCliErrors:
             pixels=list(payload["pixels"].values())))
         assert code == 1
         assert "'pixels'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("include_lsm", "no"),
+                                             ("include_attributes", None)])
+    def test_container_feature_flag_of_wrong_type_exits_one(self, workspace, tmp_path,
+                                                             capsys, field, value):
+        code = self.evaluate_edited(workspace, tmp_path, "lasso",
+                                    lambda payload: payload.update({field: value}))
+        assert code == 1
+        assert f"model container field '{field}'" in capsys.readouterr().err
 
     def test_container_ar_gamma_one_short_exits_one(self, workspace, tmp_path, capsys):
         def drop_last(payload):
@@ -434,6 +456,21 @@ class TestConfigValidation:
         assert code == 1
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,edit,needle", [
+        ("synth", {"seed": -1}, "seed must be >= 0"),
+        ("train", {"seed": -1}, "seed must be >= 0"),
+        ("hindcast", {"training": train_config(seed=-1)}, "seed must be >= 0"),
+        ("synth", {"porosity": [0.5, 0.3]}, "'porosity' must be a [low, high] range"),
+        ("synth", {"depth_mm": [300.0, 200.0]}, "'depth_mm' must be a [low, high] range"),
+        ("synth", {"wet_day_prob": [1.5, 2.0]}, "'wet_day_prob' must lie in [0, 1]"),
+        ("synth", {"wet_day_prob": [-0.1, 0.5]}, "'wet_day_prob' must lie in [0, 1]"),
+    ], ids=["synth_seed", "train_seed", "hindcast_training_seed", "porosity_reversed",
+            "depth_reversed", "wet_day_prob_above_one", "wet_day_prob_below_zero"])
+    def test_out_of_range_value_exits_one(self, workspace, tmp_path, capsys, command, edit,
+                                          needle):
+        assert self.run_edited(workspace, tmp_path, command, edit) == 1
+        assert needle in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,edit,field", [
         ("train", {"hidden_size": "4"}, "hidden_size"),
         ("train", {"hidden_size": 4.5}, "hidden_size"),
@@ -459,6 +496,11 @@ class TestConfigValidation:
             "hindcast_years_float", "hindcast_window_str", "hindcast_training_number"])
     def test_wrong_json_type_exits_one(self, workspace, tmp_path, capsys, command, edit,
                                        field):
+        assert self.run_edited(workspace, tmp_path, command, edit) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def run_edited(self, workspace, tmp_path, command, edit):
+        """The exit code of ``command`` run on a valid config updated by ``edit``."""
         _, data, split_cfg = workspace
         docs = {
             "train": lambda: {**train_config(), **edit},
@@ -470,6 +512,4 @@ class TestConfigValidation:
         cfg = write_json(tmp_path / "bad.json", docs[command]())
         argv = {"train": ["train", "--model", "lasso", "--data", data, "--split", split_cfg],
                 "split": ["split", "--data", data]}.get(command, [command])
-        code = main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert f"'{field}'" in capsys.readouterr().err
+        return main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])

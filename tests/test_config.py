@@ -1,7 +1,9 @@
 """Properties of the one config reader (hlstm.config) over every section class."""
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 import types
 import typing
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hlstm
 from hlstm.baselines import BaselineSettings
 from hlstm.config import Config
 from hlstm.errors import ValidationError
@@ -111,3 +114,15 @@ def test_a_value_of_another_json_type_is_named(cls, data):
 def test_a_list_of_another_length_is_named(porosity):
     with pytest.raises(ValidationError, match="'porosity'"):
         SyntheticConfig.from_dict({"porosity": porosity})
+
+
+def test_sections_list_every_config_subclass():
+    """A new section joins the properties above by being added to SECTIONS."""
+    for module in pkgutil.iter_modules(hlstm.__path__):
+        importlib.import_module(f"hlstm.{module.name}")
+    found, todo = set(), [Config]
+    while todo:
+        subclasses = set(todo.pop().__subclasses__()) - found
+        found |= subclasses
+        todo += subclasses
+    assert {cls for cls in found if cls.__module__.startswith("hlstm.")} == set(SECTIONS)

@@ -9,7 +9,6 @@ from hlstm.dataset import (
     GridDataset,
     PixelSeries,
     apply_normalization,
-    build_features,
     load_dataset,
     normalize,
     save_dataset,
@@ -22,6 +21,7 @@ from hlstm.synthetic import (
     generate_synthetic,
     simulate_bucket,
 )
+from hlstm.training import Features, prepare_sequences
 
 from oracles import loop_save_series, scalar_bucket
 
@@ -230,27 +230,41 @@ class TestNormalize:
 
 
 class TestBuildFeatures:
+    """The model-input layout that training.prepare_sequences builds from a
+    dataset: forcings, then lsm, then the attributes repeated along time."""
+
     def test_feature_layout(self):
         ds = small_dataset(seed=6)
-        names, feats = build_features(ds, include_lsm=True, include_attributes=True)
-        assert names == ["precip", "pet", "lsm", "a0", "a1", "a2"]
-        X = feats["px_0_0"]
-        assert X.shape == (ds.n_days, 6)
-        px = ds.pixels[0]
-        assert np.array_equal(X[:, 0], px.forcing[:, 0])
-        assert np.array_equal(X[:, 2], px.lsm)
-        assert np.all(X[:, 3] == px.attributes[0])
+        data = prepare_sequences(ds, Features(include_lsm=True, include_attributes=True))
+        assert data.feature_names == ["precip", "pet", "lsm", "a0", "a1", "a2"]
+        assert data.inputs.shape == (4, ds.n_days, 6)
+        for k, px in enumerate(ds.pixels):
+            want = np.concatenate([px.forcing, px.lsm[:, None],
+                                   np.tile(px.attributes, (ds.n_days, 1))], axis=1)
+            assert data.inputs[k].tobytes() == want.tobytes()
+            assert data.targets[k].tobytes() == px.target.tobytes()
+            assert np.array_equal(data.mask[k], px.mask)
+        assert data.pixel_ids == [px.pixel_id for px in ds.pixels]
 
     def test_forcings_only(self):
         ds = small_dataset(seed=7)
-        names, feats = build_features(ds, include_lsm=False, include_attributes=False)
-        assert names == ["precip", "pet"]
-        assert feats["px_0_1"].shape == (ds.n_days, 2)
+        data = prepare_sequences(ds, include_lsm=False, include_attributes=False)
+        assert data.feature_names == ["precip", "pet"]
+        assert data.inputs.shape == (4, ds.n_days, 2)
+        assert np.array_equal(data.inputs[1], ds.pixels[1].forcing)
+        assert data.features == Features(include_lsm=False, include_attributes=False)
 
     def test_lsm_requested_but_absent(self):
         ds = small_dataset(seed=8, with_lsm=False)
-        with pytest.raises(ValidationError):
-            build_features(ds, include_lsm=True)
+        with pytest.raises(ValidationError, match="no lsm channel"):
+            prepare_sequences(ds, include_lsm=True)
+
+    @pytest.mark.parametrize("with_lsm", [True, False])
+    def test_unset_lsm_follows_the_dataset(self, with_lsm):
+        data = prepare_sequences(small_dataset(seed=9, with_lsm=with_lsm))
+        assert data.features == Features(include_lsm=with_lsm, include_attributes=True)
+        assert ("lsm" in data.feature_names) == with_lsm
+        assert data.subset(["px_1_0"]).features == data.features
 
 
 class TestAddNoise:

@@ -251,6 +251,14 @@ class TestForwardSequence:
         Y, _ = forward_sequence(w, X)
         assert np.array_equal(predict_sequence(w, X), Y)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 4, 5, 3), (0, 3), (2, 0, 3), (6, 2)],
+                             ids=["1d", "4d", "no_days", "batch_no_days", "wrong_width"])
+    def test_forward_and_predict_reject_the_same_inputs(self, shape):
+        w = random_weights(3, 4, 1, seed=14)
+        for run in (forward_sequence, predict_sequence):
+            with pytest.raises(ValidationError):
+                run(w, np.zeros(shape))
+
     @pytest.mark.parametrize("with_state", [False, True])
     def test_blocked_predict_matches_forward(self, with_state):
         # Two whole prediction blocks plus a remainder, batched.
