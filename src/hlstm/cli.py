@@ -262,11 +262,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, data=False, split=False, config=False, model=False,
+    def common(p, *, seed=False, data=False, split=False, config=False, model=False,
                model_file=False):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed (a non-negative integer)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed (a non-negative integer)")
         if data:
             p.add_argument("--data", required=True, help="dataset directory")
         if split:
@@ -281,7 +282,7 @@ def build_parser() -> _Parser:
                            help="trained model container (repeatable)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p, config=True)
+    common(p, seed=True, config=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", help="materialize a train/test split")
@@ -289,7 +290,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one model kind on a split")
-    common(p, data=True, split=True, config=True, model=True)
+    common(p, seed=True, data=True, split=True, config=True, model=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score trained models on a split")
@@ -299,7 +300,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("hindcast", help="run the long-term hindcast experiment")
-    common(p, config=True)
+    common(p, seed=True, config=True)
     p.add_argument("--data", default=None,
                    help="also write the generated dataset here")
     p.set_defaults(func=cmd_hindcast)
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
     args.argv = sys.argv[1:] if argv is None else argv
     if getattr(args, "config", None) is None and args.command in ("split", "hindcast"):
         parser.error(f"{args.command} requires --config")
-    if args.seed is not None and args.seed < 0:
+    if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         return args.func(args)

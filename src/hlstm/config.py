@@ -11,6 +11,7 @@ list read into a tuple field becomes a tuple, so ``to_dict`` echoes its input.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import types
@@ -19,6 +20,7 @@ import typing
 from .errors import ValidationError
 
 _BAD = object()   # _take's "does not fit"
+_type_hints = functools.cache(typing.get_type_hints)   # resolved once per section class
 
 
 class Config:
@@ -43,8 +45,8 @@ class Config:
                    and f.default is f.default_factory is dataclasses.MISSING]
         if missing:
             raise ValidationError(f"{what} lacks field(s) {', '.join(missing)}")
-        hints = typing.get_type_hints(cls)
-        kwargs = {name: _take(value, hints[name], f"{what} field {name!r}: {name} section")
+        hints = _type_hints(cls)
+        kwargs = {name: _take(value, hints[name], f"{what} field {name!r}: {name}")
                   for name, value in d.items()}
         for name, value in kwargs.items():
             if value is _BAD:
@@ -58,19 +60,20 @@ class Config:
 
 
 def _take(value, tp, what: str):
-    """``value`` read as type ``tp``, or _BAD when it does not fit; a section
-    type reads ``value`` as the section ``what``."""
+    """``value`` read as type ``tp``, or _BAD when it does not fit; ``what``
+    names the value, ``what[i]`` an item of a list or tuple, and a section
+    type reads ``value`` as the section ``what section``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         return next((v for v in (_take(value, a, what) for a in args) if v is not _BAD), _BAD)
     if origin in (tuple, list):
         if type(value) is not list or (origin is tuple and len(value) != len(args)):
             return _BAD
-        items = [_take(v, a, what) for v, a in zip(value, args if origin is tuple else
-                                                    args * len(value))]
+        items = [_take(v, a, f"{what}[{i}]") for i, (v, a) in
+                 enumerate(zip(value, args if origin is tuple else args * len(value)))]
         return _BAD if any(v is _BAD for v in items) else origin(items)
     if isinstance(tp, type) and issubclass(tp, Config):
-        return tp.from_dict(value, what)
+        return tp.from_dict(value, f"{what} section")
     if tp is float:
         return value if type(value) in (int, float) and math.isfinite(value) else _BAD
     return value if type(value) is tp else _BAD

@@ -11,9 +11,9 @@ nothing here mutates a dataset in place.
 
 On disk a dataset is a manifest JSON plus one CSV per pixel:
 
-    manifest.json   {rows, cols, start_date, n_days, forcing_names[],
-                     attribute_names[], pixels[]: {id, row, col, series_file,
-                     attributes[], region}}
+    manifest.json   the ``Manifest`` section, read only by ``Config.from_dict``:
+                    a malformed one fails the load with DataError naming the
+                    file, ``pixels[k]`` and the field
     <pixel>.csv     header: date,target[,lsm][,truth],<forcing columns>
                     an empty target cell means "unobserved"
 
@@ -42,6 +42,7 @@ from itertools import compress
 
 import numpy as np
 
+from .config import Config
 from .errors import DataError, ValidationError
 
 # 17 significant digits make every float64 round-trip exactly
@@ -116,14 +117,17 @@ class GridDataset:
     pixels: list[PixelSeries] = field(default_factory=list)
 
     def validate(self):
-        seen = set()
+        seen, ids = set(), set()
         for px in self.pixels:
             px.validate(self.n_days, len(self.forcing_names), len(self.attribute_names))
             if not (0 <= px.row < self.rows and 0 <= px.col < self.cols):
                 raise DataError(f"pixel {px.pixel_id}: coordinates out of bounds")
             if (px.row, px.col) in seen:
                 raise DataError(f"duplicate pixel coordinates ({px.row}, {px.col})")
+            if px.pixel_id in ids:
+                raise DataError(f"duplicate pixel id {px.pixel_id!r}")
             seen.add((px.row, px.col))
+            ids.add(px.pixel_id)
         return self
 
     def dates(self) -> list[dt.date]:
@@ -143,27 +147,40 @@ class GridDataset:
         return sorted({px.region for px in self.pixels if px.region is not None})
 
 
+@dataclass
+class PixelEntry(Config):
+    """One pixel's entry in manifest.json; ``series_file`` is relative to it."""
+
+    id: str
+    row: int
+    col: int
+    series_file: str
+    attributes: list[float] = field(default_factory=list)
+    region: str | None = None
+
+
+@dataclass
+class Manifest(Config):
+    """manifest.json: the grid, the date axis, the channel names and the pixels."""
+
+    rows: int
+    cols: int
+    start_date: str
+    n_days: int
+    forcing_names: list[str]
+    attribute_names: list[str]
+    pixels: list[PixelEntry]
+
+
 def save_dataset(dataset: GridDataset, out_dir: str):
     """Write manifest.json plus one CSV per pixel under ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "rows": dataset.rows,
-        "cols": dataset.cols,
-        "start_date": dataset.start_date.isoformat(),
-        "n_days": dataset.n_days,
-        "forcing_names": dataset.forcing_names,
-        "attribute_names": dataset.attribute_names,
-        "pixels": [],
-    }
+    entries = []
     days = [day.isoformat() for day in dataset.dates()]
     for px in dataset.pixels:
         series_file = f"{px.pixel_id}.csv"
-        manifest["pixels"].append({
-            "id": px.pixel_id, "row": px.row, "col": px.col,
-            "series_file": series_file,
-            "attributes": [float(a) for a in px.attributes],
-            "region": px.region,
-        })
+        entries.append(PixelEntry(px.pixel_id, px.row, px.col, series_file,
+                                  [float(a) for a in px.attributes], px.region))
         header = ["date", "target"]
         dense = []
         for name in ("lsm", "truth"):
@@ -180,20 +197,10 @@ def save_dataset(dataset: GridDataset, out_dir: str):
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(header)
             fh.write("".join([template % row for row in zip(days, targets, *dense)]))
-    write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-def _manifest_field(manifest: dict, key: str, kind, where: str):
-    if key not in manifest:
-        raise DataError(f"{where}: missing field {key!r}")
-    value = manifest[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise DataError(f"{where}: field {key!r} must be an integer")
-    if kind is list and not isinstance(value, list):
-        raise DataError(f"{where}: field {key!r} must be a list")
-    if kind is str and not isinstance(value, str):
-        raise DataError(f"{where}: field {key!r} must be a string")
-    return value
+    manifest = Manifest(dataset.rows, dataset.cols, dataset.start_date.isoformat(),
+                        dataset.n_days, dataset.forcing_names, dataset.attribute_names,
+                        entries)
+    write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest.to_dict())
 
 
 def load_dataset(manifest_path: str) -> GridDataset:
@@ -204,51 +211,32 @@ def load_dataset(manifest_path: str) -> GridDataset:
     where = manifest_path
     try:
         with open(manifest_path) as fh:
-            manifest = json.load(fh)
+            manifest = Manifest.from_dict(json.load(fh), where)
     except FileNotFoundError as exc:
         raise DataError(f"{where}: not found") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: invalid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise DataError(f"{where}: manifest must be a JSON object")
+    except ValidationError as exc:
+        raise DataError(str(exc)) from exc
 
-    rows = _manifest_field(manifest, "rows", int, where)
-    cols = _manifest_field(manifest, "cols", int, where)
-    n_days = _manifest_field(manifest, "n_days", int, where)
-    start_date = parse_date(_manifest_field(manifest, "start_date", str, where))
-    forcing_names = _manifest_field(manifest, "forcing_names", list, where)
-    attribute_names = _manifest_field(manifest, "attribute_names", list, where)
-    pixel_entries = _manifest_field(manifest, "pixels", list, where)
-
+    start_date = parse_date(manifest.start_date)
     base = os.path.dirname(manifest_path)
     days = []  # expected ISO dates, grown as the files need them
     pixels = []
-    for k, entry in enumerate(pixel_entries):
-        pwhere = f"{where}: pixels[{k}]"
-        if not isinstance(entry, dict):
-            raise DataError(f"{pwhere}: must be an object")
-        pid = str(_manifest_field(entry, "id", str, pwhere))
-        series_file = _manifest_field(entry, "series_file", str, pwhere)
-        try:
-            attributes = np.asarray(entry.get("attributes", []), dtype=float)
-        except (TypeError, ValueError):
-            attributes = None
-        if attributes is None or attributes.ndim != 1:
-            raise DataError(f"{pwhere}: field 'attributes' must be a list of numbers")
-        path = os.path.join(base, series_file)
+    for k, entry in enumerate(manifest.pixels):
+        path = os.path.join(base, entry.series_file)
         if not os.path.exists(path):
-            raise DataError(f"{pwhere}: series file {series_file} missing "
-                            f"for pixel {pid}")
-        series = _load_series(path, forcing_names, start_date, days)
+            raise DataError(f"{where}: pixels[{k}]: series file {entry.series_file} "
+                            f"missing for pixel {entry.id}")
+        series = _load_series(path, manifest.forcing_names, start_date, days)
         pixels.append(PixelSeries(
-            pixel_id=pid,
-            row=_manifest_field(entry, "row", int, pwhere),
-            col=_manifest_field(entry, "col", int, pwhere),
-            attributes=attributes, region=entry.get("region"), **series))
+            pixel_id=entry.id, row=entry.row, col=entry.col,
+            attributes=np.array(entry.attributes, dtype=float), region=entry.region,
+            **series))
 
-    ds = GridDataset(rows=rows, cols=cols, start_date=start_date, n_days=n_days,
-                     forcing_names=list(forcing_names),
-                     attribute_names=list(attribute_names), pixels=pixels)
+    ds = GridDataset(rows=manifest.rows, cols=manifest.cols, start_date=start_date,
+                     n_days=manifest.n_days, forcing_names=manifest.forcing_names,
+                     attribute_names=manifest.attribute_names, pixels=pixels)
     return ds.validate()
 
 
@@ -364,15 +352,9 @@ def normalize(dataset: GridDataset, train_pixel_ids) -> tuple[GridDataset, Norma
         missing = id_set - {px.pixel_id for px in train_px}
         raise ValidationError(f"unknown training pixels: {sorted(missing)}")
 
-    names = list(dataset.forcing_names)
-    series_stack = np.concatenate([px.forcing for px in train_px], axis=0)
-    columns = [series_stack[:, j] for j in range(series_stack.shape[1])]
-    if dataset.has_lsm:
-        names.append("lsm")
-        columns.append(np.concatenate([px.lsm for px in train_px]))
-    names.extend(dataset.attribute_names)
-    attr_stack = np.vstack([px.attributes for px in train_px])
-    columns.extend(attr_stack[:, j] for j in range(attr_stack.shape[1]))
+    names, blocks = _channels(dataset)
+    columns = [column for key, sl in blocks for column in np.concatenate(
+        [getattr(px, key).reshape(-1, sl.stop - sl.start) for px in train_px]).T]
 
     mean = np.array([c.mean() for c in columns])
     raw_std = np.array([c.std() for c in columns])
@@ -384,20 +366,25 @@ def normalize(dataset: GridDataset, train_pixel_ids) -> tuple[GridDataset, Norma
 
 def apply_normalization(dataset: GridDataset, stats: NormalizationStats) -> GridDataset:
     """Apply previously computed statistics to a raw dataset (inference path)."""
-    nf = len(dataset.forcing_names)
-    expect = list(dataset.forcing_names) + (["lsm"] if dataset.has_lsm else []) \
-        + list(dataset.attribute_names)
-    if expect != stats.names:
+    names, blocks = _channels(dataset)
+    if names != stats.names:
         raise ValidationError(
-            f"stats channels {stats.names} do not match dataset channels {expect}")
-    new_pixels = []
-    for px in dataset.pixels:
-        forcing = (px.forcing - stats.mean[:nf]) / stats.std[:nf]
-        k = nf
-        lsm = px.lsm
-        if dataset.has_lsm:
-            lsm = (px.lsm - stats.mean[k]) / stats.std[k]
-            k += 1
-        attrs = (px.attributes - stats.mean[k:]) / stats.std[k:]
-        new_pixels.append(replace(px, forcing=forcing, lsm=lsm, attributes=attrs))
-    return replace(dataset, pixels=new_pixels)
+            f"stats channels {stats.names} do not match dataset channels {names}")
+    return replace(dataset, pixels=[
+        replace(px, **{key: (getattr(px, key) - stats.mean[sl]) / stats.std[sl]
+                       for key, sl in blocks})
+        for px in dataset.pixels])
+
+
+def _channels(dataset: GridDataset) -> tuple[list[str], list[tuple[str, slice]]]:
+    """The z-scored channel names in stats order (the forcings, then lsm when
+    the dataset has it, then the attributes), and the slice of them that each
+    PixelSeries field holds, one channel per column of the field."""
+    names, blocks = [], []
+    for key, block in (("forcing", dataset.forcing_names),
+                       ("lsm", ["lsm"] if dataset.has_lsm else []),
+                       ("attributes", dataset.attribute_names)):
+        if block:
+            blocks.append((key, slice(len(names), len(names) + len(block))))
+            names += block
+    return names, blocks

@@ -219,6 +219,16 @@ class TestCliErrors:
         assert exc.value.code == 1
         assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["split", "--data", "d", "--config", "s.json"],
+        ["evaluate", "--data", "d", "--split", "s.json", "--model-file", "m.json"],
+    ], ids=["split", "evaluate"])
+    def test_seed_flag_on_a_command_without_a_seed_exits_one(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o"), "--seed", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model,split", [
         ("lasso_p", {"kind": "spatial_subsample", "stride": 2}),
         ("nn_p", {"kind": "spatial_subsample", "stride": 2}),
@@ -382,7 +392,29 @@ class TestCliErrors:
         code = main(["train", "--model", "lstm", "--data", data,
                      "--split", split_cfg, "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "pixels[0]: field 'attributes'" in capsys.readouterr().err
+        assert "pixels[0] section field 'attributes'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda m: m["pixels"][0].update(region=7), "pixels[0] section field 'region'"),
+        (lambda m: m.update(attribute_names=list(range(len(m["attribute_names"])))),
+         "field 'attribute_names'"),
+        (lambda m: m["pixels"][1].update(colour="red"),
+         "pixels[1] section has unknown field(s) ['colour']"),
+        (lambda m: m["pixels"][1].update(id=m["pixels"][0]["id"]),
+         "duplicate pixel id 'px_0_0'"),
+    ], ids=["int_region", "int_attribute_names", "unknown_pixel_key", "duplicate_id"])
+    def test_malformed_manifest_exits_one(self, workspace, tmp_path, capsys, edit, needle):
+        _, data, split_cfg = workspace
+        manifest_path = os.path.join(data, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["split", "--data", data, "--config", split_cfg,
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert needle in capsys.readouterr().err
 
     def test_degenerate_training_data_exits_two(self, tmp_path, capsys):
         # a dataset with no observations at all loads fine but cannot train

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import hlstm
 from hlstm.baselines import BaselineSettings
 from hlstm.config import Config
+from hlstm.dataset import Manifest, PixelEntry
 from hlstm.errors import ValidationError
 from hlstm.experiments import HindcastConfig, Split, SplitSpec
 from hlstm.lstm import DROPOUT_VARIANTS, DropoutSpec
@@ -21,12 +22,15 @@ from hlstm.synthetic import NOISE_KINDS, SyntheticConfig
 from hlstm.training import LOSS_DIVISORS, OPTIMIZERS, Features, TrainingConfig
 
 SECTIONS = [DropoutSpec, TrainingConfig, Features, BaselineSettings, SyntheticConfig,
-            SplitSpec, Split, HindcastConfig]
+            SplitSpec, Split, HindcastConfig, PixelEntry, Manifest]
 # Valid values are drawn around these instances; they give the sections with
 # required fields their values.
 BASES = {SplitSpec: lambda: SplitSpec("spatial_subsample"),
          Split: lambda: Split(["px_0_0"], ["px_0_1"], (0, 10), (10, 20),
-                              SplitSpec("spatial_subsample"))}
+                              SplitSpec("spatial_subsample")),
+         PixelEntry: lambda: PixelEntry("px_0_0", 0, 0, "px_0_0.csv"),
+         Manifest: lambda: Manifest(1, 2, "2000-01-01", 10, ["precip"], ["a0"],
+                                    [PixelEntry("px_0_0", 0, 0, "px_0_0.csv", [0.5])])}
 # str fields whose valid values are a fixed set
 CHOICES = {"variant": DROPOUT_VARIANTS, "optimizer": OPTIMIZERS,
            "loss_divisor": LOSS_DIVISORS, "noise_kind": NOISE_KINDS,

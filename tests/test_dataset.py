@@ -169,12 +169,12 @@ class TestRoundTrip:
 
     def test_pixel_entry_not_an_object(self, tmp_path):
         self._edit_manifest(tmp_path, lambda m: m["pixels"].__setitem__(1, 7))
-        with pytest.raises(DataError, match=r"pixels\[1\]: must be an object"):
+        with pytest.raises(DataError, match=r"pixels\[1\] section must be a JSON object"):
             load_dataset(str(tmp_path))
 
     def test_attributes_not_a_list_of_numbers(self, tmp_path):
         self._edit_manifest(tmp_path, lambda m: m["pixels"][2].update(attributes="abc"))
-        with pytest.raises(DataError, match=r"pixels\[2\]: field 'attributes'"):
+        with pytest.raises(DataError, match=r"pixels\[2\] section field 'attributes'"):
             load_dataset(str(tmp_path))
 
 
