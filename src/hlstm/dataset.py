@@ -9,13 +9,17 @@ pixel carries dense forcing series, optional dense model-simulated moisture
 observation mask. Datasets are immutable after load/generation by convention;
 nothing here mutates a dataset in place.
 
-On disk a dataset is a manifest JSON plus one CSV per pixel:
+On disk a dataset is a manifest JSON plus one CSV per pixel, and a sidecar:
 
     manifest.json   the ``Manifest`` section, read only by ``Config.from_dict``:
                     a malformed one fails the load with DataError naming the
                     file, ``pixels[k]`` and the field
     <pixel>.csv     header: date,target[,lsm][,truth],<forcing columns>
                     an empty target cell means "unobserved"
+    series.bin      a cache of the parsed CSVs: the hex SHA-256 of the bytes
+                    of manifest.json and every CSV, then per pixel one ``.npy``
+                    (n_days, width) float64 record of the columns after the
+                    date, the target NaN where the cell is empty
 
 Numbers are serialized with 17 significant digits so round-trips are
 lossless. The optional dense ``truth`` column stores the clean series behind
@@ -28,12 +32,18 @@ rows read by ``csv.reader`` and parses each column in one pass. The checks
 run on the whole file, and when one fails the rows are re-read in file order
 so the error names the first bad line. A cell that parses to NaN or inf
 fails the load as well: an empty target cell is the only missing value.
+
+The CSVs stay authoritative: ``load_dataset`` takes the sidecar's matrices
+only when its digest matches the bytes on disk, and parses the CSVs when it is
+missing, stale, unreadable, ill-shaped or not finite. Deleting it is always safe.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import hashlib
+import io
 import json
 import math
 import os
@@ -47,6 +57,7 @@ from .errors import DataError, ValidationError
 
 # 17 significant digits make every float64 round-trip exactly
 _FMT = "%.17g"
+SIDECAR = "series.bin"
 
 
 def write_json_atomic(path: str, obj):
@@ -59,11 +70,12 @@ def write_json_atomic(path: str, obj):
     os.replace(tmp, path)
 
 
-def parse_date(s: str) -> dt.date:
+def parse_date(s: str, where: str = "") -> dt.date:
+    """``s`` as an ISO date; ``where`` prefixes the DataError's message."""
     try:
         return dt.date.fromisoformat(s)
     except ValueError as exc:
-        raise DataError(f"bad ISO date {s!r}") from exc
+        raise DataError(f"{where}bad ISO date {s!r}") from exc
 
 
 @dataclass
@@ -116,16 +128,20 @@ class GridDataset:
     attribute_names: list[str]
     pixels: list[PixelSeries] = field(default_factory=list)
 
-    def validate(self):
+    def validate(self, where: str = ""):
+        """Check every pixel; each error names ``pixels[k]`` after ``where``."""
         seen, ids = set(), set()
-        for px in self.pixels:
-            px.validate(self.n_days, len(self.forcing_names), len(self.attribute_names))
-            if not (0 <= px.row < self.rows and 0 <= px.col < self.cols):
-                raise DataError(f"pixel {px.pixel_id}: coordinates out of bounds")
-            if (px.row, px.col) in seen:
-                raise DataError(f"duplicate pixel coordinates ({px.row}, {px.col})")
-            if px.pixel_id in ids:
-                raise DataError(f"duplicate pixel id {px.pixel_id!r}")
+        for k, px in enumerate(self.pixels):
+            try:
+                px.validate(self.n_days, len(self.forcing_names), len(self.attribute_names))
+                if not (0 <= px.row < self.rows and 0 <= px.col < self.cols):
+                    raise DataError(f"pixel {px.pixel_id}: coordinates out of bounds")
+                if (px.row, px.col) in seen:
+                    raise DataError(f"duplicate pixel coordinates ({px.row}, {px.col})")
+                if px.pixel_id in ids:
+                    raise DataError(f"duplicate pixel id {px.pixel_id!r}")
+            except DataError as exc:
+                raise DataError(f"{where}pixels[{k}]: {exc}") from None
             seen.add((px.row, px.col))
             ids.add(px.pixel_id)
         return self
@@ -173,45 +189,54 @@ class Manifest(Config):
 
 
 def save_dataset(dataset: GridDataset, out_dir: str):
-    """Write manifest.json plus one CSV per pixel under ``out_dir``."""
+    """Write one CSV per pixel, manifest.json and, last, the sidecar under
+    ``out_dir``. No sidecar when a value is not finite: such data fails its load."""
     os.makedirs(out_dir, exist_ok=True)
-    entries = []
+    entries, paths, matrices = [], [], []
     days = [day.isoformat() for day in dataset.dates()]
     for px in dataset.pixels:
         series_file = f"{px.pixel_id}.csv"
         entries.append(PixelEntry(px.pixel_id, px.row, px.col, series_file,
                                   [float(a) for a in px.attributes], px.region))
-        header = ["date", "target"]
-        dense = []
-        for name in ("lsm", "truth"):
-            series = getattr(px, name)
-            if series is not None:
-                header.append(name)
-                dense.append(series.tolist())
-        header.extend(dataset.forcing_names)
-        dense.extend(px.forcing.T.tolist())
+        optional = [name for name in ("lsm", "truth") if getattr(px, name) is not None]
+        matrix = np.column_stack([np.where(px.mask, px.target, np.nan),
+                                  *[getattr(px, name) for name in optional], px.forcing])
         targets = [_FMT % v if seen else ""
                    for v, seen in zip(px.target.tolist(), px.mask.tolist())]
-        template = "%s,%s" + ("," + _FMT) * len(dense) + "\r\n"
-        path = os.path.join(out_dir, series_file)
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            fh.write("".join([template % row for row in zip(days, targets, *dense)]))
+        template = "%s,%s" + ("," + _FMT) * (matrix.shape[1] - 1) + "\r\n"
+        paths.append(os.path.join(out_dir, series_file))
+        with open(paths[-1], "w", newline="") as fh:
+            csv.writer(fh).writerow(["date", "target", *optional, *dataset.forcing_names])
+            fh.write("".join([template % row for row in
+                              zip(days, targets, *matrix[:, 1:].T.tolist())]))
+        matrices.append(matrix if _finite(matrix, px.mask) else None)
     manifest = Manifest(dataset.rows, dataset.cols, dataset.start_date.isoformat(),
                         dataset.n_days, dataset.forcing_names, dataset.attribute_names,
                         entries)
-    write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest.to_dict())
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    write_json_atomic(manifest_path, manifest.to_dict())
+    if all(matrix is not None for matrix in matrices):
+        with open(manifest_path, "rb") as fh:
+            digest, _ = _digest(fh.read(), paths)
+        tmp = os.path.join(out_dir, SIDECAR + ".tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(digest)
+            for matrix in matrices:
+                np.lib.format.write_array(fh, matrix, allow_pickle=False)
+        os.replace(tmp, os.path.join(out_dir, SIDECAR))
 
 
 def load_dataset(manifest_path: str) -> GridDataset:
-    """Materialize a GridDataset from a manifest; malformed input raises
-    DataError naming the first offending file/field/line."""
+    """Materialize a GridDataset from a manifest, through the sidecar when its
+    digest matches the files and through the CSV parser otherwise; malformed
+    input raises DataError naming the first offending file/field/line."""
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, "manifest.json")
     where = manifest_path
     try:
-        with open(manifest_path) as fh:
-            manifest = Manifest.from_dict(json.load(fh), where)
+        with open(manifest_path, "rb") as fh:
+            raw = fh.read()
+        manifest = Manifest.from_dict(json.loads(raw), where)
     except FileNotFoundError as exc:
         raise DataError(f"{where}: not found") from exc
     except json.JSONDecodeError as exc:
@@ -219,55 +244,115 @@ def load_dataset(manifest_path: str) -> GridDataset:
     except ValidationError as exc:
         raise DataError(str(exc)) from exc
 
-    start_date = parse_date(manifest.start_date)
+    start_date = parse_date(manifest.start_date, f"{where} field 'start_date': ")
     base = os.path.dirname(manifest_path)
-    days = []  # expected ISO dates, grown as the files need them
-    pixels = []
+    paths = []
     for k, entry in enumerate(manifest.pixels):
-        path = os.path.join(base, entry.series_file)
-        if not os.path.exists(path):
+        paths.append(os.path.join(base, entry.series_file))
+        if not os.path.exists(paths[-1]):
             raise DataError(f"{where}: pixels[{k}]: series file {entry.series_file} "
                             f"missing for pixel {entry.id}")
-        series = _load_series(path, manifest.forcing_names, start_date, days)
-        pixels.append(PixelSeries(
-            pixel_id=entry.id, row=entry.row, col=entry.col,
-            attributes=np.array(entry.attributes, dtype=float), region=entry.region,
-            **series))
-
+    digest, headers = _digest(raw, paths)
+    columns = [_header_columns(header, path, manifest.forcing_names)
+               for header, path in zip(headers, paths)]
+    series = _read_sidecar(os.path.join(base, SIDECAR), digest, columns, manifest)
+    if series is None:
+        days = []  # expected ISO dates, grown as the files need them
+        series = [_load_series(path, optional, manifest.forcing_names, start_date, days)
+                  for path, optional in zip(paths, columns)]
+    pixels = [PixelSeries(pixel_id=entry.id, row=entry.row, col=entry.col,
+                          attributes=np.array(entry.attributes, dtype=float),
+                          region=entry.region, **arrays)
+              for entry, arrays in zip(manifest.pixels, series)]
     ds = GridDataset(rows=manifest.rows, cols=manifest.cols, start_date=start_date,
                      n_days=manifest.n_days, forcing_names=manifest.forcing_names,
                      attribute_names=manifest.attribute_names, pixels=pixels)
-    return ds.validate()
+    return ds.validate(f"{where}: ")
 
 
-def _load_series(path: str, forcing_names: list[str], start_date: dt.date,
-                 days: list[str]) -> dict:
-    """Read one pixel CSV into its series arrays, parsed a column at a time.
+def _digest(manifest: bytes, paths: list[str]) -> tuple[bytes, list]:
+    """The sidecar's first line, the hex SHA-256 of the manifest's bytes and then
+    every CSV's; and each CSV's header row, None for an empty file."""
+    sha, headers = hashlib.sha256(manifest), []
+    for path in paths:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        sha.update(raw)
+        headers.append(next(csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline="")), None))
+    return sha.hexdigest().encode() + b"\n", headers
+
+
+def _read_sidecar(path: str, digest: bytes, columns: list[list[str]],
+                  manifest: Manifest) -> list[dict] | None:
+    """Every pixel's series from the sidecar at ``path``; None when it is missing,
+    stale or unreadable, or a record is not the C-order float64 (n_days, width)
+    matrix the pixel's dense ``columns`` call for or is not finite."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.readline() != digest:
+                return None
+            series = []
+            for optional in columns:
+                shape = (manifest.n_days, 1 + len(optional) + len(manifest.forcing_names))
+                np.lib.format.read_magic(fh)
+                if np.lib.format.read_array_header_1_0(fh) != (shape, False, np.dtype(float)):
+                    return None
+                matrix = np.fromfile(fh, float, shape[0] * shape[1]).reshape(shape)
+                if not _finite(matrix, ~np.isnan(matrix[:, 0])):
+                    return None
+                series.append(_series(matrix, optional))
+            return series
+    except (OSError, ValueError):
+        return None
+
+
+def _header_columns(header: list[str] | None, path: str, forcing_names: list[str]) -> list[str]:
+    """The dense columns ("lsm", "truth") a CSV's header row (None: empty file) names
+    between date,target and the manifest's forcings; DataError if it reads otherwise."""
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if header[:2] != ["date", "target"]:
+        raise DataError(f"{path}: header must start with date,target")
+    optional = []
+    idx = 2
+    for name in ("lsm", "truth"):
+        if idx < len(header) and header[idx] == name:
+            optional.append(name)
+            idx += 1
+    if header[idx:] != list(forcing_names):
+        raise DataError(f"{path}: forcing columns {header[idx:]} do not "
+                        f"match manifest order {list(forcing_names)}")
+    return optional
+
+
+def _finite(matrix: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether a pixel's matrix is finite in its observed targets (column 0
+    where ``mask``) and in every other column."""
+    return bool(np.isfinite(matrix[mask, 0]).all() and np.isfinite(matrix[:, 1:]).all())
+
+
+def _series(matrix: np.ndarray, optional: list[str]) -> dict:
+    """The PixelSeries arrays held in a pixel's matrix, as C-contiguous copies."""
+    k = 1 + len(optional)
+    target, *dense = [matrix[:, j].copy() for j in range(k)]
+    named = dict(zip(optional, dense))
+    return dict(forcing=matrix[:, k:].copy(), target=target, mask=~np.isnan(target),
+                lsm=named.get("lsm"), truth=named.get("truth"))
+
+
+def _load_series(path: str, optional: list[str], forcing_names: list[str],
+                 start_date: dt.date, days: list[str]) -> dict:
+    """Read one pixel CSV, whose header ``_header_columns`` has checked and
+    found to hold the dense ``optional`` columns, parsed a column at a time.
 
     Row t must be dated ``start_date + t`` days; ``days`` caches those dates
     as ISO strings across the files of one dataset. Any failed check
     re-reads the rows in file order to name the first bad line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if header[:2] != ["date", "target"]:
-            raise DataError(f"{path}: header must start with date,target")
-        optional = []
-        idx = 2
-        for name in ("lsm", "truth"):
-            if idx < len(header) and header[idx] == name:
-                optional.append(name)
-                idx += 1
-        if header[idx:] != list(forcing_names):
-            raise DataError(f"{path}: forcing columns {header[idx:]} do not "
-                            f"match manifest order {list(forcing_names)}")
-        rows = list(reader)
+        rows = list(csv.reader(fh))[1:]
 
-    n, width = len(rows), idx + len(forcing_names)
+    n, width = len(rows), 2 + len(optional) + len(forcing_names)
     if set(map(len, rows)) - {width}:
         _check_rows(rows, path, width, start_date)
     days.extend((start_date + dt.timedelta(days=t)).isoformat()
@@ -275,24 +360,19 @@ def _load_series(path: str, forcing_names: list[str], start_date: dt.date,
     columns = list(zip(*rows)) or [()] * width
     if list(columns[0]) != days[:n]:
         _check_rows(rows, path, width, start_date)  # passes for non-canonical ISO
+    matrix = np.full((n, width - 1), np.nan)
     try:
         observed = list(map(bool, map(str.strip, columns[1])))
         mask = np.array(observed, dtype=bool)
-        target = np.full(n, np.nan)
-        target[mask] = list(map(float, compress(columns[1], observed)))
-        dense = [np.fromiter(map(float, cells), float, n) for cells in columns[2:]]
+        matrix[mask, 0] = list(map(float, compress(columns[1], observed)))
+        for j, cells in enumerate(columns[2:], 1):
+            matrix[:, j] = np.fromiter(map(float, cells), float, n)
     except ValueError:
         _check_rows(rows, path, width, start_date)
         raise
-    if not all(np.isfinite(column).all() for column in (target[mask], *dense)):
+    if not _finite(matrix, mask):
         _check_rows(rows, path, width, start_date)
-    dense = iter(dense)
-    lsm = next(dense) if "lsm" in optional else None
-    truth = next(dense) if "truth" in optional else None
-    forcing = np.empty((n, len(forcing_names)))
-    for j, column in enumerate(dense):
-        forcing[:, j] = column
-    return dict(forcing=forcing, target=target, mask=mask, lsm=lsm, truth=truth)
+    return _series(matrix, optional)
 
 
 def _check_rows(rows: list[list[str]], path: str, width: int, start_date: dt.date):
@@ -302,10 +382,7 @@ def _check_rows(rows: list[list[str]], path: str, width: int, start_date: dt.dat
         ln = t + 2
         if len(row) != width:
             raise DataError(f"{path}:{ln}: expected {width} columns, got {len(row)}")
-        try:
-            day = parse_date(row[0])
-        except DataError as exc:
-            raise DataError(f"{path}:{ln}: {exc}") from None
+        day = parse_date(row[0], f"{path}:{ln}: ")
         want = start_date + dt.timedelta(days=t)
         if day != want:
             raise DataError(f"{path}:{ln}: date {row[0]} is not the expected "

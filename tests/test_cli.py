@@ -2,14 +2,16 @@ import csv
 import datetime as dt
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 import golden
 
+from hlstm import dataset as dataset_module
 from hlstm.cli import main
-from hlstm.dataset import GridDataset, PixelSeries, load_dataset, save_dataset
+from hlstm.dataset import SIDECAR, GridDataset, PixelSeries, load_dataset, save_dataset
 
 
 def write_json(path, obj):
@@ -151,6 +153,37 @@ class TestTrainEvaluate:
         assert (out / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
         assert (out / "metrics_per_pixel.csv").read_bytes() == \
             (out2 / "metrics_per_pixel.csv").read_bytes()
+
+    def test_artifacts_do_not_depend_on_the_sidecar(self, workspace, tmp_path, monkeypatch):
+        _, data, split_cfg = workspace
+        bare = tmp_path / "bare"
+        shutil.copytree(data, bare)
+        os.remove(bare / SIDECAR)
+        parsed = []
+        parse = dataset_module._load_series
+        monkeypatch.setattr(dataset_module, "_load_series",
+                            lambda *args: parsed.append(args[0]) or parse(*args))
+        cfg = write_json(tmp_path / "train.json", train_config())
+
+        def chain(tag, data_dir):
+            out = tmp_path / tag
+            split = str(out / "split" / "split.json")
+            assert main(["split", "--data", data_dir, "--config", split_cfg,
+                         "--out", str(out / "split")]) == 0
+            assert main(["train", "--model", "lstm", "--data", data_dir, "--split", split,
+                         "--config", cfg, "--out", str(out / "run")]) == 0
+            assert main(["evaluate", "--data", data_dir, "--split", split,
+                         "--model-file", str(out / "run" / "model.json"),
+                         "--out", str(out / "eval")]) == 0
+            return {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*")
+                    if f.is_file() and f.name not in ("run_manifest.json", "history.csv")}
+
+        with_sidecar = chain("with", data)
+        assert parsed == []
+        without = chain("without", str(bare))
+        assert len(parsed) == 3 * 9
+        assert "run/model.json" in with_sidecar and "eval/summary.json" in with_sidecar
+        assert with_sidecar == without
 
     def test_evaluate_against_truth(self, workspace, tmp_path):
         tmp, data, split_cfg = workspace

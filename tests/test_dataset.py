@@ -1,11 +1,17 @@
 import datetime as dt
+import hashlib
 import json
 import os
+import re
+import shutil
+import time
 
 import numpy as np
 import pytest
 
+from hlstm import dataset as dataset_module
 from hlstm.dataset import (
+    SIDECAR,
     GridDataset,
     PixelSeries,
     apply_normalization,
@@ -175,6 +181,273 @@ class TestRoundTrip:
     def test_attributes_not_a_list_of_numbers(self, tmp_path):
         self._edit_manifest(tmp_path, lambda m: m["pixels"][2].update(attributes="abc"))
         with pytest.raises(DataError, match=r"pixels\[2\] section field 'attributes'"):
+            load_dataset(str(tmp_path))
+
+
+SERIES = ("forcing", "target", "mask", "lsm", "truth", "attributes")
+
+
+def assert_same_bits(a, b):
+    """Same pixels with bit-identical arrays of the same dtype, shape and layout."""
+    assert [px.pixel_id for px in a.pixels] == [px.pixel_id for px in b.pixels]
+    for pa, pb in zip(a.pixels, b.pixels):
+        assert (pa.row, pa.col, pa.region) == (pb.row, pb.col, pb.region)
+        for name in SERIES:
+            x, y = getattr(pa, name), getattr(pb, name)
+            if x is None or y is None:
+                assert x is None and y is None, name
+                continue
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert x.flags.c_contiguous and y.flags.c_contiguous, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.fixture()
+def csv_parses(monkeypatch):
+    """The CSV files that load_dataset parses; empty when it used the sidecar."""
+    parsed = []
+    parse = dataset_module._load_series
+
+    def spy(path, *args):
+        parsed.append(os.path.basename(path))
+        return parse(path, *args)
+    monkeypatch.setattr(dataset_module, "_load_series", spy)
+    return parsed
+
+
+def _no_lsm(ds):
+    for px in ds.pixels:
+        px.lsm = None
+    return ds
+
+
+def _truth_on_some(ds):
+    for px in ds.pixels[::2]:
+        px.truth = px.lsm + 0.01
+    return ds
+
+
+def _empty_targets(ds):
+    for px in ds.pixels:
+        px.mask = np.zeros(ds.n_days, dtype=bool)
+        px.target = np.full(ds.n_days, np.nan)
+    return ds
+
+
+def _extreme_cells(ds):
+    ds.forcing_names = ['pr,"x"', "pet"]
+    px = ds.pixels[0]
+    px.truth = np.random.default_rng(1).uniform(0.1, 0.4, ds.n_days)
+    px.forcing[:4, 0] = [-0.0, 5e-324, 1e300, -1e-310]
+    px.lsm[:3] = [0.0, 1e300, 5e-324]
+    px.mask[:3] = True
+    px.target[:3] = [-0.0, 5e-324, 1.0]
+    return ds
+
+
+def _duplicate_position(ds):
+    ds.pixels[3].row, ds.pixels[3].col = 0, 1
+
+
+def _out_of_bounds(ds):
+    ds.pixels[2].col = 7
+
+
+def _attribute_count(ds):
+    ds.pixels[1].attributes = ds.pixels[1].attributes[:2]
+
+
+class TestSidecar:
+    """The binary sidecar beside the CSVs: a verified cache of the parsed
+    series, taken only when its digest matches the manifest and CSV bytes."""
+
+    @pytest.mark.parametrize("edit", [lambda ds: ds, _no_lsm, _truth_on_some,
+                                      _empty_targets, _extreme_cells],
+                             ids=["lsm", "no_lsm", "truth_on_some", "empty_target",
+                                  "extreme_cells"])
+    def test_sidecar_and_csv_loads_are_bit_identical(self, tmp_path, csv_parses, edit):
+        ds = edit(small_dataset(seed=9))
+        save_dataset(ds, str(tmp_path))
+        via_sidecar = load_dataset(str(tmp_path))
+        assert csv_parses == []
+        os.remove(tmp_path / SIDECAR)
+        via_csv = load_dataset(str(tmp_path))
+        assert len(csv_parses) == len(ds.pixels)
+        assert_same_bits(via_sidecar, via_csv)
+        assert via_sidecar.forcing_names == via_csv.forcing_names == ds.forcing_names
+        for px, back in zip(ds.pixels, via_sidecar.pixels):
+            assert back.forcing.tobytes() == px.forcing.tobytes()
+            assert np.array_equal(back.mask, px.mask)
+
+    def test_layout_is_digest_line_then_one_npy_record_per_pixel(self, tmp_path):
+        ds = small_dataset(seed=2)
+        save_dataset(ds, str(tmp_path))
+        sha = hashlib.sha256((tmp_path / "manifest.json").read_bytes())
+        for px in ds.pixels:
+            sha.update((tmp_path / f"{px.pixel_id}.csv").read_bytes())
+        with open(tmp_path / SIDECAR, "rb") as fh:
+            assert fh.readline() == sha.hexdigest().encode() + b"\n"
+            for px in ds.pixels:
+                record = np.load(fh, allow_pickle=False)
+                want = np.column_stack([np.where(px.mask, px.target, np.nan),
+                                        px.lsm, px.forcing])
+                assert record.dtype == float and record.tobytes() == want.tobytes()
+            assert fh.read() == b""
+        assert not (tmp_path / (SIDECAR + ".tmp")).exists()
+
+    def test_sidecar_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        ds = small_dataset(seed=3)
+        localtime = time.localtime
+        for tag, now in (("a", 1e9), ("b", 2e9 + 0.5)):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            monkeypatch.setattr(time, "localtime", lambda secs=None, now=now: localtime(now))
+            save_dataset(ds, str(tmp_path / tag))
+        assert (tmp_path / "a" / SIDECAR).read_bytes() == (tmp_path / "b" / SIDECAR).read_bytes()
+
+    def test_edited_csv_cell_forces_csv_path(self, tmp_path, csv_parses):
+        save_dataset(small_dataset(), str(tmp_path))
+        path = tmp_path / "px_0_1.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",0.25"
+        path.write_text("\r\n".join(lines) + "\r\n")
+        back = load_dataset(str(tmp_path))
+        assert len(csv_parses) == 4
+        assert back.pixels[1].forcing[3, -1] == 0.25
+
+    def test_edited_manifest_field_forces_csv_path(self, tmp_path, csv_parses):
+        save_dataset(small_dataset(), str(tmp_path))
+        path = tmp_path / "manifest.json"
+        text = path.read_text()
+        assert text.count('"region": "B"') == 2
+        path.write_text(text.replace('"region": "B"', '"region": "Z"', 1))
+        back = load_dataset(str(tmp_path))
+        assert len(csv_parses) == 4
+        assert [px.region for px in back.pixels] == ["A", "A", "Z", "B"]
+
+    @staticmethod
+    def _rewrite_records(path, edit):
+        """Rewrite the sidecar's records through ``edit``, keeping its digest."""
+        with open(path, "rb") as fh:
+            digest = fh.readline()
+            records = [np.load(fh) for _ in range(4)]
+        edit(records)
+        with open(path, "wb") as fh:
+            fh.write(digest)
+            for record in records:
+                np.save(fh, record)
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: os.remove(p),
+        lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+        lambda p: p.write_bytes(p.read_bytes().split(b"\n", 1)[0] + b"\n"),
+        lambda p: p.write_bytes(np.random.default_rng(0).bytes(4096)),
+        lambda p: p.write_bytes(p.read_bytes().split(b"\n", 1)[0] + b"\n"
+                                + np.random.default_rng(0).bytes(4096)),
+        lambda p: TestSidecar._rewrite_records(
+            p, lambda r: r.__setitem__(2, r[2][:, :-1].copy())),
+        lambda p: TestSidecar._rewrite_records(
+            p, lambda r: r.__setitem__(1, np.asfortranarray(r[1]))),
+        lambda p: TestSidecar._rewrite_records(  # finite, so only its shape tells
+            p, lambda r: r.__setitem__(3, np.nan_to_num(r[3], nan=0.5).T.copy())),
+        lambda p: TestSidecar._rewrite_records(
+            p, lambda r: r.__setitem__(3, r[3].astype(np.float32))),
+        lambda p: TestSidecar._rewrite_records(p, lambda r: r[1].__setitem__((5, 3), np.inf)),
+        lambda p: TestSidecar._rewrite_records(p, lambda r: r[0].__setitem__((0, 0), -np.inf)),
+    ], ids=["deleted", "truncated", "digest_only", "garbage", "garbage_records",
+            "too_narrow", "fortran_order", "transposed", "float32", "inf_forcing", "inf_target"])
+    def test_damaged_sidecar_forces_csv_path(self, tmp_path, csv_parses, damage):
+        ds = small_dataset(seed=4)
+        save_dataset(ds, str(tmp_path / "ref"))
+        os.remove(tmp_path / "ref" / SIDECAR)
+        want = load_dataset(str(tmp_path / "ref"))
+        save_dataset(ds, str(tmp_path / "data"))
+        del csv_parses[:]
+        damage(tmp_path / "data" / SIDECAR)
+        got = load_dataset(str(tmp_path / "data"))
+        assert len(csv_parses) == 4
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("line,edit,needle", [
+        (4, lambda ln: ln.replace(",", ",bogus,", 1), r"px_0_0\.csv:4: expected"),
+        (6, lambda ln: "1999-01-01" + ln[10:], r"px_0_0\.csv:6: date 1999-01-01"),
+        (7, lambda ln: ln.rsplit(",", 1)[0] + ",inf", r"px_0_0\.csv:7: non-finite value 'inf'"),
+        (1, lambda ln: ln.replace("lsm", "lsn"), r"px_0_0\.csv: forcing columns"),
+    ], ids=["extra_cell", "date", "non_finite", "header"])
+    def test_errors_are_the_same_with_a_stale_sidecar(self, tmp_path, line, edit, needle):
+        messages = []
+        for tag in ("stale", "none"):
+            save_dataset(small_dataset(), str(tmp_path / tag))
+            path = tmp_path / tag / "px_0_0.csv"
+            lines = path.read_text().splitlines()
+            lines[line - 1] = edit(lines[line - 1])
+            path.write_text("\n".join(lines) + "\n")
+            if tag == "none":
+                os.remove(tmp_path / tag / SIDECAR)
+            with pytest.raises(DataError, match=needle) as err:
+                load_dataset(str(tmp_path / tag))
+            messages.append(str(err.value).replace(str(tmp_path / tag), "<dir>"))
+        assert messages[0] == messages[1]
+
+    def test_non_finite_values_write_no_sidecar(self, tmp_path):
+        ds = small_dataset()
+        ds.pixels[1].target[ds.pixels[1].mask.argmax()] = np.nan
+        save_dataset(ds, str(tmp_path))
+        assert not (tmp_path / SIDECAR).exists()
+        with pytest.raises(DataError, match=r"px_0_1\.csv:\d+: non-finite value 'nan'"):
+            load_dataset(str(tmp_path))
+
+    def test_load_never_writes(self, tmp_path):
+        save_dataset(small_dataset(), str(tmp_path))
+        os.remove(tmp_path / SIDECAR)
+        before = sorted(os.listdir(tmp_path))
+        load_dataset(str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_copied_directory_keeps_its_sidecar_valid(self, tmp_path, csv_parses):
+        save_dataset(small_dataset(), str(tmp_path / "a"))
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        load_dataset(str(tmp_path / "b" / "manifest.json"))
+        assert csv_parses == []
+
+
+class TestManifestErrorsNamePlace:
+    """Errors found after the files are read name the manifest, ``pixels[k]``
+    and the field, on the sidecar and on the CSV path alike."""
+
+    def test_bad_start_date_names_manifest_and_field(self, tmp_path):
+        save_dataset(small_dataset(), str(tmp_path))
+        path = tmp_path / "manifest.json"
+        path.write_text(path.read_text().replace('"2015-04-01"', '"x"'))
+        with pytest.raises(DataError, match=r"manifest\.json field 'start_date': "
+                                            r"bad ISO date 'x'"):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "csv"])
+    @pytest.mark.parametrize("edit,needle", [
+        (_duplicate_position, r"pixels\[3\]: duplicate pixel coordinates \(0, 1\)"),
+        (_out_of_bounds, r"pixels\[2\]: pixel px_1_0: coordinates out of bounds"),
+        (_attribute_count, r"pixels\[1\]: pixel px_0_1: 2 attributes, expected 3"),
+    ], ids=["duplicate_position", "out_of_bounds", "attribute_count"])
+    def test_dataset_errors_name_manifest_and_entry(self, tmp_path, csv_parses,
+                                                    sidecar, edit, needle):
+        ds = small_dataset()
+        edit(ds)
+        save_dataset(ds, str(tmp_path))
+        if not sidecar:
+            os.remove(tmp_path / SIDECAR)
+        manifest = str(tmp_path / "manifest.json")
+        with pytest.raises(DataError, match=f"^{re.escape(manifest)}: {needle}"):
+            load_dataset(str(tmp_path))
+        assert (csv_parses == []) == sidecar
+
+    def test_duplicate_id_names_manifest_and_entry(self, tmp_path):
+        save_dataset(small_dataset(), str(tmp_path))
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["pixels"][2]["id"] = "px_0_0"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"manifest\.json: pixels\[2\]: "
+                                            r"duplicate pixel id 'px_0_0'"):
             load_dataset(str(tmp_path))
 
 
