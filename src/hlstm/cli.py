@@ -2,9 +2,10 @@
 
 Every run writes a RunManifest (run_manifest.json) to its output directory
 with the resolved configuration, seeds, toolkit version, paths and timing, so
-the run can be replayed exactly. Data goes to the declared output paths;
-diagnostics go to stderr. Exit codes: 0 success, 1 validation/usage error,
-2 runtime failure.
+the run can be replayed exactly, and how it ended: status "ok" or "error",
+exit_code and, on failure, the error message. Data goes to the declared
+output paths; diagnostics go to stderr. Exit codes: 0 success, 1
+validation/usage error, 2 runtime failure.
 
 Config files are JSON, and every section is read by ``Config.from_dict``
 (hlstm.config), which names the field at fault. The train config mirrors
@@ -89,6 +90,20 @@ class RunManifest:
         os.makedirs(self.out_dir, exist_ok=True)
         write_json_atomic(os.path.join(self.out_dir, "run_manifest.json"), self.doc)
 
+    def close(self, exit_code: int, error: str | None) -> bool:
+        """Record how the run ended (status "ok" or "error", the error
+        message, exit_code) and write the manifest; False, reported on
+        stderr, when it cannot be written."""
+        self.doc.update(status="error" if exit_code else "ok", exit_code=exit_code)
+        if exit_code:
+            self.doc["error"] = error
+        try:
+            self.write()
+        except OSError as exc:
+            print(f"failure: cannot write the run manifest: {exc}", file=sys.stderr)
+            return False
+        return True
+
 
 def _load_split(path: str, dataset: GridDataset) -> Split:
     """Accept either a SplitSpec JSON or a materialized split JSON, whose
@@ -112,8 +127,7 @@ def _load_split(path: str, dataset: GridDataset) -> Split:
     return split
 
 
-def cmd_synth(args) -> int:
-    manifest = RunManifest(args)
+def cmd_synth(args, manifest: RunManifest) -> int:
     doc = _load_json(args.config, "synthetic config") if args.config else {}
     cfg = SyntheticConfig.from_dict(doc, "synthetic config")
     if args.seed is not None:
@@ -123,14 +137,12 @@ def cmd_synth(args) -> int:
     manifest.doc["config"] = cfg.to_dict()
     manifest.doc["seeds"] = {"seed": cfg.seed}
     manifest.doc["outputs"] = {"dataset": args.out}
-    manifest.write()
     print(f"wrote {len(dataset.pixels)} pixels x {dataset.n_days} days to {args.out}",
           file=sys.stderr)
     return 0
 
 
-def cmd_split(args) -> int:
-    manifest = RunManifest(args)
+def cmd_split(args, manifest: RunManifest) -> int:
     dataset = load_dataset(args.data)
     spec = SplitSpec.from_dict(_load_json(args.config, "split spec"), "split spec")
     split = make_split(dataset, spec)
@@ -139,14 +151,12 @@ def cmd_split(args) -> int:
     manifest.doc["config"] = spec.to_dict()
     manifest.doc["inputs"] = {"dataset": args.data}
     manifest.doc["outputs"] = {"split": os.path.join(args.out, "split.json")}
-    manifest.write()
     print(f"split: {len(split.train_pixels)} train / {len(split.test_pixels)} "
           f"test pixels", file=sys.stderr)
     return 0
 
 
-def cmd_train(args) -> int:
-    manifest = RunManifest(args)
+def cmd_train(args, manifest: RunManifest) -> int:
     dataset = load_dataset(args.data)
     split = _load_split(args.split, dataset)
     require_point_split([args.model], split)
@@ -183,13 +193,11 @@ def cmd_train(args) -> int:
     manifest.doc["seeds"] = {"seed": config.seed}
     manifest.doc["inputs"] = {"dataset": args.data, "split": args.split}
     manifest.doc["outputs"] = {"model": model_path}
-    manifest.write()
     print(f"trained {args.model}; model container at {model_path}", file=sys.stderr)
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    manifest = RunManifest(args)
+def cmd_evaluate(args, manifest: RunManifest) -> int:
     dataset = load_dataset(args.data)
     split = _load_split(args.split, dataset)
     eval_ds = dataset
@@ -214,14 +222,12 @@ def cmd_evaluate(args) -> int:
                               "models": list(args.model_file)}
     manifest.doc["config"] = {"against": args.against}
     manifest.doc["outputs"] = {"reports": args.out}
-    manifest.write()
     print(f"evaluated {len(args.model_file)} model(s); reports in {args.out}",
           file=sys.stderr)
     return 0
 
 
-def cmd_hindcast(args) -> int:
-    manifest = RunManifest(args)
+def cmd_hindcast(args, manifest: RunManifest) -> int:
     hc = HindcastConfig.from_dict(_load_json(args.config, "hindcast config"),
                                   "hindcast config")
     if args.seed is not None:
@@ -248,7 +254,6 @@ def cmd_hindcast(args) -> int:
     manifest.doc["config"] = hc.to_dict()
     manifest.doc["seeds"] = {"synthetic": hc.synthetic.seed, "training": hc.training.seed}
     manifest.doc["outputs"] = {"reports": args.out}
-    manifest.write()
     med = result.summary
     print(f"hindcast medians: lstm {med['median_lstm_rmse']:.4f}, "
           f"ar_p {med['median_ar_rmse']:.4f}", file=sys.stderr)
@@ -315,14 +320,21 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --config")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
+    manifest = RunManifest(args)
+    # Left as is only when KeyboardInterrupt escapes: 128 + SIGINT.
+    code, error = 130, "interrupted"
     try:
-        return args.func(args)
+        code, error = args.func(args, manifest), None
     except (ValidationError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, str(exc)
+        print(f"error: {error}", file=sys.stderr)
     except Exception as exc:  # noqa: BLE001 - runtime failure boundary
-        print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, f"{type(exc).__name__}: {exc}"
+        print(f"failure: {error}", file=sys.stderr)
+    finally:
+        if not manifest.close(code, error):
+            code = code or 2
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ The cell follows the standard formulation with four gates:
 
 with sigma(z) = 0.5 + 0.5 * tanh(z / 2).
 
-The parameters live in one flat float64 vector, ``LstmWeights.theta``: the
+The parameters live in one flat vector, ``LstmWeights.theta``: the
 fused gate weights Wx (4*hidden, input), Wh (4*hidden, hidden) and b
 (4*hidden,), with rows in g, i, f, o blocks (W_gx above W_ix, and so on),
 then the readout W_hy (output, hidden) and b_y (output,). Code reads and
@@ -20,10 +20,13 @@ writes them through views of theta and never rebinds a view. This is the
 layout of a flattened ``torch.nn.LSTM``, whose ``weight_ih`` is (4*hidden,
 input) in one buffer.
 
-All arithmetic is float64. Sequences may be a single (rho, input) matrix or a
-batch tensor (batch, rho, input); batch gradients are accumulated by the
-matrix products themselves, in fixed instance order, so results do not depend
-on evaluation order.
+The kernel runs in the dtype of the weights: every buffer of the time loop
+and of BPTT (inputs, masks, states, gates, gradients) takes theta's dtype, so
+float64 weights compute in float64 and float32 weights in float32, with no
+silent promotion. Sequences may be a single (rho, input) matrix or a batch
+tensor (batch, rho, input); batch gradients are accumulated by the matrix
+products themselves, in fixed instance order, so results do not depend on
+evaluation order.
 
 One time loop serves :func:`forward_sequence`, :func:`predict_sequence` and
 :func:`lstm_step`. Before it, one stacked matrix product projects the whole
@@ -96,7 +99,7 @@ _V1_LAYOUT = (
 
 
 class LstmWeights:
-    """All parameters of the cell and the readout, in one flat float64 vector.
+    """All parameters of the cell and the readout, in one flat vector.
 
     ``theta`` holds, each row-major and in this order, ``Wx`` (4*hidden,
     input), ``Wh`` (4*hidden, hidden), ``b`` (4*hidden,), ``W_hy`` (output,
@@ -106,22 +109,30 @@ class LstmWeights:
     view and theta stay one buffer. The same class holds the gradients that
     :func:`bptt_gradients` returns, so an optimizer step is one expression on
     theta. :meth:`named_arrays` yields the per-gate views under their
-    ``hlstm-v1`` container names.
+    ``hlstm-v1`` container names. theta is float64 unless ``dtype`` says
+    otherwise; the forward pass and BPTT run in theta's dtype.
     """
 
     __slots__ = ("theta", "input_size", "hidden_size", "output_size")
 
-    def __init__(self, input_size: int, hidden_size: int, output_size: int):
+    def __init__(self, input_size: int, hidden_size: int, output_size: int, dtype=float):
         """Zero parameters of the given layer sizes."""
         if min(input_size, hidden_size, output_size) < 1:
             raise ValidationError("all layer sizes must be >= 1")
         self.input_size, self.hidden_size, self.output_size = (
             input_size, hidden_size, output_size)
-        self.theta = np.zeros(sum(math.prod(shape) for shape in self._shapes()))
+        self.theta = np.zeros(sum(math.prod(shape) for shape in self._shapes()), dtype=dtype)
 
     @classmethod
-    def zeros(cls, input_size: int, hidden_size: int, output_size: int) -> "LstmWeights":
-        return cls(input_size, hidden_size, output_size)
+    def zeros(cls, input_size: int, hidden_size: int, output_size: int,
+              dtype=float) -> "LstmWeights":
+        return cls(input_size, hidden_size, output_size, dtype)
+
+    def astype(self, dtype) -> "LstmWeights":
+        """A copy with theta converted to ``dtype``."""
+        out = LstmWeights(self.input_size, self.hidden_size, self.output_size, dtype)
+        out.theta[...] = self.theta
+        return out
 
     def _shapes(self):
         """The shapes of Wx, Wh, b, W_hy and b_y, in theta order."""
@@ -252,10 +263,10 @@ def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
     return DropoutMasks(g=bernoulli((rho, *inst, hidden_size)))
 
 
-def _to_fm(v) -> np.ndarray:
+def _to_fm(v, dtype) -> np.ndarray:
     """A (..., dim) state or mask as a contiguous feature-major (dim, batch)
-    array; a single instance becomes (dim, 1)."""
-    return np.array(np.atleast_2d(v).T, dtype=float, order="C")
+    array of ``dtype``; a single instance becomes (dim, 1)."""
+    return np.array(np.atleast_2d(v).T, dtype=dtype, order="C")
 
 
 def _from_fm(v: np.ndarray, batched: bool) -> np.ndarray:
@@ -263,16 +274,16 @@ def _from_fm(v: np.ndarray, batched: bool) -> np.ndarray:
     return np.ascontiguousarray(v.T) if batched else v[:, 0].copy()
 
 
-def _loop_masks(masks: DropoutMasks | None, batched: bool):
-    """The masks as the time loop reads them: x (rho, batch, input) and
-    g (rho, batch, hidden) with an instance axis, h feature-major."""
+def _loop_masks(masks: DropoutMasks | None, batched: bool, dtype):
+    """The masks as the time loop reads them, in ``dtype``: x (rho, batch,
+    input) and g (rho, batch, hidden) with an instance axis, h feature-major."""
     if masks is None:
         return None, None, None
 
     def with_batch(m):
-        return m if m is None or batched else m[:, None]
+        return None if m is None else (m if batched else m[:, None]).astype(dtype, copy=False)
 
-    return (with_batch(masks.x), None if masks.h is None else _to_fm(masks.h),
+    return (with_batch(masks.x), None if masks.h is None else _to_fm(masks.h, dtype),
             with_batch(masks.g))
 
 
@@ -280,10 +291,11 @@ def _run_cell(w: LstmWeights, x, h, s, xm=None, hm=None, gm=None,
               block: int | None = None):
     """The LSTM time loop shared by the forward pass, prediction and lstm_step.
 
-    ``x`` is (T, batch, input); ``h``, ``s`` and ``hm`` are feature-major,
-    (hidden, batch), like every per-step array here, so that each gate block
-    of a step is one contiguous (hidden, batch) slice. ``xm`` and ``gm`` are
-    the x and g masks aligned with x's time axis. Time runs in blocks of
+    Every array is in the dtype of ``w.theta``. ``x`` is (T, batch, input);
+    ``h``, ``s`` and ``hm`` are feature-major, (hidden, batch), like every
+    per-step array here, so that each gate block of a step is one contiguous
+    (hidden, batch) slice. ``xm`` and ``gm`` are the x and g masks aligned
+    with x's time axis. Time runs in blocks of
     ``block`` steps (one block when None) that reuse one set of buffers. Per
     block, one stacked product projects the inputs into the (steps,
     4*hidden, batch) gate buffer; each step adds the recurrent product into
@@ -300,17 +312,18 @@ def _run_cell(w: LstmWeights, x, h, s, xm=None, hm=None, gm=None,
     # over a step's gate slice gives tanh(a_g) and tanh(a/2) for the sigmoid
     # gates. Halving is exact in binary floating point: the products equal
     # halving the pre-activations afterwards, bit for bit.
-    half = np.full((4 * H, 1), 0.5)
+    dtype = w.theta.dtype
+    half = np.full((4 * H, 1), 0.5, dtype=dtype)
     half[:H] = 1.0
     Wx_half, Wh_half, b_half = w.Wx * half, w.Wh * half, w.b[:, None] * half
     W_hy, b_y = w.W_hy, w.b_y[:, None]
     n = max(1, T if block is None else min(block, T))
-    gates = np.empty((n, 4 * H, n_batch))
-    S = np.empty((n, H, n_batch))
+    gates = np.empty((n, 4 * H, n_batch), dtype=dtype)
+    S = np.empty((n, H, n_batch), dtype=dtype)
     Hs = np.empty_like(S)
-    Y = np.empty((T, w.output_size, n_batch))
-    rec = np.empty(gates.shape[1:])
-    sf = np.empty(S.shape[1:])
+    Y = np.empty((T, w.output_size, n_batch), dtype=dtype)
+    rec = np.empty_like(gates[0])
+    sf = np.empty_like(S[0])
     for t0 in range(0, T, n):
         m = min(n, T - t0)
         xb = _apply(x[t0:t0 + m], None if xm is None else xm[t0:t0 + m])
@@ -398,9 +411,11 @@ def lstm_step(w: LstmWeights, x_t: np.ndarray, state: LstmState,
         raise ValidationError("state dimensions do not match hidden_size")
     _require_finite(x_t, "x_t")
     batched = x_t.ndim == 2
-    xm, hm, gm = _loop_masks(masks, batched)
+    dtype = w.theta.dtype
+    xm, hm, gm = _loop_masks(masks, batched, dtype)
     Y, h, s, gates, _, _ = _run_cell(
-        w, x_t.reshape(1, -1, w.input_size), _to_fm(state.h), _to_fm(state.s),
+        w, x_t.reshape(1, -1, w.input_size).astype(dtype, copy=False),
+        _to_fm(state.h, dtype), _to_fm(state.s, dtype),
         None if xm is None else xm[t:t + 1], hm, None if gm is None else gm[t:t + 1])
     H = w.hidden_size
     record = {k: _from_fm(gates[0, n * H:(n + 1) * H], batched)
@@ -444,11 +459,12 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
             masks = sample_dropout_masks(spec, w.input_size, w.hidden_size, x.shape[0],
                                          seed, batch=x.shape[1] if batched else None)
 
-    # A time-major copy of the inputs; the cache keeps it for BPTT.
-    x = np.array(x, order="C")
+    # A time-major copy of the inputs in theta's dtype; the cache keeps it for BPTT.
+    dtype = w.theta.dtype
+    x = np.array(x, dtype=dtype, order="C")
     Y, _, _, gates, S, Hs = _run_cell(
-        w, x, _to_fm(initial_state.h), _to_fm(initial_state.s),
-        *_loop_masks(masks, batched))
+        w, x, _to_fm(initial_state.h, dtype), _to_fm(initial_state.s, dtype),
+        *_loop_masks(masks, batched, dtype))
     cache = ForwardCache(
         x=x, masks=masks, h0=initial_state.h, s0=initial_state.s,
         gates=gates, s_fm=S, h_fm=Hs, y_fm=Y, batched=batched,
@@ -470,8 +486,9 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
     terminal state.
     """
     x, batched, state = _sequence_inputs(w, X, initial_state)
-    Y, h, s, _, _, _ = _run_cell(w, x, _to_fm(state.h), _to_fm(state.s),
-                                 block=PREDICT_BLOCK_DAYS)
+    dtype = w.theta.dtype
+    Y, h, s, _, _, _ = _run_cell(w, x.astype(dtype, copy=False), _to_fm(state.h, dtype),
+                                 _to_fm(state.s, dtype), block=PREDICT_BLOCK_DAYS)
     Y = Y.transpose(2, 0, 1) if batched else Y[..., 0]
     if return_final_state:
         return Y, LstmState(h=_from_fm(h, batched), s=_from_fm(s, batched))
@@ -482,13 +499,14 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     """Exact reverse-mode gradients of the cached forward pass.
 
     dL_dY is (rho, output), (batch, rho, output) matching the forward layout,
-    and the returned container has the LstmWeights layout. Dropout masks are
-    replayed from the cache.
+    and the returned container has the LstmWeights layout, in the dtype of
+    ``w``. Dropout masks are replayed from the cache.
     """
     if (cache.input_size, cache.hidden_size, cache.output_size) != (
             w.input_size, w.hidden_size, w.output_size):
         raise ValidationError("cache does not match the weight dimensions")
-    dL_dY = np.asarray(dL_dY, dtype=float)
+    dtype = w.theta.dtype
+    dL_dY = np.asarray(dL_dY, dtype=dtype)
     expected = cache.y.swapaxes(0, 1).shape if cache.batched else cache.y.shape
     if dL_dY.shape != expected:
         raise ValidationError(
@@ -497,9 +515,9 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     dY = (np.ascontiguousarray(dL_dY.transpose(1, 2, 0)) if cache.batched
           else dL_dY[..., None])
 
-    xm, hm, gm = _loop_masks(cache.masks, cache.batched)
+    xm, hm, gm = _loop_masks(cache.masks, cache.batched, dtype)
     # The gradients accumulate straight into the views of one flat buffer.
-    grads = LstmWeights.zeros(w.input_size, w.hidden_size, w.output_size)
+    grads = LstmWeights.zeros(w.input_size, w.hidden_size, w.output_size, dtype)
     dWx, dWh, db = grads.Wx, grads.Wh, grads.b
     Wh, W_hy = w.Wh, w.W_hy
     H = w.hidden_size
@@ -509,12 +527,12 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     grads.W_hy[...] = np.matmul(dY, Hs.transpose(0, 2, 1)).sum(axis=0)
     grads.b_y[...] = dY.sum(axis=(0, 2))
 
-    h0, s0 = _to_fm(cache.h0), _to_fm(cache.s0)
+    h0, s0 = _to_fm(cache.h0, dtype), _to_fm(cache.s0, dtype)
     dh_carry = np.zeros_like(h0)
     ds_carry = np.zeros_like(s0)
     # One step's gate pre-activation gradients, in the g, i, f, o order, and
     # the gate derivatives they are scaled by; both reused across steps.
-    da = np.empty(G.shape[1:])
+    da = np.empty(G.shape[1:], dtype=dtype)
     dact = np.empty_like(da)
     da_g, da_i, da_f, da_o = da[:H], da[H:2 * H], da[2 * H:3 * H], da[3 * H:]
 

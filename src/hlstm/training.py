@@ -13,6 +13,11 @@ One "epoch" here is one mini-batch update; history rows and the checkpoint
 cadence count in that unit. The loop is the single writer to the weights;
 batch members are evaluated together and reduced in fixed instance order, so
 a (config, seed) pair fully determines the trained weights.
+
+Precision is split as in master-weight mixed-precision training: each epoch
+the forward pass and BPTT run on a float32 copy of the weights, and the
+gradient is widened to float64 before the clip. The weights, the Adam
+moments, the clip, checkpoints and every prediction stay float64.
 """
 
 from __future__ import annotations
@@ -294,14 +299,16 @@ def train_lstm(data: SequenceData, config: TrainingConfig,
         masks = sample_dropout_masks(
             config.dropout, n_features, config.hidden_size,
             config.unroll_length, dropout_rng, batch=config.batch_size)
-        Y, cache = forward_sequence(w, batch.inputs, masks=masks)
+        # The float32 compute copy of the float64 master weights.
+        w32 = w.astype(np.float32)
+        Y, cache = forward_sequence(w32, batch.inputs, masks=masks)
         loss, dY = masked_loss(Y, batch.targets, batch.mask,
                                divisor=config.loss_divisor)
         if not np.isfinite(loss):
             raise NumericError(
                 f"non-finite loss at epoch {epoch}; batch pixels "
                 f"{batch.pixel_ids[:5]}{'...' if len(batch.pixel_ids) > 5 else ''}")
-        grads = bptt_gradients(w, cache, dY)
+        grads = bptt_gradients(w32, cache, dY).astype(float)
         # Free this epoch's activations now, not when the next forward pass
         # has already allocated its own: two caches would double the peak.
         del Y, cache

@@ -76,6 +76,14 @@ class TestSynth:
         manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
         assert manifest["argv"] == argv
 
+    def test_successful_manifest_records_status_and_exit_code(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["synth", "--config", write_json(tmp_path / "c.json", synth_config()),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["exit_code"] == 0
+        assert "error" not in manifest
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", synth_config(noise_kind="pink"))
         code = main(["synth", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -407,6 +415,23 @@ class TestCliErrors:
                      "--out", str(tmp_path / "ev")])
         assert code == 1
         assert f"'{field}'" in capsys.readouterr().err
+
+    def test_failed_run_still_writes_its_manifest(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        save_dataset(golden.golden_dataset(), data)
+        split = write_json(tmp_path / "split.json", golden.golden_split().to_dict())
+        with open(golden.CONTAINER) as fh:
+            doc = json.load(fh)
+        doc["payload"]["weights"]["W_fh"][0][0] = float("nan")
+        out = tmp_path / "ev"
+        code = main(["evaluate", "--data", data, "--split", split,
+                     "--model-file", write_json(tmp_path / "bad.json", doc),
+                     "--out", str(out)])
+        assert code == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["exit_code"] == 1
+        assert "'W_fh'" in manifest["error"]
+        assert manifest["command"] == "evaluate"
 
     def test_missing_data_exits_one(self, tmp_path, capsys):
         split_cfg = write_json(tmp_path / "s.json", temporal_split())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hlstm import lstm as lstm_module
 from hlstm.errors import NumericError, ValidationError
 from hlstm.lstm import (
     DROPOUT_VARIANTS,
@@ -378,6 +379,75 @@ class TestBpttGradients:
             bptt_gradients(other, cache, np.zeros((6, 1)))
         with pytest.raises(ValidationError):
             bptt_gradients(w, cache, np.zeros((7, 1)))
+
+
+class _OperandDtypes:
+    """Stands in for numpy inside hlstm.lstm and records the dtype of every
+    array that goes into or comes out of the kernel's arithmetic calls."""
+
+    ARITHMETIC = ("matmul", "multiply", "subtract", "tanh")
+
+    def __init__(self):
+        self.seen = set()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.ARITHMETIC:
+            return attr
+
+        def recorded(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.seen.update(a.dtype for a in (*args, *kwargs.values(), out)
+                             if isinstance(a, np.ndarray))
+            return out
+        return recorded
+
+
+class TestComputeDtype:
+    """The kernel runs in the dtype of the weights it is given."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("variant", DROPOUT_VARIANTS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_buffer_takes_the_weights_dtype(self, monkeypatch, dtype, variant, batch):
+        # A float64 mask, state, upstream gradient or scratch buffer promotes
+        # the per-step products to float64. The results stay right, only
+        # slower, so the operands of the arithmetic are checked too.
+        w = init_weights(3, 4, 1, seed=60).astype(dtype)
+        rho = 7
+        shape = (rho, 3) if batch is None else (batch, rho, 3)
+        X = np.random.default_rng(61).normal(size=shape)
+        masks = sample_dropout_masks(DropoutSpec(variant, 0.5), 3, 4, rho=rho,
+                                     seed=62, batch=batch)
+        operands = _OperandDtypes()
+        monkeypatch.setattr(lstm_module, "np", operands)
+        Y, cache = forward_sequence(w, X, masks=masks)
+        grads = bptt_gradients(w, cache, np.ones(shape[:-1] + (1,)))
+        buffers = {"Y": Y, "x": cache.x, "gates": cache.gates, "s_fm": cache.s_fm,
+                   "h_fm": cache.h_fm, "y_fm": cache.y_fm, "grads": grads.theta}
+        assert {name: arr.dtype for name, arr in buffers.items()} == {
+            name: np.dtype(dtype) for name in buffers}
+        assert operands.seen == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("variant", DROPOUT_VARIANTS)
+    def test_float32_agrees_with_float64(self, variant):
+        # Init-scale weights at the training shape. Far larger weights make
+        # the recurrence chaotic, and the gap would measure its conditioning
+        # rather than the kernel.
+        n_batch, rho, n_in, n_hid = 100, 365, 10, 64
+        w64 = init_weights(n_in, n_hid, 1, seed=70)
+        rng = np.random.default_rng(71)
+        X = rng.normal(size=(n_batch, rho, n_in))
+        dY = rng.normal(size=(n_batch, rho, 1)) / (n_batch * rho)
+        masks = sample_dropout_masks(DropoutSpec(variant, 0.5), n_in, n_hid, rho=rho,
+                                     seed=72, batch=n_batch)
+        runs = {}
+        for w in (w64, w64.astype(np.float32)):
+            Y, cache = forward_sequence(w, X, masks=masks)
+            runs[w.theta.dtype] = Y, bptt_gradients(w, cache, dY).theta
+        (Y64, g64), (Y32, g32) = runs[np.dtype(np.float64)], runs[np.dtype(np.float32)]
+        assert np.max(np.abs(Y32 - Y64)) <= 1e-6
+        assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) <= 1e-5
 
 
 def test_sigmoid_extremes_stable():

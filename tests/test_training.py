@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hlstm import training
+from hlstm.dataset import NormalizationStats
 from hlstm.errors import DegenerateBatchError, NumericError, ValidationError
 from hlstm.lstm import (
     DropoutSpec,
@@ -12,6 +14,7 @@ from hlstm.lstm import (
     init_weights,
     predict_sequence,
 )
+from hlstm.modelio import load_model, lstm_from_payload, lstm_payload, save_model
 from hlstm.training import (
     AdamState,
     Batch,
@@ -259,6 +262,46 @@ class TestTrainLstm:
         assert [epoch for epoch, _ in seen] == [3, 6]
         six, _ = train_lstm(data, dataclasses.replace(cfg, epochs=6))
         assert seen[-1][1].tobytes() == six.theta.tobytes()
+
+    def test_master_weights_stay_float64(self, monkeypatch, tmp_path):
+        # Forward and BPTT run on a float32 copy; everything that persists
+        # across epochs, or leaves train_lstm, is float64.
+        seen = {"moments": [], "grads": [], "checkpoints": []}
+
+        def recording_bptt(w, cache, dY):
+            grads = bptt_gradients(w, cache, dY)
+            seen["grads"].append((w.theta.dtype, grads.theta.copy()))
+            return grads
+
+        def recording_adam(w, grads, state, lr):
+            adam_step(w, grads, state, lr)
+            seen["moments"].append((w.theta.dtype, state.m.dtype, state.v.dtype))
+
+        monkeypatch.setattr(training, "bptt_gradients", recording_bptt)
+        monkeypatch.setattr(training, "adam_step", recording_adam)
+        data = make_data(4, 60, lambda p, T: np.random.default_rng(p).normal(size=(T, 2)),
+                         lambda p, T, x: 0.2 + 0.05 * np.tanh(x[:, 0]))
+        cfg = TrainingConfig(hidden_size=5, unroll_length=20, batch_size=4,
+                             epochs=4, checkpoint_every=2, seed=4)
+        w, history = train_lstm(
+            data, cfg, checkpoint=lambda epoch, w: seen["checkpoints"].append(w.theta.dtype))
+
+        assert w.theta.dtype == np.float64
+        f64 = np.dtype(np.float64)
+        assert seen["moments"] == [(f64, f64, f64)] * 4
+        assert seen["checkpoints"] == [f64] * 2
+        assert [compute for compute, _ in seen["grads"]] == [np.dtype(np.float32)] * 4
+        for row, (_, g32) in zip(history, seen["grads"]):
+            g = g32.astype(np.float64)
+            assert row["grad_norm"] == float(np.sqrt(g @ g))
+
+        path = str(tmp_path / "m.json")
+        save_model(path, "lstm", lstm_payload(w, data.feature_names, NormalizationStats(
+            names=data.feature_names, mean=np.zeros(2), std=np.ones(2), excluded=[]),
+            cfg.to_dict()))
+        back, _, _ = lstm_from_payload(load_model(path)[1])
+        assert back.theta.dtype == np.float64
+        assert back.theta.tobytes() == w.theta.tobytes()
 
     def test_loss_divergence_tripwire(self):
         data = make_data(4, 120, lambda p, T: np.full((T, 2), 0.5),
