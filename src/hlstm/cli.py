@@ -215,8 +215,11 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
     for path in args.model_file:
         kind, payload = load_model(path)
         require_point_split([kind], split)
-        reports += score_predictions(kind, eval_ds,
-                                     predict_container(kind, payload, dataset, split), split)
+        try:
+            predictions = predict_container(kind, payload, dataset, split)
+        except (ValidationError, DataError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        reports += score_predictions(kind, eval_ds, predictions, split)
     write_experiment_reports(ExperimentResult(split=split, reports=reports), args.out)
     manifest.doc["inputs"] = {"dataset": args.data, "split": args.split,
                               "models": list(args.model_file)}

@@ -52,7 +52,7 @@ from itertools import compress
 
 import numpy as np
 
-from .config import Config
+from .config import Config, Vector
 from .errors import DataError, ValidationError
 
 # 17 significant digits make every float64 round-trip exactly
@@ -398,21 +398,28 @@ def _check_rows(rows: list[list[str]], path: str, width: int, start_date: dt.dat
 
 
 @dataclass
-class NormalizationStats:
-    """Per-channel z-score statistics computed on the training pixels only.
+class NormalizationStats(Config):
+    """Per-channel z-score statistics computed on the training pixels only;
+    a model container's "normalization" section.
 
     ``std`` holds the divisors actually used; zero-variance channels keep a
     divisor of 1 and are listed in ``excluded``.
     """
 
     names: list[str]
-    mean: np.ndarray
-    std: np.ndarray
+    mean: Vector
+    std: Vector
     excluded: list[str]
 
-    def to_dict(self) -> dict:
-        return {"names": list(self.names), "mean": [float(v) for v in self.mean],
-                "std": [float(v) for v in self.std], "excluded": list(self.excluded)}
+    def validate(self):
+        if not len(self.names) == self.mean.size == self.std.size:
+            raise ValidationError(f"fields 'mean' and 'std' hold {self.mean.size} and "
+                                  f"{self.std.size} values, not the {len(self.names)} of 'names'")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValidationError("fields 'mean' and 'std' must be finite")
+        if not (self.std > 0).all():
+            raise ValidationError("field 'std' must be positive")
+        return self
 
 
 def normalize(dataset: GridDataset, train_pixel_ids) -> tuple[GridDataset, NormalizationStats]:

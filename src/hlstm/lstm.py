@@ -151,17 +151,21 @@ class LstmWeights:
     W_hy = property(lambda self: self._view(3))
     b_y = property(lambda self: self._view(4))
 
+    @staticmethod
+    def gate_shapes(input_size: int, hidden_size: int, output_size: int):
+        """(hlstm-v1 name, shape) of each per-gate view, in container order,
+        for these layer sizes; nothing is allocated."""
+        H = hidden_size
+        shapes = {"Wx": (H, input_size), "Wh": (H, H), "b": (H,), "W_hy": (output_size, H),
+                  "b_y": (output_size,)}
+        return [(name, shapes[view]) for name, view, _ in _V1_LAYOUT]
+
     def named_arrays(self):
         """Yield (hlstm-v1 name, per-gate view) pairs in container order."""
         H = self.hidden_size
         for name, view, gate in _V1_LAYOUT:
             arr = getattr(self, view)
             yield name, arr if gate is None else arr[gate * H:(gate + 1) * H]
-
-    def validate(self):
-        for name, arr in self.named_arrays():
-            _require_finite(arr, name)
-        return self
 
 
 @dataclass

@@ -2,34 +2,26 @@
 
 ``MODEL_KINDS`` is the one table of the six model kinds. An entry's
 ``fit(train_data, split, lstm_config, baselines, seed)`` returns a model
-fitted on the training pixels' rows and ``predict(model, data, split)``
-returns {"train": {pid: series}, "test": {...}};
-``to_payload(model, feature_names, stats, config)`` and
-``from_payload(payload, n_features)`` convert the model to and from its
-container payload. ``point`` kinds fit and score each pixel on its own
-series. Models are (weights, history) for lstm, {pixel id: model} for
-lasso_p and nn_p, and {pixel id: (model, order, rmse_by_order)} for ar_p.
+fitted on the training pixels' rows, ``predict(model, data, split)`` returns
+{"train": {pid: series}, "test": {...}}, and ``payload`` is the section of
+its container payload: ``payload.of(model, feature_names, stats, config)``
+holds a model, ``section.model()`` gives it back. ``point`` kinds fit and
+score each pixel on its own series. Models are (weights, history) for lstm,
+{pixel id: model} for lasso_p and nn_p, and {pixel id: (model, order,
+rmse_by_order)} for ar_p.
 
-Container layout:
-
-    {"format": "hlstm-v1", "kind": "<model kind>", "toolkit_version": "...",
-     "payload": {...}}
-
-An lstm payload's "weights" object holds the per-gate views of
-``LstmWeights.theta`` by name (W_gx ... b_y; see ``LstmWeights.named_arrays``).
-A payload may end with the fields of the resolved ``training.Features`` the
-model was trained on; ``predict_container`` stacks the inputs by them.
-Weight arrays are stored as nested row-major lists; Python's float repr is
-shortest-round-trip, so save/load is bit-exact. Files are written atomically
-(temp file + rename). A malformed payload (a missing field, an array of
-the wrong shape or holding a NaN or infinity, a normalization std that is not
-positive) raises DataError naming the field.
+A container, ``{"format": "hlstm-v1", "kind": ..., "toolkit_version": ...,
+"payload": {...}}``, is read and written only as ``config.Config`` sections,
+whose fields and ``validate()`` are its schema (README "Model containers").
+Python's float repr is shortest-round-trip, so save/load is bit-exact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,6 +36,7 @@ from .baselines import (
     fit_lasso,
     select_ar_orders,
 )
+from .config import AnyFloat, Config, Matrix, Vector, optional
 from .dataset import NormalizationStats, apply_normalization, write_json_atomic
 from .errors import DataError, ValidationError
 from .lstm import LstmWeights, predict_sequence
@@ -53,172 +46,240 @@ FORMAT_TAG = "hlstm-v1"
 MIN_POINT_ROWS = 10  # observed training days a pixel needs for a point fit
 
 
+@dataclass
+class Envelope(Config):
+    """A container file; ``load_model`` checks the format tag first."""
+
+    format: str
+    kind: str
+    toolkit_version: str
+    payload: dict
+
+    def validate(self):
+        if self.kind not in MODEL_KINDS:
+            raise ValidationError(f"unknown model kind {self.kind!r}")
+        return self
+
+
 def save_model(path: str, kind: str, payload: dict):
-    if kind not in MODEL_KINDS:
-        raise DataError(f"unknown model kind {kind!r}")
-    write_json_atomic(path, {
-        "format": FORMAT_TAG,
-        "kind": kind,
-        "toolkit_version": __version__,
-        "payload": payload,
-    })
+    try:
+        envelope = Envelope(FORMAT_TAG, kind, __version__, payload).validate()
+    except ValidationError as exc:
+        raise DataError(str(exc)) from None
+    write_json_atomic(path, envelope.to_dict())
 
 
 def load_model(path: str):
-    """Returns (kind, payload); rejects files without the format tag."""
+    """Returns (kind, payload); every error names ``path``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        tag = doc.get("format") if isinstance(doc, dict) else None
+        if tag != FORMAT_TAG:
+            raise DataError(f"format tag {tag!r} is not {FORMAT_TAG!r}")
+        envelope = Envelope.from_dict(doc, "model container")
     except FileNotFoundError as exc:
         raise DataError(f"{path}: not found") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    tag = doc.get("format") if isinstance(doc, dict) else None
-    if tag != FORMAT_TAG:
-        raise DataError(f"{path}: format tag {tag!r} is not {FORMAT_TAG!r}")
-    kind = doc.get("kind")
-    if kind not in MODEL_KINDS:
-        raise DataError(f"{path}: unknown model kind {kind!r}")
-    return kind, payload_fields(doc, "model", "payload")[0]
+    except (DataError, ValidationError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return envelope.kind, envelope.payload
 
 
-def payload_fields(payload, what: str, *names):
-    """The named fields of a container section, in order; a missing field or
-    a section that is not a JSON object raises DataError naming it."""
-    if not isinstance(payload, dict):
-        raise DataError(f"{what} container section is not a JSON object")
-    missing = [name for name in names if name not in payload]
-    if missing:
-        raise DataError(f"{what} container lacks field(s) {', '.join(missing)}")
-    return [payload[name] for name in names]
+def _check_inputs(section, n: int, where: str = ""):
+    """Raise unless the last axis of ``section``'s INPUTS array has ``n`` entries."""
+    got = getattr(section, section.INPUTS).shape[-1]
+    if got != n:
+        raise ValidationError(f"{where}field {section.INPUTS!r} has {got} input columns, "
+                              f"not the {n} of 'feature_names'")
 
 
-def _array(value, what: str, shape) -> np.ndarray:
-    """A finite numeric field of the given shape; None in ``shape`` matches
-    any length, and shape () is a number."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != len(shape) or any(
-            n is not None and n != m for n, m in zip(shape, arr.shape)):
-        raise DataError(f"container field {what!r} must be numeric with shape {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"container field {what!r} holds a NaN or infinity")
-    return arr
+# The lstm "weights" object: one field per per-gate view of LstmWeights.
+LstmGates = dataclasses.make_dataclass(
+    "LstmGates", [(name, "Matrix" if len(shape) == 2 else "Vector")
+                  for name, shape in LstmWeights.gate_shapes(1, 1, 1)],
+    bases=(Config,), namespace={"__module__": __name__})
 
 
-def _names(value, what: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
-        raise DataError(f"container field {what!r} must be a list of strings")
-    return list(value)
+@dataclass
+class LstmPayload(Config):
+    input_size: int
+    hidden_size: int
+    output_size: int
+    weights: LstmGates
+    feature_names: list[str]
+    normalization: NormalizationStats | None
+    config: TrainingConfig | None
+    include_lsm: bool | None = optional()
+    include_attributes: bool = optional()
 
+    @classmethod
+    def of(cls, model, feature_names, stats, config):
+        w = model[0]
+        return cls(w.input_size, w.hidden_size, w.output_size,
+                   LstmGates(**dict(w.named_arrays())), list(feature_names), stats, config)
 
-def _normalization(doc) -> NormalizationStats:
-    """A container's normalization section: channel names, and one finite
-    mean and one finite std > 0 per name."""
-    names, mean, std, excluded = payload_fields(doc, "normalization", "names", "mean",
-                                                "std", "excluded")
-    names = _names(names, "normalization.names")
-    std = _array(std, "normalization.std", (len(names),))
-    if not np.all(std > 0):
-        raise DataError("container field 'normalization.std' must be positive")
-    return NormalizationStats(names=names, std=std,
-                              mean=_array(mean, "normalization.mean", (len(names),)),
-                              excluded=_names(excluded, "normalization.excluded"))
+    def validate(self):
+        if self.input_size != len(self.feature_names):
+            raise ValidationError(f"field 'input_size' is {self.input_size}, not the "
+                                  f"{len(self.feature_names)} of 'feature_names'")
+        for name, shape in LstmWeights.gate_shapes(self.input_size, self.hidden_size,
+                                                   self.output_size):
+            if getattr(self.weights, name).shape != shape:
+                raise ValidationError(f"weights field {name!r} has shape "
+                                      f"{getattr(self.weights, name).shape}, not {shape}")
+        return self
+
+    def model(self):
+        """(weights, []), each per-gate array copied into its view of theta."""
+        w = LstmWeights(self.input_size, self.hidden_size, self.output_size)
+        for name, view in w.named_arrays():
+            view[...] = getattr(self.weights, name)
+        return w, []
 
 
 def lstm_payload(w: LstmWeights, feature_names, stats: NormalizationStats | None,
-                 config_echo: dict | None = None) -> dict:
-    return {
-        "input_size": w.input_size,
-        "hidden_size": w.hidden_size,
-        "output_size": w.output_size,
-        "weights": {name: arr.tolist() for name, arr in w.named_arrays()},
-        "feature_names": list(feature_names),
-        "normalization": None if stats is None else stats.to_dict(),
-        "config": config_echo,
-    }
+                 config: dict | None = None) -> dict:
+    """The lstm payload of ``w``, echoing the TrainingConfig dict ``config``."""
+    return LstmPayload.of((w, []), feature_names, stats, None if config is None else
+                          TrainingConfig.from_dict(config, "config")).to_dict()
 
 
 def lstm_from_payload(payload: dict, n_features: int | None = None):
-    """Returns (weights, feature_names, stats or None). The weights must hold
-    exactly the per-gate arrays of ``LstmWeights.named_arrays``, each of its
-    view's shape; each is copied into its view."""
-    n_in, n_hid, n_out, weights, names = payload_fields(
-        payload, "lstm", "input_size", "hidden_size", "output_size", "weights",
-        "feature_names")
-    if n_features is not None and n_in != n_features:
-        raise DataError(f"container field 'input_size' is {n_in!r}, not the "
-                        f"{n_features} of feature_names")
-    if not all(isinstance(n, int) for n in (n_in, n_hid, n_out)):
-        raise DataError("container fields input_size, hidden_size and output_size "
-                        "must be integers")
-    w = LstmWeights.zeros(n_in, n_hid, n_out)
-    views = dict(w.named_arrays())
-    payload_fields(weights, "lstm weights", *views)
-    unknown = sorted(set(weights) - set(views))
-    if unknown:
-        raise DataError(f"lstm container has unknown weight array(s) {', '.join(unknown)}")
-    for name, view in views.items():
-        view[...] = _array(weights[name], name, view.shape)
-    w.validate()
-    stats = payload.get("normalization")
-    return w, _names(names, "feature_names"), None if stats is None else _normalization(stats)
+    """Returns (weights, feature_names, stats or None); a malformed payload
+    raises DataError naming the field."""
+    try:
+        section = LstmPayload.from_dict(payload, "lstm payload")
+    except ValidationError as exc:
+        raise DataError(str(exc)) from None
+    if n_features is not None and n_features != section.input_size:
+        raise DataError(f"lstm payload field 'input_size' is {section.input_size}, "
+                        f"not {n_features}")
+    return section.model()[0], section.feature_names, section.normalization
 
 
-def lasso_payload(model: LassoModel, feature_names,
-                  stats: NormalizationStats | None) -> dict:
-    return {
-        "beta0": model.beta0,
-        "beta": model.beta.tolist(),
-        "lambda": model.lam,
-        "converged": model.converged,
-        "feature_names": list(feature_names),
-        "normalization": None if stats is None else stats.to_dict(),
-    }
+@dataclass
+class LassoPayload(Config):
+    beta0: float
+    beta: Vector
+    lam: float = field(metadata={"key": "lambda"})
+    converged: bool
+    feature_names: list[str]
+    normalization: NormalizationStats | None
+    include_lsm: bool | None = optional()
+    include_attributes: bool = optional()
+    INPUTS = "beta"
+
+    @classmethod
+    def of(cls, model, feature_names, stats, config):
+        return cls(model.beta0, model.beta, model.lam, model.converged, list(feature_names),
+                   stats)
+
+    def validate(self):
+        _check_inputs(self, len(self.feature_names))
+        return self
+
+    def model(self):
+        return LassoModel(self.beta0, self.beta, self.lam, self.converged)
 
 
-def lasso_from_payload(payload: dict, n_features: int | None = None) -> LassoModel:
-    beta0, beta, lam, converged = payload_fields(
-        payload, "lasso", "beta0", "beta", "lambda", "converged")
-    return LassoModel(beta0=float(_array(beta0, "beta0", ())),
-                      beta=_array(beta, "beta", (n_features,)), lam=lam,
-                      converged=converged)
+@dataclass
+class NnPayload(Config):
+    W1: Matrix
+    b1: Vector
+    w2: Vector
+    b2: float
+    hidden_size: int
+    l2: float
+    degenerate: bool
+    feature_names: list[str]
+    normalization: NormalizationStats | None
+    include_lsm: bool | None = optional()
+    include_attributes: bool = optional()
+    INPUTS = "W1"
+
+    @classmethod
+    def of(cls, model, feature_names, stats, config):
+        return cls(model.W1, model.b1, model.w2, model.b2, model.hidden_size, model.l2,
+                   model.degenerate, list(feature_names), stats)
+
+    def validate(self):
+        for name, rows in (("W1", len(self.W1)), ("b1", self.b1.size), ("w2", self.w2.size)):
+            if rows != self.hidden_size:
+                raise ValidationError(f"field {name!r} has {rows} rows, not the "
+                                      f"{self.hidden_size} of 'hidden_size'")
+        _check_inputs(self, len(self.feature_names))
+        return self
+
+    def model(self):
+        return FfnnModel(self.W1, self.b1, self.w2, self.b2, self.hidden_size, self.l2,
+                         self.degenerate)
 
 
-def ar_payload(model: ArModel, order_rmse: dict | None = None) -> dict:
-    out = {"c": model.c, "alpha": model.alpha.tolist(), "gamma": model.gamma.tolist()}
-    if order_rmse is not None:
-        out["order_rmse"] = {str(k): v for k, v in order_rmse.items()}
-    return out
+@dataclass
+class ArPixel(Config):
+    """One pixel of an ar_p payload; ``order_rmse`` maps each swept order to
+    its forecast RMSE, Infinity where the order could not be fitted."""
+
+    c: float
+    alpha: Vector
+    gamma: Vector
+    order_rmse: dict[str, AnyFloat] = optional(kw_only=True)
+    order: int
+    INPUTS = "gamma"
+
+    @classmethod
+    def of(cls, model, feature_names, stats, config):
+        ar, order, rmse = model
+        return cls(ar.c, ar.alpha, ar.gamma, order,
+                   order_rmse=rmse and {str(p): v for p, v in rmse.items()})
+
+    def validate(self):
+        if self.order != self.alpha.size:
+            raise ValidationError(f"field 'order' is {self.order}, not the "
+                                  f"{self.alpha.size} lags of 'alpha'")
+        return self
+
+    def model(self):
+        return ArModel(self.c, self.alpha, self.gamma), self.order, self.order_rmse
 
 
-def ar_from_payload(payload: dict, n_features: int | None = None) -> ArModel:
-    c, alpha, gamma = payload_fields(payload, "ar_p", "c", "alpha", "gamma")
-    return ArModel(c=float(_array(c, "c", ())), alpha=_array(alpha, "alpha", (None,)),
-                   gamma=_array(gamma, "gamma", (n_features,)))
+@dataclass
+class PointPayload(Config):
+    """lasso_p's payload, a lasso section per pixel id; the subclasses take
+    another pixel section. Only ar_p sets ``flags``."""
+
+    pixels: dict[str, LassoPayload]
+    feature_names: list[str]
+    normalization: NormalizationStats | None
+    flags: dict[str, bool] = optional()
+    include_lsm: bool | None = optional()
+    include_attributes: bool = optional()
+
+    @classmethod
+    def of(cls, models, feature_names, stats, config):
+        pixel = typing.get_args(typing.get_type_hints(cls)["pixels"])[1]
+        return cls({pid: pixel.of(m, feature_names, None, config) for pid, m in models.items()},
+                   list(feature_names), stats)
+
+    def validate(self):
+        for pid, doc in self.pixels.items():
+            _check_inputs(doc, len(self.feature_names), f"pixels[{pid!r}] ")
+        return self
+
+    def model(self):
+        return {pid: doc.model() for pid, doc in self.pixels.items()}
 
 
-def ffnn_payload(model: FfnnModel, feature_names,
-                 stats: NormalizationStats | None) -> dict:
-    return {
-        "W1": model.W1.tolist(), "b1": model.b1.tolist(),
-        "w2": model.w2.tolist(), "b2": model.b2,
-        "hidden_size": model.hidden_size, "l2": model.l2,
-        "degenerate": model.degenerate,
-        "feature_names": list(feature_names),
-        "normalization": None if stats is None else stats.to_dict(),
-    }
+@dataclass
+class NnPixels(PointPayload):
+    pixels: dict[str, NnPayload]
 
 
-def ffnn_from_payload(payload: dict, n_features: int | None = None) -> FfnnModel:
-    W1, b1, w2, b2, hidden_size, l2, degenerate = payload_fields(
-        payload, "nn", "W1", "b1", "w2", "b2", "hidden_size", "l2", "degenerate")
-    W1 = _array(W1, "W1", (None, n_features))
-    return FfnnModel(W1=W1, b1=_array(b1, "b1", W1.shape[:1]),
-                     w2=_array(w2, "w2", W1.shape[:1]), b2=float(_array(b2, "b2", ())),
-                     hidden_size=hidden_size, l2=l2, degenerate=degenerate)
+@dataclass
+class ArPixels(PointPayload):
+    pixels: dict[str, ArPixel]
 
 
 def _ar_warmup(theta, mask, p_max):
@@ -330,29 +391,12 @@ def _predict_ar(models, data, split):
             "test": dict(zip(pids, test))}
 
 
-def _per_pixel(encode, decode):
-    """to_payload and from_payload of a point kind, from those of one
-    pixel's model."""
-    def to_payload(models, feature_names, stats, config):
-        return {"pixels": {pid: encode(m, feature_names, None, config)
-                           for pid, m in models.items()},
-                "feature_names": list(feature_names),
-                "normalization": None if stats is None else stats.to_dict()}
-
-    def from_payload(payload, n_features):
-        (pixels,) = payload_fields(payload, "per-pixel", "pixels")
-        if not isinstance(pixels, dict):
-            raise DataError("container field 'pixels' must be a JSON object")
-        return {pid: decode(doc, n_features) for pid, doc in pixels.items()}
-    return to_payload, from_payload
-
 
 @dataclass(frozen=True)
 class ModelKind:
     fit: Callable
     predict: Callable
-    to_payload: Callable
-    from_payload: Callable
+    payload: type   # the payload section
     point: bool = False
     flags: dict = field(default_factory=dict)   # report flags
 
@@ -367,32 +411,16 @@ def _fit_nn(point: bool):
         l2=b.ffnn_l2, seed=seed, max_epochs=b.ffnn_epochs)
 
 
-def _ar_from_doc(doc, n_features):
-    model = ar_from_payload(doc, n_features)
-    return model, model.p, doc.get("order_rmse")
-
-
-# payload converters of one lasso and one nn model
-_LASSO_DOC = (lambda model, names, stats, config: lasso_payload(model, names, stats),
-              lasso_from_payload)
-_NN_DOC = (lambda model, names, stats, config: ffnn_payload(model, names, stats),
-           ffnn_from_payload)
 
 MODEL_KINDS = {
-    "lstm": ModelKind(_fit_lstm, _predict_lstm,
-                      lambda model, names, stats, config: lstm_payload(
-                          model[0], names, stats, (config or TrainingConfig()).to_dict()),
-                      lambda payload, n: (lstm_from_payload(payload, n)[0], [])),
-    "lasso": ModelKind(*_rows(_fit_lasso), *_LASSO_DOC),
-    "lasso_p": ModelKind(*_rows(_fit_lasso, point=True), *_per_pixel(*_LASSO_DOC), point=True),
-    "ar_p": ModelKind(_fit_ar, _predict_ar, *_per_pixel(
-                          lambda triple, names, stats, config: {
-                              **ar_payload(triple[0], triple[2]), "order": triple[1]},
-                          _ar_from_doc),
-                      point=True, flags={"optimistic_order_selection": True,
-                                         "exogenous_inputs_normalized": True}),
-    "nn": ModelKind(*_rows(_fit_nn(False)), *_NN_DOC),
-    "nn_p": ModelKind(*_rows(_fit_nn(True), point=True), *_per_pixel(*_NN_DOC), point=True),
+    "lstm": ModelKind(_fit_lstm, _predict_lstm, LstmPayload),
+    "lasso": ModelKind(*_rows(_fit_lasso), LassoPayload),
+    "lasso_p": ModelKind(*_rows(_fit_lasso, point=True), PointPayload, point=True),
+    "ar_p": ModelKind(_fit_ar, _predict_ar, ArPixels, point=True,
+                      flags={"optimistic_order_selection": True,
+                             "exogenous_inputs_normalized": True}),
+    "nn": ModelKind(*_rows(_fit_nn(False)), NnPayload),
+    "nn_p": ModelKind(*_rows(_fit_nn(True), point=True), NnPixels, point=True),
 }
 
 
@@ -402,29 +430,25 @@ def model_payload(kind: str, model, feature_names, stats: NormalizationStats | N
     """The container payload of a fitted model, followed by the kind's flags
     and the fields of ``features``. An lstm echoes ``config``."""
     entry = MODEL_KINDS[kind]
-    payload = entry.to_payload(model, feature_names, stats, config)
+    section = entry.payload.of(model, feature_names, stats, config)
     if entry.flags:
-        payload["flags"] = dict(entry.flags)
-    return {**payload, **(features.to_dict() if features else {})}
+        section.flags = dict(entry.flags)
+    if features:
+        section = dataclasses.replace(section, **features.to_dict())
+    return section.to_dict()
 
 
 def predict_container(kind: str, payload: dict, dataset, split) -> dict:
     """Predictions of a loaded container's model on ``dataset``, normalized
     with the container's statistics and given the features it was trained
-    on."""
-    names, stats = payload_fields(payload, kind, "feature_names", "normalization")
-    names = _names(names, "feature_names")
-    if stats is None:
-        raise DataError("model container lacks normalization statistics")
-    stats = _normalization(stats)
-    try:
-        features = Features.from_dict({f.name: payload[f.name] for f in fields(Features)
-                                       if f.name in payload}, "model container")
-    except ValidationError as exc:
-        raise DataError(str(exc)) from None
-    data = prepare_sequences(apply_normalization(dataset, stats), features)
-    if data.feature_names != names:
-        raise ValidationError(
-            f"dataset features {data.feature_names} do not match the model's {names}")
+    on (an absent ``include_attributes`` reads as True)."""
     entry = MODEL_KINDS[kind]
-    return entry.predict(entry.from_payload(payload, len(names)), data, split)
+    section = entry.payload.from_dict(payload, "model container")
+    if section.normalization is None:
+        raise DataError("model container lacks normalization statistics")
+    data = prepare_sequences(apply_normalization(dataset, section.normalization), Features(
+        section.include_lsm, section.include_attributes is not False))
+    if data.feature_names != section.feature_names:
+        raise ValidationError(f"dataset features {data.feature_names} do not match the "
+                              f"model's {section.feature_names}")
+    return entry.predict(section.model(), data, split)

@@ -34,6 +34,12 @@ def train_config(**kw):
     return base
 
 
+def each_pixel(payload, **fields):
+    """Update every pixel section of a point kind's payload with ``fields``."""
+    for pixel in payload["pixels"].values():
+        pixel.update(fields)
+
+
 def temporal_split():
     return {"kind": "temporal",
             "train_window": ["2000-01-01", "2000-12-30"],
@@ -318,7 +324,8 @@ class TestCliErrors:
         code = main(["evaluate", "--data", data, "--split", split_cfg,
                      "--model-file", broken, "--out", str(tmp_path / "ev")])
         assert code == 1
-        assert "gamma" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "gamma" in err and f"{broken}: " in err
 
     def evaluate_edited(self, workspace, tmp_path, model, edit):
         """Train ``model``, apply ``edit`` to its payload, evaluate the result."""
@@ -332,11 +339,16 @@ class TestCliErrors:
         return main(["evaluate", "--data", data, "--split", split_cfg,
                      "--model-file", broken, "--out", str(tmp_path / "ev")])
 
+    def error_names(self, capsys, tmp_path, needle):
+        """Whether the error printed names ``needle`` and the edited container."""
+        err = capsys.readouterr().err
+        return needle in err and f"error: {tmp_path / 'broken.json'}: " in err
+
     def test_container_pixels_not_an_object_exits_one(self, workspace, tmp_path, capsys):
         code = self.evaluate_edited(workspace, tmp_path, "lasso_p", lambda payload: payload.update(
             pixels=list(payload["pixels"].values())))
         assert code == 1
-        assert "'pixels'" in capsys.readouterr().err
+        assert self.error_names(capsys, tmp_path, "'pixels'")
 
     @pytest.mark.parametrize("field,value", [("include_lsm", "no"),
                                              ("include_attributes", None)])
@@ -345,20 +357,50 @@ class TestCliErrors:
         code = self.evaluate_edited(workspace, tmp_path, "lasso",
                                     lambda payload: payload.update({field: value}))
         assert code == 1
-        assert f"model container field '{field}'" in capsys.readouterr().err
+        assert self.error_names(capsys, tmp_path, f"model container field '{field}'")
 
     def test_container_ar_gamma_one_short_exits_one(self, workspace, tmp_path, capsys):
         def drop_last(payload):
             for pixel in payload["pixels"].values():
                 pixel["gamma"] = pixel["gamma"][:-1]
         assert self.evaluate_edited(workspace, tmp_path, "ar_p", drop_last) == 1
-        assert "'gamma'" in capsys.readouterr().err
+        assert self.error_names(capsys, tmp_path, "'gamma'")
 
     def test_container_non_numeric_lasso_beta_exits_one(self, workspace, tmp_path, capsys):
         code = self.evaluate_edited(workspace, tmp_path, "lasso",
                                     lambda payload: payload.update(beta="abc"))
         assert code == 1
-        assert "'beta'" in capsys.readouterr().err
+        assert self.error_names(capsys, tmp_path, "'beta'")
+
+    @pytest.mark.parametrize("model,edit,field", [
+        ("lasso", lambda payload: payload.update({"lambda": "abc"}), "lambda"),
+        ("lasso", lambda payload: payload.update(converged="maybe"), "converged"),
+        ("nn_p", lambda payload: each_pixel(payload, degenerate="yes"), "degenerate"),
+        ("nn_p", lambda payload: each_pixel(payload, hidden_size=999), "hidden_size"),
+        ("nn_p", lambda payload: each_pixel(payload, l2="x"), "l2"),
+        ("ar_p", lambda payload: each_pixel(payload, order=4, alpha=[0.5]), "order"),
+        ("ar_p", lambda payload: each_pixel(payload, order_rmse="junk"), "order_rmse"),
+        ("ar_p", lambda payload: each_pixel(payload, order_rmse={"0": "junk"}), "order_rmse"),
+        ("ar_p", lambda payload: payload.update(flags=7), "flags"),
+    ], ids=["lasso_lambda_str", "lasso_converged_str", "nn_p_degenerate_str",
+            "nn_p_hidden_size_not_W1_rows", "nn_p_l2_str", "ar_p_order_not_alpha_length",
+            "ar_p_order_rmse_str", "ar_p_order_rmse_entry_str", "ar_p_flags_number"])
+    def test_container_field_of_wrong_type_or_shape_exits_one(self, workspace, tmp_path,
+                                                              capsys, model, edit, field):
+        assert self.evaluate_edited(workspace, tmp_path, model, edit) == 1
+        assert self.error_names(capsys, tmp_path, f"'{field}'")
+
+    def test_container_unknown_top_level_key_exits_one(self, workspace, tmp_path, capsys):
+        _, data, split_cfg = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--model", "lasso", "--data", data,
+                     "--split", split_cfg, "--out", str(run)]) == 0
+        doc = json.loads((run / "model.json").read_text())
+        doc["colour"] = "red"
+        broken = write_json(tmp_path / "broken.json", doc)
+        assert main(["evaluate", "--data", data, "--split", split_cfg,
+                     "--model-file", broken, "--out", str(tmp_path / "ev")]) == 1
+        assert self.error_names(capsys, tmp_path, "'colour'")
 
     def test_non_finite_csv_cell_exits_one(self, workspace, tmp_path, capsys):
         _, data, split_cfg = workspace
@@ -395,15 +437,24 @@ class TestCliErrors:
         assert code == 1
         assert f"'{field}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,edit", [
-        ("W_fh", lambda payload: payload["weights"]["W_fh"][0].__setitem__(0, float("nan"))),
-        ("normalization.mean",
+    @pytest.mark.parametrize("needle,edit", [
+        ("'W_fh'", lambda payload: payload["weights"]["W_fh"][0].__setitem__(0, float("nan"))),
+        ("normalization section field 'mean'",
          lambda payload: payload["normalization"]["mean"].__setitem__(0, float("nan"))),
-        ("normalization.std", lambda payload: payload["normalization"]["std"].pop()),
-        ("normalization.std",
+        ("normalization section: fields 'mean' and 'std'",
+         lambda payload: payload["normalization"]["std"].pop()),
+        ("normalization section: field 'std'",
          lambda payload: payload["normalization"]["std"].__setitem__(0, 0.0)),
-    ], ids=["nan_weight", "nan_mean", "std_one_short", "zero_std"])
-    def test_malformed_lstm_container_exits_one(self, tmp_path, capsys, field, edit):
+        ("field 'config'", lambda payload: payload.update(config="junk")),
+        # checked before the weights of these sizes would be allocated
+        ("weights field 'W_gx' has shape (4, 3), not (100000000, 3)",
+         lambda payload: payload.update(hidden_size=10**8)),
+        ("unknown field(s) ['colour']", lambda payload: payload.update(colour="red")),
+        ("normalization section has unknown field(s) ['colour']",
+         lambda payload: payload["normalization"].update(colour="red")),
+    ], ids=["nan_weight", "nan_mean", "std_one_short", "zero_std", "config_str",
+            "huge_hidden_size", "unknown_key", "normalization_unknown_key"])
+    def test_malformed_lstm_container_exits_one(self, tmp_path, capsys, needle, edit):
         data = str(tmp_path / "data")
         save_dataset(golden.golden_dataset(), data)
         split = write_json(tmp_path / "split.json", golden.golden_split().to_dict())
@@ -414,7 +465,8 @@ class TestCliErrors:
                      "--model-file", write_json(tmp_path / "bad.json", doc),
                      "--out", str(tmp_path / "ev")])
         assert code == 1
-        assert f"'{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert needle in err and f"error: {tmp_path / 'bad.json'}: " in err
 
     def test_failed_run_still_writes_its_manifest(self, tmp_path, capsys):
         data = str(tmp_path / "data")

@@ -1,27 +1,30 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import golden
 
-from hlstm.baselines import ArModel, FfnnModel, LassoModel
+from hlstm.baselines import ArModel, BaselineSettings, FfnnModel, LassoModel
 from hlstm.dataset import NormalizationStats
-from hlstm.errors import DataError
-from hlstm.lstm import init_weights
+from hlstm.errors import DataError, ValidationError
+from hlstm.experiments import SplitSpec, make_split, prepare_split
+from hlstm.lstm import DropoutSpec, init_weights
 from hlstm.modelio import (
-    ar_from_payload,
-    ar_payload,
-    ffnn_from_payload,
-    ffnn_payload,
-    lasso_from_payload,
-    lasso_payload,
+    MODEL_KINDS,
+    ArPixels,
+    LassoPayload,
+    NnPayload,
     load_model,
     lstm_from_payload,
     lstm_payload,
+    model_payload,
     predict_container,
     save_model,
 )
+from hlstm.synthetic import SyntheticConfig, generate_synthetic
+from hlstm.training import TrainingConfig
 
 
 def stats_fixture():
@@ -58,18 +61,21 @@ class TestContainer:
         model = LassoModel(beta0=0.12, beta=np.array([0.5, -0.25, 0.0]),
                            lam=0.002, converged=True)
         path = str(tmp_path / "l.json")
-        save_model(path, "lasso", lasso_payload(model, ["x1", "x2", "x3"], None))
+        save_model(path, "lasso",
+                   LassoPayload.of(model, ["x1", "x2", "x3"], None, None).to_dict())
         _, payload = load_model(path)
-        back = lasso_from_payload(payload)
+        back = LassoPayload.from_dict(payload).model()
         assert back.beta0 == model.beta0
         assert np.array_equal(back.beta, model.beta)
 
     def test_ar_round_trip(self, tmp_path):
         model = ArModel(c=0.01, alpha=np.array([0.8]), gamma=np.array([0.3, -0.1]))
         path = str(tmp_path / "a.json")
-        save_model(path, "ar_p", {"pixels": {"px0": ar_payload(model, {0: 0.5, 1: 0.1})}})
+        save_model(path, "ar_p", ArPixels.of({"px0": (model, 1, {0: 0.5, 1: 0.1})},
+                                             ["x1", "x2"], None, None).to_dict())
         _, payload = load_model(path)
-        back = ar_from_payload(payload["pixels"]["px0"])
+        back, order, rmse = ArPixels.from_dict(payload).model()["px0"]
+        assert (order, rmse) == (1, {"0": 0.5, "1": 0.1})
         assert np.array_equal(back.alpha, model.alpha)
         assert np.array_equal(back.gamma, model.gamma)
 
@@ -78,9 +84,10 @@ class TestContainer:
         model = FfnnModel(W1=rng.normal(size=(4, 3)), b1=rng.normal(size=4),
                           w2=rng.normal(size=4), b2=0.3, hidden_size=4, l2=0.002)
         path = str(tmp_path / "n.json")
-        save_model(path, "nn", ffnn_payload(model, ["x1", "x2", "x3"], stats_fixture()))
+        save_model(path, "nn", NnPayload.of(model, ["x1", "x2", "x3"], stats_fixture(),
+                                            None).to_dict())
         _, payload = load_model(path)
-        back = ffnn_from_payload(payload)
+        back = NnPayload.from_dict(payload).model()
         assert back.W1.tobytes() == model.W1.tobytes()
         assert back.b2 == model.b2
 
@@ -104,24 +111,25 @@ class TestMalformedContainers:
 
     def test_lasso_missing_field_named(self):
         model = LassoModel(beta0=0.1, beta=np.array([0.5]), lam=0.002)
-        payload = lasso_payload(model, ["x1"], None)
+        payload = LassoPayload.of(model, ["x1"], None, None).to_dict()
         del payload["lambda"]
-        with pytest.raises(DataError, match="lambda"):
-            lasso_from_payload(payload)
+        with pytest.raises(ValidationError, match="lambda"):
+            LassoPayload.from_dict(payload)
 
     def test_ar_missing_field_named(self):
-        payload = ar_payload(ArModel(c=0.0, alpha=np.array([0.5]), gamma=np.zeros(0)))
-        del payload["gamma"]
-        with pytest.raises(DataError, match="gamma"):
-            ar_from_payload(payload)
+        model = ArModel(c=0.0, alpha=np.array([0.5]), gamma=np.zeros(0))
+        payload = ArPixels.of({"px0": (model, 1, None)}, [], None, None).to_dict()
+        del payload["pixels"]["px0"]["gamma"]
+        with pytest.raises(ValidationError, match="gamma"):
+            ArPixels.from_dict(payload)
 
     def test_ffnn_missing_field_named(self):
         model = FfnnModel(W1=np.zeros((2, 1)), b1=np.zeros(2), w2=np.zeros(2),
                           b2=0.0, hidden_size=2, l2=0.0)
-        payload = ffnn_payload(model, ["x1"], None)
+        payload = NnPayload.of(model, ["x1"], None, None).to_dict()
         del payload["degenerate"]
-        with pytest.raises(DataError, match="degenerate"):
-            ffnn_from_payload(payload)
+        with pytest.raises(ValidationError, match="degenerate"):
+            NnPayload.from_dict(payload)
 
 
 class TestGoldenContainer:
@@ -146,3 +154,37 @@ class TestGoldenContainer:
         save_model(str(path), kind, lstm_payload(w, names, stats, payload["config"]))
         with open(golden.CONTAINER, "rb") as fh:
             assert path.read_bytes() == fh.read()
+
+
+class TestResave:
+    """Every kind's container, read into its payload section and written
+    back, keeps its bytes, with and without the Features echo."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        ds = generate_synthetic(SyntheticConfig(rows=3, cols=3, years=2, noise_kind="white",
+                                                noise_param=0.04, revisit_days=2, seed=3))
+        split = make_split(ds, SplitSpec("temporal", ("2000-01-01", "2000-12-30"),
+                                         ("2000-12-31", "2001-12-30")))
+        data, train_data, stats = prepare_split(ds, split)
+        config = TrainingConfig(hidden_size=6, unroll_length=40, batch_size=6, epochs=5,
+                                learning_rate=0.01, dropout=DropoutSpec("recurrent_constant", 0.2))
+        baselines = BaselineSettings(ffnn_epochs=40, ffnn_hidden=10, ffnn_hidden_point=5)
+        models = {kind: entry.fit(train_data, split, config, baselines, 0)
+                  for kind, entry in MODEL_KINDS.items()}
+        return models, data, stats, config
+
+    @pytest.mark.parametrize("echo", [True, False], ids=["echo", "no_echo"])
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_resave_gives_the_same_bytes(self, fitted, tmp_path, kind, echo):
+        models, data, stats, config = fitted
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        save_model(str(first), kind, model_payload(kind, models[kind], data.feature_names,
+                                                   stats, config, data.features if echo else None))
+        kind, payload = load_model(str(first))
+        assert ("include_attributes" in payload) == echo
+        save_model(str(again), kind, MODEL_KINDS[kind].payload.from_dict(payload).to_dict())
+        assert again.read_bytes() == first.read_bytes()
+        if kind == "ar_p":   # an order that could not be fitted
+            assert any(math.isinf(rmse) for pixel in payload["pixels"].values()
+                       for rmse in pixel["order_rmse"].values())
