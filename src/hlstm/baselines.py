@@ -9,6 +9,9 @@ The AR path has one closed-loop recursion, :func:`_lockstep`, which steps
 every pixel of one order together; :func:`ar_forecast` is its one-pixel case.
 The order sweep :func:`select_ar_orders` runs it once per order over all
 pixels still in the sweep, and :func:`select_ar_order` is its one-pixel case.
+
+The network keeps its parameters in one flat vector, as the LSTM does, and
+steps it with the LSTM's optimizer, :func:`hlstm.training.adam_step`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import Config
 from .errors import ValidationError
 from .lstm import make_rng
+from .training import AdamState, adam_step
 
 LASSO_LAMBDA_DEFAULT = 0.002   # tuned regularization weight for the linear model
 FFNN_L2_DEFAULT = 0.002        # tuned L2 weight for the feedforward net
@@ -401,24 +405,20 @@ class FfnnModel:
     val_rmse: float = float("nan")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return ffnn_predict(self, X)
-
-
-def ffnn_predict(model: FfnnModel, X: np.ndarray) -> np.ndarray:
-    """w2 . tansig(W1 x + b1) + b2 per row; stateless across rows."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.W1.shape[1]:
-        raise ValidationError(
-            f"X shape {X.shape} does not match model input size {model.W1.shape[1]}")
-    return np.tanh(X @ model.W1.T + model.b1) @ model.w2 + model.b2
+        """w2 . tansig(W1 x + b1) + b2 per row; stateless across rows."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.W1.shape[1]:
+            raise ValidationError(
+                f"X shape {X.shape} does not match model input size {self.W1.shape[1]}")
+        return np.tanh(X @ self.W1.T + self.b1) @ self.w2 + self.b2
 
 
 def fit_ffnn(X: np.ndarray, y: np.ndarray, hidden_size: int,
              l2: float = FFNN_L2_DEFAULT, seed=0, val_fraction: float = 0.2,
              learning_rate: float = 0.01,
              max_epochs: int = 1000, patience: int = 20) -> FfnnModel:
-    """Full-batch adaptive-moment training with L2 weight penalty and early
-    stopping.
+    """Full-batch adaptive-moment training (one :func:`adam_step` per epoch)
+    with L2 weight penalty and early stopping.
 
     A seeded shuffle carves off ``val_fraction`` of the rows; training stops
     after ``patience`` epochs without validation improvement and the best
@@ -453,57 +453,49 @@ def fit_ffnn(X: np.ndarray, y: np.ndarray, hidden_size: int,
     Xv, yv = X[val_idx], ys[val_idx]
     n_tr = Xt.shape[0]
 
-    bound = 1.0 / np.sqrt(max(d, 1))
-    W1 = rng.uniform(-bound, bound, size=(hidden_size, d))
-    b1 = np.zeros(hidden_size)
-    w2 = rng.uniform(-1.0 / np.sqrt(hidden_size), 1.0 / np.sqrt(hidden_size), size=hidden_size)
-    b2 = float(yt.mean())
+    # W1, b1, w2 and b2 are views of one flat theta, and their gradients
+    # views of one flat buffer, so that an epoch is one shared Adam step.
+    sizes = np.cumsum([hidden_size * d, hidden_size, hidden_size])
 
-    params = [W1, b1, w2, np.array([b2])]
-    m_acc = [np.zeros_like(p) for p in params]
-    v_acc = [np.zeros_like(p) for p in params]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    n_weights = W1.size + w2.size
-    best = (np.inf, W1.copy(), b1.copy(), w2.copy(), b2, 0)
+    def views(flat):
+        W1, b1, w2, b2 = np.split(flat, sizes)
+        return W1.reshape(hidden_size, d), b1, w2, b2
+
+    theta = np.zeros(sizes[-1] + 1)
+    grad = np.empty_like(theta)
+    W1, b1, w2, b2 = views(theta)
+    dW1, db1, dw2, db2 = views(grad)
+    bound = 1.0 / np.sqrt(max(d, 1))
+    W1[...] = rng.uniform(-bound, bound, size=W1.shape)
+    w2[...] = rng.uniform(-1.0 / np.sqrt(hidden_size), 1.0 / np.sqrt(hidden_size),
+                          size=hidden_size)
+    b2[...] = yt.mean()
+
+    adam = AdamState(theta)
+    decay = 2.0 * l2 / (W1.size + w2.size)   # of the mean-squared-weight penalty
+    best_mse, best = np.inf, theta.copy()
     since_best = 0
     epoch = 0
     for epoch in range(1, max_epochs + 1):
-        W1, b1, w2 = params[0], params[1], params[2]
-        b2 = params[3][0]
-        A = Xt @ W1.T + b1
-        Hh = np.tanh(A)
-        pred = Hh @ w2 + b2
-        err = pred - yt
-        # d(mse)/dpred, plus mean-squared-weight penalty on W1 and w2
-        dpred = (2.0 / n_tr) * err
-        dw2 = Hh.T @ dpred + (2.0 * l2 / n_weights) * w2
-        db2 = dpred.sum()
+        Hh = np.tanh(Xt @ W1.T + b1)
+        dpred = (2.0 / n_tr) * (Hh @ w2 + b2 - yt)   # d(mse)/dpred
+        dw2[...] = Hh.T @ dpred + decay * w2
+        db2[...] = dpred.sum()
         dH = np.outer(dpred, w2) * (1.0 - Hh * Hh)
-        dW1 = dH.T @ Xt + (2.0 * l2 / n_weights) * W1
-        db1 = dH.sum(axis=0)
+        dW1[...] = dH.T @ Xt + decay * W1
+        db1[...] = dH.sum(axis=0)
+        adam_step(theta, grad, adam, learning_rate)
 
-        grads = [dW1, db1, dw2, np.array([db2])]
-        corr1 = 1.0 - beta1 ** epoch
-        corr2 = 1.0 - beta2 ** epoch
-        for k in range(4):
-            m_acc[k] = beta1 * m_acc[k] + (1 - beta1) * grads[k]
-            v_acc[k] = beta2 * v_acc[k] + (1 - beta2) * grads[k] * grads[k]
-            step = learning_rate * (m_acc[k] / corr1) / (np.sqrt(v_acc[k] / corr2) + eps)
-            params[k] = params[k] - step
-        W1, b1, w2 = params[0], params[1], params[2]
-        b2 = params[3][0]
-
-        val_pred = np.tanh(Xv @ W1.T + b1) @ w2 + b2
-        val_mse = float(np.mean((val_pred - yv) ** 2))
-        if val_mse < best[0] - 1e-12:
-            best = (val_mse, W1.copy(), b1.copy(), w2.copy(), b2, epoch)
+        val_mse = float(np.mean((np.tanh(Xv @ W1.T + b1) @ w2 + b2 - yv) ** 2))
+        if val_mse < best_mse - 1e-12:
+            best_mse, best = val_mse, theta.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= patience:
                 break
 
-    val_mse_best, W1, b1, w2, b2, _ = best
-    return FfnnModel(W1=W1, b1=b1, w2=w2 * y_sd, b2=float(b2 * y_sd + y_mu),
+    W1, b1, w2, b2 = views(best)
+    return FfnnModel(W1=W1, b1=b1, w2=w2 * y_sd, b2=float(b2[0] * y_sd + y_mu),
                      hidden_size=hidden_size, l2=l2, epochs_run=epoch,
-                     val_rmse=float(np.sqrt(val_mse_best)) * y_sd)
+                     val_rmse=float(np.sqrt(best_mse)) * y_sd)

@@ -114,7 +114,9 @@ def _take(value, tp, what: str):
             arr = np.asarray(value)
         except (TypeError, ValueError, OverflowError):
             return _BAD
-        if arr.dtype.kind not in "if" or arr.ndim != args[1]:
+        # numpy reads a true or false among numbers as 1 or 0, so look for one.
+        if arr.dtype.kind not in "if" or arr.ndim != args[1] or any(
+                bool in map(type, row) for row in (value if args[1] == 2 else [value])):
             return _BAD
         if not np.isfinite(arr).all():
             raise ValidationError(f"{what} holds a NaN or infinity")

@@ -28,21 +28,20 @@ tensor (batch, rho, input); batch gradients are accumulated by the matrix
 products themselves, in fixed instance order, so results do not depend on
 evaluation order.
 
-One time loop serves :func:`forward_sequence`, :func:`predict_sequence` and
-:func:`lstm_step`. Before it, one stacked matrix product projects the whole
-input block into a (rho, 4*hidden, batch) buffer of gate pre-activations in
-g, i, f, o order. Each step adds the recurrent product into its slice and
-turns the slice into activations in place, with a single tanh: the i, f, o
-weights are pre-halved, and 0.5 + 0.5 * t finishes their sigmoid. After the
-loop one stacked product forms the readout. Inside the loop every array is
-feature-major, (dim, batch), so each gate block of a step is contiguous;
-a single sequence runs as a batch of one. The forward cache keeps these
-buffers and shows g, i, f, o, s and h as time-major views. Prediction runs
-the loop over fixed blocks of time so its buffers stay small on long
-records.
+One time loop serves :func:`forward_sequence` and :func:`predict_sequence`.
+Before it, one stacked matrix product projects the whole input block into a
+(rho, 4*hidden, batch) buffer of gate pre-activations in g, i, f, o order.
+Each step adds the recurrent product into its slice and turns the slice into
+activations in place, with a single tanh: the i, f, o weights are pre-halved,
+and 0.5 + 0.5 * t finishes their sigmoid. After the loop one stacked product
+forms the readout. Inside the loop every array is feature-major, (dim,
+batch), so each gate block of a step is contiguous; a single sequence runs
+as a batch of one. The forward cache keeps these feature-major buffers for
+BPTT. Prediction runs the loop over fixed blocks of time so its buffers stay
+small on long records.
 
-This module also hosts the small numeric kernel (sigmoid, seeded RNG
-construction) shared by the rest of the toolkit.
+This module also hosts the seeded RNG construction shared by the rest of the
+toolkit.
 """
 
 from __future__ import annotations
@@ -70,22 +69,6 @@ def make_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def sigmoid(z):
-    """Logistic function, elementwise, as 0.5 + 0.5 * tanh(z / 2).
-
-    The tanh form needs no branch on the sign of z, cannot overflow and
-    saturates to exactly 0 and 1. The LSTM gates use the same form, applied
-    in place to the fused gate buffer.
-    """
-    z = np.asarray(z, dtype=float)
-    return 0.5 + 0.5 * np.tanh(0.5 * z)
-
-
-def _require_finite(arr, what: str):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {what}")
 
 
 # The hlstm-v1 container names of the per-gate views: (name, fused view,
@@ -122,11 +105,6 @@ class LstmWeights:
         self.input_size, self.hidden_size, self.output_size = (
             input_size, hidden_size, output_size)
         self.theta = np.zeros(sum(math.prod(shape) for shape in self._shapes()), dtype=dtype)
-
-    @classmethod
-    def zeros(cls, input_size: int, hidden_size: int, output_size: int,
-              dtype=float) -> "LstmWeights":
-        return cls(input_size, hidden_size, output_size, dtype)
 
     def astype(self, dtype) -> "LstmWeights":
         """A copy with theta converted to ``dtype``."""
@@ -218,10 +196,6 @@ class DropoutMasks:
         self.h = h          # (..., hidden) constant across the sequence
         self.g = g          # (rho, ..., hidden) resampled each step
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x is None and self.h is None and self.g is None
-
 
 def _apply(value, mask):
     return value if mask is None else value * mask
@@ -229,7 +203,7 @@ def _apply(value, mask):
 
 def init_weights(input_size: int, hidden_size: int, output_size: int, seed) -> LstmWeights:
     """Sample initial weights uniformly in +-1/sqrt(hidden); forget bias 1, other biases 0."""
-    w = LstmWeights.zeros(input_size, hidden_size, output_size)
+    w = LstmWeights(input_size, hidden_size, output_size)
     rng = make_rng(seed)
     bound = 1.0 / np.sqrt(hidden_size)
     # One draw per matrix, in theta order. A draw fills its view row by row,
@@ -293,7 +267,7 @@ def _loop_masks(masks: DropoutMasks | None, batched: bool, dtype):
 
 def _run_cell(w: LstmWeights, x, h, s, xm=None, hm=None, gm=None,
               block: int | None = None):
-    """The LSTM time loop shared by the forward pass, prediction and lstm_step.
+    """The LSTM time loop shared by the forward pass and prediction.
 
     Every array is in the dtype of ``w.theta``. ``x`` is (T, batch, input);
     ``h``, ``s`` and ``hm`` are feature-major, (hidden, batch), like every
@@ -362,9 +336,7 @@ class ForwardCache:
     ``gates`` (rho, 4*hidden, batch) holds g, i, f, o; ``s_fm`` and ``h_fm``
     are (rho, hidden, batch), ``y_fm`` (rho, output, batch), and ``x`` the
     (rho, batch, input) inputs. A single sequence is stored as a batch of
-    one. The properties g, i, f, o, s, h and y are views in the time-major
-    layout of the API: (rho, dim) for a single sequence or (rho, batch, dim)
-    for a batch.
+    one.
     """
 
     x: np.ndarray
@@ -384,48 +356,6 @@ class ForwardCache:
     def rho(self) -> int:
         return self.x.shape[0]
 
-    def _view(self, arr: np.ndarray) -> np.ndarray:
-        return arr.transpose(0, 2, 1) if self.batched else arr[..., 0]
-
-    def _gate(self, k: int) -> np.ndarray:
-        H = self.hidden_size
-        return self._view(self.gates[:, k * H:(k + 1) * H])
-
-    g = property(lambda self: self._gate(0))
-    i = property(lambda self: self._gate(1))
-    f = property(lambda self: self._gate(2))
-    o = property(lambda self: self._gate(3))
-    s = property(lambda self: self._view(self.s_fm))
-    h = property(lambda self: self._view(self.h_fm))
-    y = property(lambda self: self._view(self.y_fm))
-
-
-def lstm_step(w: LstmWeights, x_t: np.ndarray, state: LstmState,
-              masks: DropoutMasks | None = None, t: int = 0):
-    """Advance the cell one step; returns (new state, output y_t, gate record).
-
-    The gate record is a dict of the transient activations g, i, f, o for
-    callers assembling their own caches.
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape[-1] != w.input_size:
-        raise ValidationError(
-            f"input length {x_t.shape[-1]} does not match input_size {w.input_size}")
-    if state.h.shape[-1] != w.hidden_size or state.s.shape[-1] != w.hidden_size:
-        raise ValidationError("state dimensions do not match hidden_size")
-    _require_finite(x_t, "x_t")
-    batched = x_t.ndim == 2
-    dtype = w.theta.dtype
-    xm, hm, gm = _loop_masks(masks, batched, dtype)
-    Y, h, s, gates, _, _ = _run_cell(
-        w, x_t.reshape(1, -1, w.input_size).astype(dtype, copy=False),
-        _to_fm(state.h, dtype), _to_fm(state.s, dtype),
-        None if xm is None else xm[t:t + 1], hm, None if gm is None else gm[t:t + 1])
-    H = w.hidden_size
-    record = {k: _from_fm(gates[0, n * H:(n + 1) * H], batched)
-              for n, k in enumerate("gifo")}
-    return (LstmState(h=_from_fm(h, batched), s=_from_fm(s, batched)),
-            _from_fm(Y[0], batched), record)
 
 
 def _sequence_inputs(w: LstmWeights, X, initial_state: LstmState | None):
@@ -440,7 +370,11 @@ def _sequence_inputs(w: LstmWeights, X, initial_state: LstmState | None):
     if X.shape[-1] != w.input_size:
         raise ValidationError(
             f"input width {X.shape[-1]} does not match input_size {w.input_size}")
-    _require_finite(X, "X")
+    if not np.all(np.isfinite(X)):
+        raise NumericError("non-finite values in X")
+    if initial_state is not None and {np.shape(initial_state.h)[-1],
+                                      np.shape(initial_state.s)[-1]} != {w.hidden_size}:
+        raise ValidationError("initial state dimensions do not match hidden_size")
     if X.ndim == 3:
         return np.swapaxes(X, 0, 1), True, initial_state or LstmState.zeros(w.hidden_size, len(X))
     return X[:, None], False, initial_state or LstmState.zeros(w.hidden_size)
@@ -511,7 +445,8 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
         raise ValidationError("cache does not match the weight dimensions")
     dtype = w.theta.dtype
     dL_dY = np.asarray(dL_dY, dtype=dtype)
-    expected = cache.y.swapaxes(0, 1).shape if cache.batched else cache.y.shape
+    rho, n_out, n_batch = cache.y_fm.shape
+    expected = (n_batch, rho, n_out) if cache.batched else (rho, n_out)
     if dL_dY.shape != expected:
         raise ValidationError(
             f"dL_dY shape {dL_dY.shape} does not match forward outputs")
@@ -521,7 +456,7 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
 
     xm, hm, gm = _loop_masks(cache.masks, cache.batched, dtype)
     # The gradients accumulate straight into the views of one flat buffer.
-    grads = LstmWeights.zeros(w.input_size, w.hidden_size, w.output_size, dtype)
+    grads = LstmWeights(w.input_size, w.hidden_size, w.output_size, dtype)
     dWx, dWh, db = grads.Wx, grads.Wh, grads.b
     Wh, W_hy = w.Wh, w.W_hy
     H = w.hidden_size

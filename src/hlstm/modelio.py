@@ -146,19 +146,6 @@ def lstm_payload(w: LstmWeights, feature_names, stats: NormalizationStats | None
                           TrainingConfig.from_dict(config, "config")).to_dict()
 
 
-def lstm_from_payload(payload: dict, n_features: int | None = None):
-    """Returns (weights, feature_names, stats or None); a malformed payload
-    raises DataError naming the field."""
-    try:
-        section = LstmPayload.from_dict(payload, "lstm payload")
-    except ValidationError as exc:
-        raise DataError(str(exc)) from None
-    if n_features is not None and n_features != section.input_size:
-        raise DataError(f"lstm payload field 'input_size' is {section.input_size}, "
-                        f"not {n_features}")
-    return section.model()[0], section.feature_names, section.normalization
-
-
 @dataclass
 class LassoPayload(Config):
     beta0: float

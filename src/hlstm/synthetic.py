@@ -168,23 +168,6 @@ def _bucket_lockstep(precip: np.ndarray, pet: np.ndarray, et_coef, porosity,
     return theta
 
 
-def simulate_bucket(precip: np.ndarray, et_demand: np.ndarray, porosity: float,
-                    residual: float, infiltration: float, drainage_coef: float,
-                    drainage_exp: float, depth_mm: float,
-                    theta0: float | None = None) -> np.ndarray:
-    """Daily bucket water balance of one pixel; the state stays inside
-    [residual, porosity]. This is the one-pixel call of the lockstep kernel
-    (an ET coefficient of exactly 1 leaves ``et_demand`` unchanged)."""
-    x0 = 0.5 * (residual + porosity) if theta0 is None else theta0
-    one = lambda v: np.array([v], dtype=float)  # noqa: E731
-    theta = _bucket_lockstep(
-        np.asarray(precip, dtype=float)[:, None],
-        np.asarray(et_demand, dtype=float)[:, None], one(1.0),
-        one(porosity), one(residual), one(infiltration), one(drainage_coef),
-        one(drainage_exp), one(depth_mm), one(x0))
-    return theta[:, 0].copy()
-
-
 def _region_label(row: int, col: int, cfg: SyntheticConfig) -> str | None:
     if cfg.region_layout is None:
         return None

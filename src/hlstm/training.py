@@ -240,26 +240,27 @@ def clip_gradients(grads: LstmWeights, max_norm: float) -> float:
 class AdamState:
     """First and second moment estimates, laid out like ``theta``, and the step count."""
 
-    def __init__(self, w: LstmWeights):
-        self.m = np.zeros_like(w.theta)
-        self.v = np.zeros_like(w.theta)
+    def __init__(self, theta: np.ndarray):
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
 
-def adam_step(w: LstmWeights, grads: LstmWeights, state: AdamState,
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
+    """One adaptive-moment update of the flat parameter vector ``theta`` in
+    place, from the flat gradient ``grad`` of the same layout."""
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    g = grads.theta
-    m = state.m = beta1 * state.m + (1 - beta1) * g
-    v = state.v = beta2 * state.v + (1 - beta2) * g * g
-    w.theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m = state.m = beta1 * state.m + (1 - beta1) * grad
+    v = state.v = beta2 * state.v + (1 - beta2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def sgd_step(w: LstmWeights, grads: LstmWeights, lr: float):
-    w.theta -= lr * grads.theta
+def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float):
+    theta -= lr * grad
 
 
 def train_lstm(data: SequenceData, config: TrainingConfig,
@@ -280,7 +281,7 @@ def train_lstm(data: SequenceData, config: TrainingConfig,
     w = init_weights(n_features, config.hidden_size, 1, seed=config.seed)
     batch_rng = make_rng([config.seed, 1])
     dropout_rng = make_rng([config.seed, 2])
-    adam = AdamState(w) if config.optimizer == "adaptive_moments" else None
+    adam = AdamState(w.theta) if config.optimizer == "adaptive_moments" else None
 
     history = []
     started = time.perf_counter()
@@ -314,9 +315,9 @@ def train_lstm(data: SequenceData, config: TrainingConfig,
         del Y, cache
         grad_norm = clip_gradients(grads, config.gradient_clip_norm)
         if adam is not None:
-            adam_step(w, grads, adam, config.learning_rate)
+            adam_step(w.theta, grads.theta, adam, config.learning_rate)
         else:
-            sgd_step(w, grads, config.learning_rate)
+            sgd_step(w.theta, grads.theta, config.learning_rate)
 
         history.append({"epoch": epoch, "loss": loss, "grad_norm": grad_norm,
                         "clipped": grad_norm > config.gradient_clip_norm,

@@ -215,3 +215,73 @@ def loop_save_series(path, dates, forcing_names, forcing, target, mask,
                 row.append(fmt(truth[t]))
             row.extend(fmt(v) for v in forcing[t])
             writer.writerow(row)
+
+
+def four_array_ffnn_fit(X, y, hidden_size, l2, seed, val_fraction=0.2,
+                        learning_rate=0.01, max_epochs=1000, patience=20):
+    """Full-batch fit of the one-hidden-layer tansig net with an Adam loop of
+    its own over the four parameter arrays W1, b1, w2 and b2, each with its
+    own moment arrays; the seeded split, initialization, L2 penalty and
+    early stop are those ``fit_ffnn`` documents. Returns a dict of W1, b1,
+    w2 (rescaled), b2, epochs_run, val_rmse and degenerate."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    N, d = X.shape
+    if np.ptp(y) == 0.0:
+        return dict(W1=np.zeros((hidden_size, d)), b1=np.zeros(hidden_size),
+                    w2=np.zeros(hidden_size), b2=float(y[0]), epochs_run=0,
+                    val_rmse=float("nan"), degenerate=True)
+    y_mu, y_sd = float(y.mean()), float(y.std())
+    ys = (y - y_mu) / y_sd
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(N)
+    n_val = max(1, int(round(val_fraction * N)))
+    val_idx, tr_idx = order[:n_val], order[n_val:]
+    Xt, yt = X[tr_idx], ys[tr_idx]
+    Xv, yv = X[val_idx], ys[val_idx]
+    n_tr = Xt.shape[0]
+
+    bound = 1.0 / np.sqrt(max(d, 1))
+    W1 = rng.uniform(-bound, bound, size=(hidden_size, d))
+    b1 = np.zeros(hidden_size)
+    w2 = rng.uniform(-1.0 / np.sqrt(hidden_size), 1.0 / np.sqrt(hidden_size), size=hidden_size)
+    b2 = float(yt.mean())
+
+    params = [W1, b1, w2, np.array([b2])]
+    m_acc = [np.zeros_like(p) for p in params]
+    v_acc = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    n_weights = W1.size + w2.size
+    best = (np.inf, W1.copy(), b1.copy(), w2.copy(), b2)
+    since_best = 0
+    epoch = 0
+    for epoch in range(1, max_epochs + 1):
+        W1, b1, w2, b2 = params[0], params[1], params[2], params[3][0]
+        Hh = np.tanh(Xt @ W1.T + b1)
+        err = Hh @ w2 + b2 - yt
+        dpred = (2.0 / n_tr) * err
+        dw2 = Hh.T @ dpred + (2.0 * l2 / n_weights) * w2
+        db2 = dpred.sum()
+        dH = np.outer(dpred, w2) * (1.0 - Hh * Hh)
+        dW1 = dH.T @ Xt + (2.0 * l2 / n_weights) * W1
+        db1 = dH.sum(axis=0)
+        grads = [dW1, db1, dw2, np.array([db2])]
+        corr1 = 1.0 - beta1 ** epoch
+        corr2 = 1.0 - beta2 ** epoch
+        for k in range(4):
+            m_acc[k] = beta1 * m_acc[k] + (1 - beta1) * grads[k]
+            v_acc[k] = beta2 * v_acc[k] + (1 - beta2) * grads[k] * grads[k]
+            step = learning_rate * (m_acc[k] / corr1) / (np.sqrt(v_acc[k] / corr2) + eps)
+            params[k] = params[k] - step
+        W1, b1, w2, b2 = params[0], params[1], params[2], params[3][0]
+        val_mse = float(np.mean((np.tanh(Xv @ W1.T + b1) @ w2 + b2 - yv) ** 2))
+        if val_mse < best[0] - 1e-12:
+            best = (val_mse, W1.copy(), b1.copy(), w2.copy(), b2)
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+    val_mse, W1, b1, w2, b2 = best
+    return dict(W1=W1, b1=b1, w2=w2 * y_sd, b2=float(b2 * y_sd + y_mu), epochs_run=epoch,
+                val_rmse=float(np.sqrt(val_mse)) * y_sd, degenerate=False)

@@ -61,7 +61,7 @@ class TestCriterion1GradientOracle:
             variant = ["none", "non_recurrent", "recurrent_constant",
                        "memory_cell"][trial % 4]
             rate = 0.0 if variant == "none" else float(rng.uniform(0.1, 0.6))
-            w = LstmWeights.zeros(n_in, n_hid, 1)
+            w = LstmWeights(n_in, n_hid, 1)
             for name, arr in w.named_arrays():
                 arr[...] = rng.normal(0.0, 0.5, size=arr.shape)
             X = rng.normal(size=(rho, n_in))

@@ -9,13 +9,12 @@ from hlstm.baselines import (
     fit_ar,
     fit_ffnn,
     fit_lasso,
-    ffnn_predict,
     select_ar_order,
     select_ar_orders,
 )
 from hlstm.errors import ValidationError
 
-from oracles import loop_ar_design, ols_fit, scalar_ar_forecast
+from oracles import four_array_ffnn_fit, loop_ar_design, ols_fit, scalar_ar_forecast
 
 
 def lasso_problem(seed, n=80, d=6):
@@ -360,7 +359,7 @@ class TestFfnn:
         model = FfnnModel(W1=np.zeros((4, 3)), b1=np.zeros(4), w2=np.zeros(4),
                           b2=0.5, hidden_size=4, l2=0.0)
         X = np.random.default_rng(0).normal(size=(10, 3))
-        assert np.array_equal(ffnn_predict(model, X), np.full(10, 0.5))
+        assert np.array_equal(model.predict(X), np.full(10, 0.5))
 
     def test_stateless_row_permutation(self):
         rng = np.random.default_rng(1)
@@ -368,7 +367,7 @@ class TestFfnn:
                           w2=rng.normal(size=5), b2=0.1, hidden_size=5, l2=0.0)
         X = rng.normal(size=(20, 3))
         perm = rng.permutation(20)
-        assert np.array_equal(ffnn_predict(model, X)[perm], ffnn_predict(model, X[perm]))
+        assert np.array_equal(model.predict(X)[perm], model.predict(X[perm]))
 
     def test_matches_scalar_evaluation(self):
         import math
@@ -380,7 +379,7 @@ class TestFfnn:
         for j in range(3):
             a = model.b1[j] + model.W1[j, 0] * x[0] + model.W1[j, 1] * x[1]
             expect += model.w2[j] * math.tanh(a)
-        got = ffnn_predict(model, x[None, :])[0]
+        got = model.predict(x[None, :])[0]
         assert abs(got - expect) < 1e-12
 
     def test_learns_linear_map(self):
@@ -389,17 +388,40 @@ class TestFfnn:
         y = 0.2 + X @ np.array([0.05, -0.03, 0.08])
         model = fit_ffnn(X, y, hidden_size=8, l2=0.0, seed=4,
                          max_epochs=3000, patience=100)
-        rmse = float(np.sqrt(np.mean((ffnn_predict(model, X) - y) ** 2)))
+        rmse = float(np.sqrt(np.mean((model.predict(X) - y) ** 2)))
         assert rmse < 0.01 * y.std()
 
     def test_constant_target_degenerate(self):
         X = np.random.default_rng(5).normal(size=(50, 2))
         model = fit_ffnn(X, np.full(50, 0.3), hidden_size=4, seed=0)
         assert model.degenerate
-        assert np.array_equal(ffnn_predict(model, X), np.full(50, 0.3))
+        assert np.array_equal(model.predict(X), np.full(50, 0.3))
+
+    @pytest.mark.parametrize("n, d, hidden, l2, seed, max_epochs, expect_early", [
+        (200, 3, 4, 0.002, 0, 1000, True),     # stops early on its patience
+        (300, 11, 30, 0.01, 3, 25, False),     # runs to max_epochs
+        (60, 2, 5, 0.002, 1, 1000, None),      # constant target
+    ])
+    def test_fit_equals_four_array_adam_oracle(self, n, d, hidden, l2, seed, max_epochs,
+                                               expect_early):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        if expect_early is None:
+            y = np.full(n, 0.25)
+        else:
+            y = np.tanh(X @ rng.normal(size=d)) + rng.normal(0, 0.3, size=n)
+        model = fit_ffnn(X, y, hidden_size=hidden, l2=l2, seed=seed, max_epochs=max_epochs)
+        ref = four_array_ffnn_fit(X, y, hidden, l2, seed, max_epochs=max_epochs)
+        for name in ("W1", "b1", "w2"):
+            assert np.array_equal(getattr(model, name), ref[name]), name
+        for name in ("b2", "epochs_run", "degenerate"):
+            assert getattr(model, name) == ref[name], name
+        assert np.array_equal(model.val_rmse, ref["val_rmse"], equal_nan=True)
+        if expect_early is not None:
+            assert (model.epochs_run < max_epochs) == expect_early
 
     def test_dimension_mismatch(self):
         model = FfnnModel(W1=np.zeros((4, 3)), b1=np.zeros(4), w2=np.zeros(4),
                           b2=0.0, hidden_size=4, l2=0.0)
         with pytest.raises(ValidationError):
-            ffnn_predict(model, np.zeros((5, 2)))
+            model.predict(np.zeros((5, 2)))

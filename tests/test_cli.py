@@ -452,8 +452,13 @@ class TestCliErrors:
         ("unknown field(s) ['colour']", lambda payload: payload.update(colour="red")),
         ("normalization section has unknown field(s) ['colour']",
          lambda payload: payload["normalization"].update(colour="red")),
+        # a true among numbers must not load as 1.0
+        ("field 'W_fh'", lambda payload: payload["weights"]["W_fh"][0].__setitem__(0, True)),
+        ("normalization section field 'mean'",
+         lambda payload: payload["normalization"]["mean"].__setitem__(0, True)),
     ], ids=["nan_weight", "nan_mean", "std_one_short", "zero_std", "config_str",
-            "huge_hidden_size", "unknown_key", "normalization_unknown_key"])
+            "huge_hidden_size", "unknown_key", "normalization_unknown_key", "bool_weight",
+            "bool_mean"])
     def test_malformed_lstm_container_exits_one(self, tmp_path, capsys, needle, edit):
         data = str(tmp_path / "data")
         save_dataset(golden.golden_dataset(), data)

@@ -25,7 +25,6 @@ from hlstm.synthetic import (
     _bucket_lockstep,
     add_noise,
     generate_synthetic,
-    simulate_bucket,
 )
 from hlstm.training import Features, prepare_sequences
 
@@ -565,10 +564,12 @@ class TestAddNoise:
 
 class TestGenerator:
     def test_zero_precip_decays_to_residual(self):
-        theta = simulate_bucket(
-            precip=np.zeros(400), et_demand=np.full(400, 3.0),
-            porosity=0.45, residual=0.1, infiltration=0.5,
-            drainage_coef=60.0, drainage_exp=2.5, depth_mm=300.0)
+        one = lambda v: np.array([v])  # noqa: E731
+        theta = _bucket_lockstep(
+            np.zeros((400, 1)), np.full((400, 1), 3.0), et_coef=one(1.0),
+            porosity=one(0.45), residual=one(0.1), infiltration=one(0.5),
+            drainage_coef=one(60.0), drainage_exp=one(2.5), depth_mm=one(300.0),
+            theta0=one(0.275))[:, 0]
         assert np.all(np.diff(theta) <= 0)
         assert abs(theta[-1] - 0.1) < 1e-6
 
@@ -596,9 +597,10 @@ class TestGenerator:
             assert theta[:, k].tobytes() == want.tobytes()
         assert np.any(theta[:, 0] == residual[0])
         assert np.any(theta[:, 1] == porosity[1])
-        one = simulate_bucket(precip[:, 2], et_coef[2] * pet[:, 2], porosity[2],
-                              residual[2], infiltration[2], k_drain[2], b_drain[2],
-                              depth[2], theta0=0.3)
+        c = slice(2, 3)   # one pixel alone, from another initial state
+        one = _bucket_lockstep(precip[:, c], pet[:, c], et_coef[c], porosity[c],
+                               residual[c], infiltration[c], k_drain[c], b_drain[c],
+                               depth[c], np.array([0.3]))[:, 0]
         want = scalar_bucket(precip[:, 2], et_coef[2] * pet[:, 2], porosity[2],
                              residual[2], infiltration[2], k_drain[2], b_drain[2],
                              depth[2], theta0=0.3)

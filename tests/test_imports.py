@@ -23,3 +23,14 @@ def test_runtime_imports_only_stdlib_numpy_and_hlstm():
                         if top not in ALLOWED]
     assert "numpy" in seen and "json" in seen   # the walk reached the imports
     assert not outside, outside
+
+
+def test_benchmark_tracer_finds_every_function_it_wraps(monkeypatch):
+    # perfbench's tracer looks each (owner, attr) up by name when a traced run
+    # starts, so deleting or renaming one breaks every `run.py --trace 1`.
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    import tracing
+
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing.LAYER_FUNCTIONS
+               if not callable(getattr(owner, attr, None))]
+    assert len(tracing.LAYER_FUNCTIONS) > 20 and not missing, missing

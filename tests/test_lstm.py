@@ -12,10 +12,8 @@ from hlstm.lstm import (
     bptt_gradients,
     forward_sequence,
     init_weights,
-    lstm_step,
     predict_sequence,
     sample_dropout_masks,
-    sigmoid,
 )
 
 from oracles import (
@@ -27,7 +25,7 @@ from oracles import (
 
 def random_weights(n_in, n_hid, n_out, seed):
     rng = np.random.default_rng(seed)
-    w = LstmWeights.zeros(n_in, n_hid, n_out)
+    w = LstmWeights(n_in, n_hid, n_out)
     for name, arr in w.named_arrays():
         arr[...] = rng.normal(0.0, 0.4, size=arr.shape)
     return w
@@ -99,7 +97,7 @@ class TestFlatParameters:
             [w.Wx.ravel(), w.Wh.ravel(), w.b, w.W_hy.ravel(), w.b_y]))
 
     def test_rebinding_a_view_is_refused(self):
-        w = LstmWeights.zeros(2, 3, 1)
+        w = LstmWeights(2, 3, 1)
         with pytest.raises(AttributeError):
             w.b_y = np.array([0.42])
         with pytest.raises(AttributeError):
@@ -109,12 +107,11 @@ class TestFlatParameters:
 class TestDropoutMasks:
     def test_none_variant_is_identity(self):
         masks = sample_dropout_masks(DropoutSpec("none", 0.5), 3, 4, rho=5, seed=1)
-        assert masks.is_identity
         assert masks.x is None and masks.h is None and masks.g is None
 
     def test_rate_zero_is_identity(self):
         masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.0), 3, 4, rho=5, seed=1)
-        assert masks.is_identity
+        assert masks.x is None and masks.h is None and masks.g is None
 
     def test_recurrent_constant_mask_shared_across_steps(self):
         masks = sample_dropout_masks(DropoutSpec("recurrent_constant", 0.3), 3, 4, rho=10, seed=5)
@@ -149,52 +146,55 @@ class TestDropoutMasks:
 
 
 class TestLstmStep:
+    """One step of the cell: a forward pass over a length-one sequence."""
+
     def test_all_zero_parameters(self):
-        w = LstmWeights.zeros(3, 4, 1)
-        state = LstmState.zeros(4)
-        new_state, y, gates = lstm_step(w, np.array([0.3, -2.0, 5.0]), state)
-        assert np.array_equal(gates["g"], np.zeros(4))
-        assert np.array_equal(gates["i"], np.full(4, 0.5))
-        assert np.array_equal(gates["f"], np.full(4, 0.5))
-        assert np.array_equal(gates["o"], np.full(4, 0.5))
-        assert np.array_equal(new_state.s, np.zeros(4))
-        assert np.array_equal(new_state.h, np.zeros(4))
-        assert np.array_equal(y, np.zeros(1))
+        w = LstmWeights(3, 4, 1)
+        Y, cache = forward_sequence(w, np.array([[0.3, -2.0, 5.0]]))
+        gates = cache.gates[0, :, 0]
+        assert np.array_equal(gates[:4], np.zeros(4))          # g
+        assert np.array_equal(gates[4:], np.full(12, 0.5))     # i, f, o
+        assert np.array_equal(cache.s_fm[0, :, 0], np.zeros(4))
+        assert np.array_equal(cache.h_fm[0, :, 0], np.zeros(4))
+        assert np.array_equal(Y, np.zeros((1, 1)))
 
     def test_output_bias_only(self):
-        w = LstmWeights.zeros(2, 3, 1)
+        w = LstmWeights(2, 3, 1)
         w.b_y[...] = 0.42
-        _, y, _ = lstm_step(w, np.zeros(2), LstmState.zeros(3))
-        assert y[0] == pytest.approx(0.42, abs=1e-15)
+        Y, _ = forward_sequence(w, np.zeros((1, 2)))
+        assert Y[0, 0] == pytest.approx(0.42, abs=1e-15)
 
     def test_matches_scalar_oracle(self):
         w = random_weights(2, 2, 1, seed=42)
-        x = np.array([1.0, 0.0])
-        _, y, _ = lstm_step(w, x, LstmState.zeros(2))
-        expected = scalar_lstm_sequence(w, [x])[0][0]
-        assert abs(y[0] - expected) < 1e-12
+        x = np.array([[1.0, 0.0]])
+        Y, _ = forward_sequence(w, x)
+        expected = scalar_lstm_sequence(w, x)[0][0]
+        assert abs(Y[0, 0] - expected) < 1e-12
 
     def test_dimension_mismatch(self):
-        w = LstmWeights.zeros(3, 4, 1)
-        with pytest.raises(ValidationError):
-            lstm_step(w, np.zeros(5), LstmState.zeros(4))
-        with pytest.raises(ValidationError):
-            lstm_step(w, np.zeros(3), LstmState.zeros(2))
+        w = LstmWeights(3, 4, 1)
+        for run in (forward_sequence, predict_sequence):
+            with pytest.raises(ValidationError):
+                run(w, np.zeros((1, 5)), LstmState.zeros(4))
+            with pytest.raises(ValidationError):
+                run(w, np.zeros((1, 3)), LstmState.zeros(2))
 
     def test_non_finite_input(self):
-        w = LstmWeights.zeros(3, 4, 1)
+        w = LstmWeights(3, 4, 1)
         with pytest.raises(NumericError):
-            lstm_step(w, np.array([1.0, np.nan, 0.0]), LstmState.zeros(4))
+            forward_sequence(w, np.array([[1.0, np.nan, 0.0]]))
 
 
 class TestForwardSequence:
     def test_length_one_equals_single_step(self):
+        # A length-one pass is the first step of any longer pass.
         w = random_weights(3, 4, 2, seed=0)
-        x = np.random.default_rng(1).normal(size=(1, 3))
-        Y, cache = forward_sequence(w, x)
-        state, y, _ = lstm_step(w, x[0], LstmState.zeros(4))
-        assert np.array_equal(Y[0], y)
-        assert np.array_equal(cache.h[0], state.h)
+        X = np.random.default_rng(1).normal(size=(5, 3))
+        Y1, cache1 = forward_sequence(w, X[:1])
+        Y, cache = forward_sequence(w, X)
+        assert np.array_equal(Y1[0], Y[0])
+        assert np.array_equal(cache1.h_fm[0], cache.h_fm[0])
+        assert np.array_equal(cache1.gates[0], cache.gates[0])
 
     def test_deterministic_given_seed(self):
         w = random_weights(3, 4, 1, seed=0)
@@ -208,18 +208,18 @@ class TestForwardSequence:
         w = random_weights(3, 4, 1, seed=3)
         X = np.tile(np.array([0.5, -0.2, 1.0]), (200, 1))
         _, cache = forward_sequence(w, X)
-        early = np.max(np.abs(cache.h[1] - cache.h[0]))
-        late = np.max(np.abs(cache.h[199] - cache.h[198]))
+        early = np.max(np.abs(cache.h_fm[1] - cache.h_fm[0]))
+        late = np.max(np.abs(cache.h_fm[199] - cache.h_fm[198]))
         assert late < early
 
     def test_gate_ranges(self):
         w = random_weights(4, 6, 1, seed=8)
         X = np.random.default_rng(4).normal(0, 5, size=(50, 4))
         _, cache = forward_sequence(w, X)
-        for arr in (cache.i, cache.f, cache.o):
-            assert np.all(arr > 0) and np.all(arr < 1)
-        assert np.all(np.abs(cache.g) < 1)
-        assert np.all(np.abs(cache.h) < 1)
+        g, ifo = cache.gates[:, :6], cache.gates[:, 6:]
+        assert np.all(ifo > 0) and np.all(ifo < 1)
+        assert np.all(np.abs(g) < 1)
+        assert np.all(np.abs(cache.h_fm) < 1)
 
     def test_dropout_identity_paths_bit_identical(self):
         w = random_weights(3, 4, 1, seed=5)
@@ -276,8 +276,8 @@ class TestForwardSequence:
                                      return_final_state=True)
         assert Yp.shape == Y.shape == (5, rho, 2)
         assert np.max(np.abs(Yp - Y)) < 1e-12
-        assert np.max(np.abs(final.h - cache.h[-1])) < 1e-12
-        assert np.max(np.abs(final.s - cache.s[-1])) < 1e-12
+        assert np.max(np.abs(final.h - cache.h_fm[-1].T)) < 1e-12
+        assert np.max(np.abs(final.s - cache.s_fm[-1].T)) < 1e-12
 
     @pytest.mark.parametrize("batch", [None, 4])
     def test_spin_up_then_continuation_equals_one_pass(self, batch):
@@ -451,8 +451,15 @@ class TestComputeDtype:
 
 
 def test_sigmoid_extremes_stable():
-    z = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
-    out = sigmoid(z)
-    assert np.all(np.isfinite(out))
-    assert out[0] == 0.0 and out[-1] == 1.0
-    assert out[2] == 0.5
+    # Gate pre-activations of +-800: the in-place sigmoid of the i, f and o
+    # gates saturates to exactly 0 and 1, and nothing overflows.
+    for dtype in (np.float32, np.float64):
+        w = LstmWeights(1, 2, 1, dtype=dtype)
+        w.Wx[:, 0] = np.tile([800.0, -800.0], 4)
+        w.W_hy[...] = 1.0
+        Y, cache = forward_sequence(w, np.array([[1.0], [-1.0]]))
+        for arr in (Y, cache.gates, cache.s_fm, cache.h_fm):
+            assert np.all(np.isfinite(arr))
+        gates = cache.gates[:, :, 0]
+        assert np.array_equal(gates[:, 2:], [[1.0, 0.0] * 3, [0.0, 1.0] * 3])   # i, f, o
+        assert np.array_equal(gates[:, :2], [[1.0, -1.0], [-1.0, 1.0]])         # g

@@ -15,9 +15,9 @@ from hlstm.modelio import (
     MODEL_KINDS,
     ArPixels,
     LassoPayload,
+    LstmPayload,
     NnPayload,
     load_model,
-    lstm_from_payload,
     lstm_payload,
     model_payload,
     predict_container,
@@ -41,11 +41,12 @@ class TestContainer:
                                               {"epochs": 5}))
         kind, payload = load_model(path)
         assert kind == "lstm"
-        back, names, stats = lstm_from_payload(payload)
+        section = LstmPayload.from_dict(payload)
+        back, _ = section.model()
         for (n, arr), (_, arr2) in zip(w.named_arrays(), back.named_arrays()):
             assert arr.tobytes() == arr2.tobytes(), n
-        assert names == ["a", "b", "c"]
-        assert np.array_equal(stats.mean, stats_fixture().mean)
+        assert section.feature_names == ["a", "b", "c"]
+        assert np.array_equal(section.normalization.mean, stats_fixture().mean)
 
     def test_format_tag_enforced(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -100,14 +101,14 @@ class TestMalformedContainers:
     def test_lstm_missing_weight_array_rejected(self):
         payload = self.lstm_doc()
         del payload["weights"]["W_hy"]
-        with pytest.raises(DataError, match="W_hy"):
-            lstm_from_payload(payload)
+        with pytest.raises(ValidationError, match="W_hy"):
+            LstmPayload.from_dict(payload)
 
     def test_lstm_unknown_weight_key_rejected(self):
         payload = self.lstm_doc()
         payload["weights"]["hidden_size"] = 99
-        with pytest.raises(DataError, match="hidden_size"):
-            lstm_from_payload(payload)
+        with pytest.raises(ValidationError, match="hidden_size"):
+            LstmPayload.from_dict(payload)
 
     def test_lasso_missing_field_named(self):
         model = LassoModel(beta0=0.1, beta=np.array([0.5]), lam=0.002)
@@ -149,9 +150,10 @@ class TestGoldenContainer:
 
     def test_resave_gives_the_same_bytes(self, tmp_path):
         kind, payload = load_model(golden.CONTAINER)
-        w, names, stats = lstm_from_payload(payload)
+        section = LstmPayload.from_dict(payload)
         path = tmp_path / "again.json"
-        save_model(str(path), kind, lstm_payload(w, names, stats, payload["config"]))
+        save_model(str(path), kind, lstm_payload(section.model()[0], section.feature_names,
+                                                 section.normalization, payload["config"]))
         with open(golden.CONTAINER, "rb") as fh:
             assert path.read_bytes() == fh.read()
 

@@ -14,7 +14,7 @@ from hlstm.lstm import (
     init_weights,
     predict_sequence,
 )
-from hlstm.modelio import load_model, lstm_from_payload, lstm_payload, save_model
+from hlstm.modelio import LstmPayload, load_model, lstm_payload, save_model
 from hlstm.training import (
     AdamState,
     Batch,
@@ -141,7 +141,7 @@ class TestClipping:
     def test_norm_bounded_after_clip(self):
         from hlstm.lstm import LstmWeights
         rng = np.random.default_rng(5)
-        g = LstmWeights.zeros(3, 4, 1)
+        g = LstmWeights(3, 4, 1)
         for name, arr in g.named_arrays():
             arr[...] = rng.normal(0, 10, size=arr.shape)
         pre = clip_gradients(g, 5.0)
@@ -151,7 +151,7 @@ class TestClipping:
 
     def test_small_gradients_untouched(self):
         from hlstm.lstm import LstmWeights
-        g = LstmWeights.zeros(3, 4, 1)
+        g = LstmWeights(3, 4, 1)
         g.b_y[...] = 0.5
         before = g.b_y.copy()
         clip_gradients(g, 5.0)
@@ -160,7 +160,7 @@ class TestClipping:
     def test_nan_gradient_raises(self):
         from hlstm.lstm import LstmWeights
         rng = np.random.default_rng(6)
-        g = LstmWeights.zeros(3, 4, 1)
+        g = LstmWeights(3, 4, 1)
         for name, arr in g.named_arrays():
             arr[...] = rng.normal(0, 0.1, size=arr.shape)
         dict(g.named_arrays())["W_ih"][1, 2] = np.nan
@@ -179,15 +179,15 @@ class TestOptimizerSteps:
         Y0, cache = forward_sequence(w, X)
         grads = bptt_gradients(w, cache, np.ones_like(Y0))
         start = w.theta.copy()
-        adam_step(w, grads, AdamState(w), 0.01)
+        adam_step(w.theta, grads.theta, AdamState(w.theta), 0.01)
         after_adam = w.theta.copy()
-        sgd_step(w, grads, 0.1)
+        sgd_step(w.theta, grads.theta, 0.1)
         assert not np.array_equal(after_adam, start)
         assert np.array_equal(w.theta, after_adam - 0.1 * grads.theta)
         for view in views:
             assert np.shares_memory(view, w.theta)
         # A fresh container holding only the updated theta gives the same outputs.
-        fresh = LstmWeights.zeros(3, 4, 1)
+        fresh = LstmWeights(3, 4, 1)
         fresh.theta[...] = w.theta
         Y1, _ = forward_sequence(w, X)
         assert not np.array_equal(Y1, Y0)
@@ -273,9 +273,9 @@ class TestTrainLstm:
             seen["grads"].append((w.theta.dtype, grads.theta.copy()))
             return grads
 
-        def recording_adam(w, grads, state, lr):
-            adam_step(w, grads, state, lr)
-            seen["moments"].append((w.theta.dtype, state.m.dtype, state.v.dtype))
+        def recording_adam(theta, grad, state, lr):
+            adam_step(theta, grad, state, lr)
+            seen["moments"].append((theta.dtype, state.m.dtype, state.v.dtype))
 
         monkeypatch.setattr(training, "bptt_gradients", recording_bptt)
         monkeypatch.setattr(training, "adam_step", recording_adam)
@@ -299,7 +299,7 @@ class TestTrainLstm:
         save_model(path, "lstm", lstm_payload(w, data.feature_names, NormalizationStats(
             names=data.feature_names, mean=np.zeros(2), std=np.ones(2), excluded=[]),
             cfg.to_dict()))
-        back, _, _ = lstm_from_payload(load_model(path)[1])
+        back, _ = LstmPayload.from_dict(load_model(path)[1]).model()
         assert back.theta.dtype == np.float64
         assert back.theta.tobytes() == w.theta.tobytes()
 
