@@ -1,11 +1,11 @@
 """Command-line entry point: synth | split | train | evaluate | hindcast.
 
 Every run writes a RunManifest (run_manifest.json) to its output directory
-with the resolved configuration, seeds, toolkit version, paths and timing, so
-the run can be replayed exactly, and how it ended: status "ok" or "error",
-exit_code and, on failure, the error message. Data goes to the declared
-output paths; diagnostics go to stderr. Exit codes: 0 success, 1
-validation/usage error, 2 runtime failure.
+with the resolved configuration, seeds, toolkit version, paths, timing and
+environment, so the run can be replayed exactly, and how it ended: status
+"ok" or "error", exit_code and, on failure, the error message. Data goes to
+the declared output paths; diagnostics go to stderr. Exit codes: 0 success,
+1 validation/usage error, 2 runtime failure.
 
 Config files are JSON, and every section is read by ``Config.from_dict``
 (hlstm.config), which names the field at fault. The train config mirrors
@@ -24,6 +24,7 @@ import dataclasses
 import datetime as dt
 import json
 import os
+import platform
 import sys
 import time
 
@@ -45,6 +46,7 @@ from .experiments import (
     score_predictions,
     write_experiment_reports,
 )
+from .lstm import usable_cpus
 from .modelio import MODEL_KINDS, load_model, model_payload, predict_container, save_model
 from .synthetic import SyntheticConfig, generate_synthetic
 from .training import Features, TrainingConfig, write_history_csv
@@ -69,6 +71,18 @@ def _load_json(path: str, what: str) -> dict:
         raise ValidationError(f"{what} file {path}: invalid JSON ({exc})") from exc
 
 
+def _environment() -> dict:
+    """What a run's speed, and the bits of a large shared fit, depend on:
+    the Python, numpy and BLAS builds, the usable CPUs and the BLAS thread
+    settings."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+            "usable_cpus": usable_cpus(),
+            "thread_variables": {name: os.environ.get(name) for name in
+                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 class RunManifest:
     def __init__(self, args):
         self.doc = {
@@ -81,6 +95,7 @@ class RunManifest:
             "inputs": {},
             "outputs": {},
             "wall_seconds": None,
+            "environment": _environment(),
         }
         self.out_dir = args.out
         self._t0 = time.perf_counter()

@@ -32,6 +32,8 @@ rows read by ``csv.reader`` and parses each column in one pass. The checks
 run on the whole file, and when one fails the rows are re-read in file order
 so the error names the first bad line. A cell that parses to NaN or inf
 fails the load as well: an empty target cell is the only missing value.
+Every other cell must be a plain decimal number, as the save writes them:
+``float`` would also take surrounding spaces and digit-group underscores.
 
 The CSVs stay authoritative: ``load_dataset`` takes the sidecar's matrices
 only when its digest matches the bytes on disk, and parses the CSVs when it is
@@ -57,6 +59,10 @@ from .errors import DataError, ValidationError
 
 # 17 significant digits make every float64 round-trip exactly
 _FMT = "%.17g"
+# The characters of a plain decimal number. A cell that float() takes and
+# that holds no other character is one; float() also takes spaces,
+# digit-group underscores, non-ASCII digits, "inf" and "nan".
+_NUMBER_CHARS = b"0123456789eE.+-"
 SIDECAR = "series.bin"
 
 
@@ -362,7 +368,9 @@ def _load_series(path: str, optional: list[str], forcing_names: list[str],
         _check_rows(rows, path, width, start_date)  # passes for non-canonical ISO
     matrix = np.full((n, width - 1), np.nan)
     try:
-        observed = list(map(bool, map(str.strip, columns[1])))
+        observed = list(map(bool, columns[1]))
+        if not all(map(_plain, [compress(columns[1], observed), *columns[2:]])):
+            raise ValueError("a cell is not a plain decimal number")
         mask = np.array(observed, dtype=bool)
         matrix[mask, 0] = list(map(float, compress(columns[1], observed)))
         for j, cells in enumerate(columns[2:], 1):
@@ -373,6 +381,12 @@ def _load_series(path: str, optional: list[str], forcing_names: list[str],
     if not _finite(matrix, mask):
         _check_rows(rows, path, width, start_date)
     return _series(matrix, optional)
+
+
+def _plain(cells) -> bool:
+    """Whether the cells hold only the characters of plain decimal numbers
+    (see _NUMBER_CHARS), checked in one pass."""
+    return not "".join(cells).encode("ascii", "replace").translate(None, _NUMBER_CHARS)
 
 
 def _check_rows(rows: list[list[str]], path: str, width: int, start_date: dt.date):
@@ -387,14 +401,15 @@ def _check_rows(rows: list[list[str]], path: str, width: int, start_date: dt.dat
         if day != want:
             raise DataError(f"{path}:{ln}: date {row[0]} is not the expected "
                             f"{want.isoformat()} (start date + {t} days)")
-        target = row[1].strip()
-        for cell in ([target] if target else []) + row[2:]:
+        for cell in row[1:] if row[1] else row[2:]:
             try:
                 value = float(cell)
             except ValueError:
                 raise DataError(f"{path}:{ln}: non-numeric value {cell!r}") from None
             if not math.isfinite(value):
                 raise DataError(f"{path}:{ln}: non-finite value {cell!r}")
+            if not _plain([cell]):
+                raise DataError(f"{path}:{ln}: {cell!r} is not a plain decimal number")
 
 
 @dataclass

@@ -29,16 +29,17 @@ products themselves, in fixed instance order, so results do not depend on
 evaluation order.
 
 One time loop serves :func:`forward_sequence` and :func:`predict_sequence`.
-Before it, one stacked matrix product projects the whole input block into a
-(rho, 4*hidden, batch) buffer of gate pre-activations in g, i, f, o order.
+Per block of time, one stacked matrix product projects the inputs into a
+(steps, 4*hidden, batch) buffer of gate pre-activations in g, i, f, o order.
 Each step adds the recurrent product into its slice and turns the slice into
 activations in place, with a single tanh: the i, f, o weights are pre-halved,
-and 0.5 + 0.5 * t finishes their sigmoid. After the loop one stacked product
-forms the readout. Inside the loop every array is feature-major, (dim,
+and 0.5 + 0.5 * t finishes their sigmoid. After the block one stacked product
+forms its readout. Inside the loop every array is feature-major, (dim,
 batch), so each gate block of a step is contiguous; a single sequence runs
-as a batch of one. The forward cache keeps these feature-major buffers for
-BPTT. Prediction runs the loop over fixed blocks of time so its buffers stay
-small on long records.
+as a batch of one. The forward cache keeps the gates and cell states for
+BPTT, which recomputes each h as o * tanh(s), bit for bit. Prediction reuses
+one block of buffers and runs chunks of pixels on worker threads, with the
+bits of one pass (PREDICT_CHUNK_GATES).
 
 This module also hosts the seeded RNG construction shared by the rest of the
 toolkit.
@@ -47,6 +48,7 @@ toolkit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +58,22 @@ from .errors import NumericError, ValidationError
 
 DROPOUT_VARIANTS = ("none", "non_recurrent", "recurrent_constant", "memory_cell")
 
-# Time steps per block in predict_sequence: bounds its gate buffer to
-# PREDICT_BLOCK_DAYS x batch x 4*hidden floats, whatever the record length.
+# Time steps per block of the time loop: bounds the prediction's gate buffer
+# to PREDICT_BLOCK_DAYS x batch x 4*hidden floats, whatever the record length.
 # On 256 pixels x 1,460 days at hidden 64, blocks of 8 or 16 steps ran
 # fastest (about 1.0 s, against 1.1-1.2 s at 32-64 and 1.3 s at 256); 16
 # keeps that buffer at 8 MiB.
 PREDICT_BLOCK_DAYS = 16
+
+# predict_sequence runs a chunk of pixels per usable CPU that BLAS threads
+# leave free, each of >= PREDICT_CHUNK_GATES gate values (4*hidden x pixels)
+# per step; numpy drops the GIL in matmul and tanh. On 2 vCPUs with one BLAS
+# thread, two chunks of 16k ran 1.5-1.7x faster, of 8k 0.9-1.1x, of 4k 0.46x;
+# with two BLAS threads, 1.4-1.5x slower. Chunks are whole groups of
+# PREDICT_CHUNK_PIXELS, as OpenBLAS 0.3.31 computes a partial group of
+# columns differently in a narrower matrix; a batch with one runs unsplit.
+PREDICT_CHUNK_GATES = 16384
+PREDICT_CHUNK_PIXELS = 16
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -69,6 +81,21 @@ def make_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """The threads OpenBLAS runs a call on: the first positive count among the
+    variables it reads when loaded, else one per usable CPU."""
+    counts = [os.environ.get(v, "") for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                              "OMP_NUM_THREADS")]
+    return next((int(c) for c in counts if c.isdigit() and int(c) > 0), usable_cpus())
 
 
 # The hlstm-v1 container names of the per-gate views: (name, fused view,
@@ -252,12 +279,9 @@ def _from_fm(v: np.ndarray, batched: bool) -> np.ndarray:
     return np.ascontiguousarray(v.T) if batched else v[:, 0].copy()
 
 
-def _loop_masks(masks: DropoutMasks | None, batched: bool, dtype):
+def _loop_masks(masks: DropoutMasks, batched: bool, dtype):
     """The masks as the time loop reads them, in ``dtype``: x (rho, batch,
     input) and g (rho, batch, hidden) with an instance axis, h feature-major."""
-    if masks is None:
-        return None, None, None
-
     def with_batch(m):
         return None if m is None else (m if batched else m[:, None]).astype(dtype, copy=False)
 
@@ -265,47 +289,33 @@ def _loop_masks(masks: DropoutMasks | None, batched: bool, dtype):
             with_batch(masks.g))
 
 
-def _run_cell(w: LstmWeights, x, h, s, xm=None, hm=None, gm=None,
-              block: int | None = None):
-    """The LSTM time loop shared by the forward pass and prediction.
-
-    Every array is in the dtype of ``w.theta``. ``x`` is (T, batch, input);
-    ``h``, ``s`` and ``hm`` are feature-major, (hidden, batch), like every
-    per-step array here, so that each gate block of a step is one contiguous
-    (hidden, batch) slice. ``xm`` and ``gm`` are the x and g masks aligned
-    with x's time axis. Time runs in blocks of
-    ``block`` steps (one block when None) that reuse one set of buffers. Per
-    block, one stacked product projects the inputs into the (steps,
-    4*hidden, batch) gate buffer; each step adds the recurrent product into
-    its slice and turns it into g, i, f, o activations in place; one stacked
-    product after the block forms the readout.
-
-    Returns (Y, h, s, gates, S, Hs): all T outputs (T, output, batch), the
-    final state, and the last block's gate, cell-state and hidden-state
-    buffers (with one block, the whole pass, as the cache keeps them).
-    """
-    T, n_batch = x.shape[:2]
-    H = w.hidden_size
-    # Copies of Wx, Wh and b with the i, f, o rows halved, so that one tanh
-    # over a step's gate slice gives tanh(a_g) and tanh(a/2) for the sigmoid
-    # gates. Halving is exact in binary floating point: the products equal
-    # halving the pre-activations afterwards, bit for bit.
-    dtype = w.theta.dtype
+def _loop_arrays(w: LstmWeights, T: int, n_batch: int, keep: bool = False):
+    """The arrays of a time loop over T steps of n_batch columns: Wx, Wh, b with
+    the i, f, o rows halved (exact, so one tanh gives tanh(a/2) for sigma),
+    W_hy, b_y; gates and cell states of all T steps if ``keep``, else of a
+    block; hidden states of a block; one step's scratch."""
+    H, dtype, n = w.hidden_size, w.theta.dtype, min(T, PREDICT_BLOCK_DAYS)
     half = np.full((4 * H, 1), 0.5, dtype=dtype)
     half[:H] = 1.0
-    Wx_half, Wh_half, b_half = w.Wx * half, w.Wh * half, w.b[:, None] * half
-    W_hy, b_y = w.W_hy, w.b_y[:, None]
-    n = max(1, T if block is None else min(block, T))
-    gates = np.empty((n, 4 * H, n_batch), dtype=dtype)
-    S = np.empty((n, H, n_batch), dtype=dtype)
-    Hs = np.empty_like(S)
-    Y = np.empty((T, w.output_size, n_batch), dtype=dtype)
-    rec = np.empty_like(gates[0])
-    sf = np.empty_like(S[0])
+    shapes = [(T if keep else n, 4 * H), (T if keep else n, H), (n, H), (4 * H,), (H,)]
+    return (w.Wx * half, w.Wh * half, w.b[:, None] * half, w.W_hy, w.b_y[:, None],
+            *(np.empty(shape + (n_batch,), dtype=dtype) for shape in shapes))
+
+
+def _run_cell(arrays, x, h, s, Y, xm=None, hm=None, gm=None):
+    """The LSTM time loop of the forward pass and prediction, in the dtype of
+    ``arrays`` (:func:`_loop_arrays`); returns the final (h, s). ``x`` is (T,
+    batch, input); ``h``, ``s``, ``hm`` and every per-step array are
+    feature-major, (hidden, batch), so each gate block of a step is one
+    contiguous slice. ``xm`` and ``gm`` are the x and g masks aligned with x's
+    time axis. ``Y`` (T, output, batch) receives the outputs."""
+    Wx_half, Wh_half, b_half, W_hy, b_y, gates, S, Hs, rec, sf = arrays
+    T, n, H = len(x), len(Hs), len(rec) // 4
     for t0 in range(0, T, n):
         m = min(n, T - t0)
+        k = t0 % len(S)     # t0 when every step is kept, 0 in a one-block buffer
+        A, Sb = gates[k:k + m], S[k:k + m]
         xb = _apply(x[t0:t0 + m], None if xm is None else xm[t0:t0 + m])
-        A = gates[:m]
         np.matmul(Wx_half, xb.transpose(0, 2, 1), out=A)
         A += b_half
         for t in range(m):
@@ -318,14 +328,14 @@ def _run_cell(w: LstmWeights, x, h, s, xm=None, hm=None, gm=None,
             sig += 0.5
             g, i, f, o = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
             np.multiply(s, f, out=sf)
-            s = np.multiply(g if gm is None else g * gm[t0 + t].T, i, out=S[t])
+            s = np.multiply(g if gm is None else g * gm[t0 + t].T, i, out=Sb[t])
             s += sf
             h = np.tanh(s, out=Hs[t])
             h *= o
         Yb = Y[t0:t0 + m]
         np.matmul(W_hy, Hs[:m], out=Yb)
         Yb += b_y
-    return Y, h, s, gates, S, Hs
+    return h, s
 
 
 @dataclass
@@ -333,10 +343,10 @@ class ForwardCache:
     """Everything needed to replay the forward pass exactly and run BPTT.
 
     The buffers are kept as the time loop wrote them, feature-major:
-    ``gates`` (rho, 4*hidden, batch) holds g, i, f, o; ``s_fm`` and ``h_fm``
-    are (rho, hidden, batch), ``y_fm`` (rho, output, batch), and ``x`` the
-    (rho, batch, input) inputs. A single sequence is stored as a batch of
-    one.
+    ``gates`` (rho, 4*hidden, batch) holds g, i, f, o; ``s_fm`` is (rho,
+    hidden, batch), ``y_fm`` (rho, output, batch), and ``x`` the (rho,
+    batch, input) inputs. A single sequence is stored as a batch of one.
+    BPTT recomputes step t's hidden state, ``o * tanh(s_fm[t])``, exactly.
     """
 
     x: np.ndarray
@@ -345,17 +355,11 @@ class ForwardCache:
     s0: np.ndarray
     gates: np.ndarray
     s_fm: np.ndarray
-    h_fm: np.ndarray
     y_fm: np.ndarray
     batched: bool
     input_size: int
     hidden_size: int
     output_size: int
-
-    @property
-    def rho(self) -> int:
-        return self.x.shape[0]
-
 
 
 def _sequence_inputs(w: LstmWeights, X, initial_state: LstmState | None):
@@ -400,12 +404,13 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
     # A time-major copy of the inputs in theta's dtype; the cache keeps it for BPTT.
     dtype = w.theta.dtype
     x = np.array(x, dtype=dtype, order="C")
-    Y, _, _, gates, S, Hs = _run_cell(
-        w, x, _to_fm(initial_state.h, dtype), _to_fm(initial_state.s, dtype),
-        *_loop_masks(masks, batched, dtype))
+    arrays = _loop_arrays(w, *x.shape[:2], keep=True)
+    Y = np.empty((len(x), w.output_size, x.shape[1]), dtype=dtype)
+    _run_cell(arrays, x, _to_fm(initial_state.h, dtype), _to_fm(initial_state.s, dtype), Y,
+              *_loop_masks(masks, batched, dtype))
     cache = ForwardCache(
         x=x, masks=masks, h0=initial_state.h, s0=initial_state.s,
-        gates=gates, s_fm=S, h_fm=Hs, y_fm=Y, batched=batched,
+        gates=arrays[5], s_fm=arrays[6], y_fm=Y, batched=batched,
         input_size=w.input_size, hidden_size=w.hidden_size, output_size=w.output_size,
     )
     Y_out = Y.transpose(2, 0, 1) if batched else Y[..., 0]
@@ -419,16 +424,33 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
 
     X is as for :func:`forward_sequence`. Time runs in blocks of
     PREDICT_BLOCK_DAYS steps, so memory does not grow with the sequence
-    length beyond the inputs and outputs. With ``return_final_state`` the
-    result is (Y, LstmState), e.g. for spin-up passes that only need the
-    terminal state.
+    length beyond the inputs and outputs; a large batch runs in chunks of
+    pixels on threads, with the bits of one pass (PREDICT_CHUNK_GATES). With
+    ``return_final_state`` the result is (Y, LstmState), e.g. for spin-up.
     """
     x, batched, state = _sequence_inputs(w, X, initial_state)
     dtype = w.theta.dtype
-    Y, h, s, _, _, _ = _run_cell(w, x.astype(dtype, copy=False), _to_fm(state.h, dtype),
-                                 _to_fm(state.s, dtype), block=PREDICT_BLOCK_DAYS)
+    x = x.astype(dtype, copy=False)
+    T, n_batch = x.shape[:2]
+    groups = n_batch // PREDICT_CHUNK_PIXELS if n_batch % PREDICT_CHUNK_PIXELS == 0 else 0
+    n = max(1, min(usable_cpus() // _blas_threads(), groups,
+                   4 * w.hidden_size * n_batch // PREDICT_CHUNK_GATES))
+    edges = [groups * c // n * PREDICT_CHUNK_PIXELS for c in range(n)] + [n_batch]
+    # Every buffer is allocated in this thread; the chunks write Y in place.
+    Y = np.empty((T, w.output_size, n_batch), dtype=dtype)
+    h0, s0 = _to_fm(state.h, dtype), _to_fm(state.s, dtype)
+    chunks = [(_loop_arrays(w, T, hi - lo), x[:, lo:hi], h0[:, lo:hi], s0[:, lo:hi], Y[..., lo:hi])
+              for lo, hi in zip(edges, edges[1:])]
+    if n == 1:
+        finals = [_run_cell(*chunks[0])]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(n - 1) as pool:
+            rest = [pool.submit(_run_cell, *chunk) for chunk in chunks[1:]]
+            finals = [_run_cell(*chunks[0])] + [job.result() for job in rest]
     Y = Y.transpose(2, 0, 1) if batched else Y[..., 0]
     if return_final_state:
+        h, s = (np.concatenate(v, axis=1) for v in zip(*finals))
         return Y, LstmState(h=_from_fm(h, batched), s=_from_fm(s, batched))
     return Y
 
@@ -460,10 +482,7 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     dWx, dWh, db = grads.Wx, grads.Wh, grads.b
     Wh, W_hy = w.Wh, w.W_hy
     H = w.hidden_size
-    G, S, Hs = cache.gates, cache.s_fm, cache.h_fm
-
-    # The readout's gradients over all steps at once.
-    grads.W_hy[...] = np.matmul(dY, Hs.transpose(0, 2, 1)).sum(axis=0)
+    G, S = cache.gates, cache.s_fm
     grads.b_y[...] = dY.sum(axis=(0, 2))
 
     h0, s0 = _to_fm(cache.h0, dtype), _to_fm(cache.s0, dtype)
@@ -474,14 +493,22 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     da = np.empty(G.shape[1:], dtype=dtype)
     dact = np.empty_like(da)
     da_g, da_i, da_f, da_o = da[:H], da[H:2 * H], da[2 * H:3 * H], da[3 * H:]
+    # h_{t-1} is recomputed as o * tanh(s) from the tanh(S[t - 1]) step t - 1
+    # reads; a ring of a block of them feeds one stacked dY[t] @ h_t^T a block.
+    n = min(rho, PREDICT_BLOCK_DAYS)
+    ring, dW_hy = np.empty((n, H, n_batch), dtype=dtype), np.empty((rho, n_out, H), dtype=dtype)
+    tanh_s = np.tanh(S[-1])
+    np.multiply(G[-1, 3 * H:], tanh_s, out=ring[(rho - 1) % n])
 
-    for t in range(cache.rho - 1, -1, -1):
+    for t in range(rho - 1, -1, -1):
         dh = W_hy.T @ dY[t]
         dh += dh_carry
+        if t % n == 0:
+            m = min(n, rho - t)
+            np.matmul(dY[t:t + m], ring[:m].transpose(0, 2, 1), out=dW_hy[t:t + m])
 
         a = G[t]
         g, i, f, o = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
-        tanh_s = np.tanh(S[t])
         np.multiply(dh, tanh_s, out=da_o)
         ds = dh * o
         ds *= 1.0 - tanh_s * tanh_s
@@ -499,11 +526,14 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
         da *= dact
         np.multiply(ds, f, out=ds_carry)
 
+        if t > 0:   # step t - 1's tanh(s), and its h
+            tanh_s = np.tanh(S[t - 1])
+        h_prev = np.multiply(G[t - 1, 3 * H:], tanh_s, out=ring[(t - 1) % n]) if t else h0
         xd = _apply(cache.x[t], None if xm is None else xm[t])
-        hd = _apply(Hs[t - 1] if t > 0 else h0, hm)
         dWx += da @ xd
-        dWh += da @ hd.T
+        dWh += da @ _apply(h_prev, hm).T
         db += da.sum(axis=1)
         dh_carry = _apply(Wh.T @ da, hm)
 
+    grads.W_hy[...] = dW_hy.sum(axis=0)
     return grads

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import json
 import os
+import platform
 import shutil
 
 import numpy as np
@@ -89,6 +90,23 @@ class TestSynth:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "ok" and manifest["exit_code"] == 0
         assert "error" not in manifest
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "o"
+        assert main(["synth", "--config", write_json(tmp_path / "c.json", synth_config()),
+                     "--out", str(out)]) == 0
+        env = json.loads((out / "run_manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version", "openblas configuration"}
+        assert env["blas"]["name"]
+        assert env["usable_cpus"] >= 1
+        assert env["thread_variables"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert env["thread_variables"]["MKL_NUM_THREADS"] is None
+        assert set(env["thread_variables"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", synth_config(noise_kind="pink"))

@@ -166,6 +166,42 @@ class TestRoundTrip:
         with pytest.raises(DataError, match=rf"px_0_0\.csv:7: non-finite value '{cell}'"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("cell", [" 0.5", "0.5 ", "1_0", "\u0663", " "],
+                             ids=["lead_space", "trail_space", "underscore", "arabic_digit",
+                                  "blank"])
+    @pytest.mark.parametrize("column", [1, 2, 4], ids=["target", "lsm", "forcing"])
+    @pytest.mark.parametrize("sidecar", ["stale", "none"])
+    def test_cell_float_takes_but_no_writer_emits_names_file_and_line(
+            self, tmp_path, column, cell, sidecar):
+        # float() reads each of these cells (but the blank one); the save writes none.
+        save_dataset(small_dataset(), str(tmp_path))
+        if sidecar == "none":
+            os.remove(tmp_path / SIDECAR)
+
+        def put(ln):
+            cells = ln.split(",")
+            cells[column] = cell
+            return ",".join(cells)
+        self._rewrite_line(tmp_path, 9, put)
+        self._rewrite_line(tmp_path, 12, put)
+        message = (r"non-numeric value ' '" if cell == " "
+                   else rf"'{cell}' is not a plain decimal number")
+        with pytest.raises(DataError, match=rf"px_0_0\.csv:9: {message}"):
+            load_dataset(str(tmp_path))
+
+    def test_plain_number_forms_and_empty_targets_still_load(self, tmp_path):
+        save_dataset(small_dataset(), str(tmp_path))
+        os.remove(tmp_path / SIDECAR)
+        forms = {3: ".5", 4: "5.", 5: "+1", 6: "-0", 7: "1E-3", 8: "2.5e+1"}
+        for line, cell in forms.items():
+            self._rewrite_line(tmp_path, line, lambda ln, cell=cell: ln.rsplit(",", 1)[0] + "," + cell)
+        self._rewrite_line(tmp_path, 9, lambda ln: ",".join(ln.split(",")[:1] + [""] + ln.split(",")[2:]))
+        path = tmp_path / "px_0_0.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        px = load_dataset(str(tmp_path)).pixels[0]
+        assert [px.forcing[line - 2, -1] for line in forms] == [float(c) for c in forms.values()]
+        assert not px.mask[7]
+
     def _edit_manifest(self, tmp_path, fn):
         save_dataset(small_dataset(), str(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,7 @@ from hlstm.errors import NumericError, ValidationError
 from hlstm.lstm import (
     DROPOUT_VARIANTS,
     PREDICT_BLOCK_DAYS,
+    PREDICT_CHUNK_PIXELS,
     DropoutSpec,
     LstmState,
     LstmWeights,
@@ -21,6 +27,12 @@ from oracles import (
     max_relative_gradient_error,
     scalar_lstm_sequence,
 )
+
+
+def hidden_states(cache):
+    """Every step's hidden state, (rho, hidden, batch): o * tanh(s), as the
+    forward pass forms it (the cache keeps gates and cell states only)."""
+    return cache.gates[:, 3 * cache.hidden_size:] * np.tanh(cache.s_fm)
 
 
 def random_weights(n_in, n_hid, n_out, seed):
@@ -155,7 +167,7 @@ class TestLstmStep:
         assert np.array_equal(gates[:4], np.zeros(4))          # g
         assert np.array_equal(gates[4:], np.full(12, 0.5))     # i, f, o
         assert np.array_equal(cache.s_fm[0, :, 0], np.zeros(4))
-        assert np.array_equal(cache.h_fm[0, :, 0], np.zeros(4))
+        assert np.array_equal(hidden_states(cache)[0, :, 0], np.zeros(4))
         assert np.array_equal(Y, np.zeros((1, 1)))
 
     def test_output_bias_only(self):
@@ -193,7 +205,7 @@ class TestForwardSequence:
         Y1, cache1 = forward_sequence(w, X[:1])
         Y, cache = forward_sequence(w, X)
         assert np.array_equal(Y1[0], Y[0])
-        assert np.array_equal(cache1.h_fm[0], cache.h_fm[0])
+        assert np.array_equal(hidden_states(cache1)[0], hidden_states(cache)[0])
         assert np.array_equal(cache1.gates[0], cache.gates[0])
 
     def test_deterministic_given_seed(self):
@@ -208,8 +220,9 @@ class TestForwardSequence:
         w = random_weights(3, 4, 1, seed=3)
         X = np.tile(np.array([0.5, -0.2, 1.0]), (200, 1))
         _, cache = forward_sequence(w, X)
-        early = np.max(np.abs(cache.h_fm[1] - cache.h_fm[0]))
-        late = np.max(np.abs(cache.h_fm[199] - cache.h_fm[198]))
+        h = hidden_states(cache)
+        early = np.max(np.abs(h[1] - h[0]))
+        late = np.max(np.abs(h[199] - h[198]))
         assert late < early
 
     def test_gate_ranges(self):
@@ -219,7 +232,7 @@ class TestForwardSequence:
         g, ifo = cache.gates[:, :6], cache.gates[:, 6:]
         assert np.all(ifo > 0) and np.all(ifo < 1)
         assert np.all(np.abs(g) < 1)
-        assert np.all(np.abs(cache.h_fm) < 1)
+        assert np.all(np.abs(hidden_states(cache)) < 1)
 
     def test_dropout_identity_paths_bit_identical(self):
         w = random_weights(3, 4, 1, seed=5)
@@ -276,7 +289,7 @@ class TestForwardSequence:
                                      return_final_state=True)
         assert Yp.shape == Y.shape == (5, rho, 2)
         assert np.max(np.abs(Yp - Y)) < 1e-12
-        assert np.max(np.abs(final.h - cache.h_fm[-1].T)) < 1e-12
+        assert np.max(np.abs(final.h - hidden_states(cache)[-1].T)) < 1e-12
         assert np.max(np.abs(final.s - cache.s_fm[-1].T)) < 1e-12
 
     @pytest.mark.parametrize("batch", [None, 4])
@@ -383,12 +396,14 @@ class TestBpttGradients:
 
 class _OperandDtypes:
     """Stands in for numpy inside hlstm.lstm and records the dtype of every
-    array that goes into or comes out of the kernel's arithmetic calls."""
+    array that goes into or comes out of the kernel's arithmetic calls, and
+    each call's name and result shape in ``calls``."""
 
     ARITHMETIC = ("matmul", "multiply", "subtract", "tanh")
 
     def __init__(self):
         self.seen = set()
+        self.calls = []
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -399,6 +414,7 @@ class _OperandDtypes:
             out = attr(*args, **kwargs)
             self.seen.update(a.dtype for a in (*args, *kwargs.values(), out)
                              if isinstance(a, np.ndarray))
+            self.calls.append((name, np.shape(out)))
             return out
         return recorded
 
@@ -422,12 +438,22 @@ class TestComputeDtype:
         operands = _OperandDtypes()
         monkeypatch.setattr(lstm_module, "np", operands)
         Y, cache = forward_sequence(w, X, masks=masks)
+        del operands.calls[:]
         grads = bptt_gradients(w, cache, np.ones(shape[:-1] + (1,)))
         buffers = {"Y": Y, "x": cache.x, "gates": cache.gates, "s_fm": cache.s_fm,
-                   "h_fm": cache.h_fm, "y_fm": cache.y_fm, "grads": grads.theta}
+                   "h": hidden_states(cache), "y_fm": cache.y_fm, "grads": grads.theta}
         assert {name: arr.dtype for name, arr in buffers.items()} == {
             name: np.dtype(dtype) for name in buffers}
         assert operands.seen == {np.dtype(dtype)}
+        # BPTT's recomputed hidden states and readout products went through the
+        # recorded calls: one tanh per step, whose result also rebuilds h with
+        # one multiply beside the six of the gate gradients, and stacked
+        # (steps, output, hidden) readout products that cover every step.
+        names = [name for name, _ in operands.calls]
+        assert names.count("tanh") == rho and names.count("multiply") == 7 * rho
+        readout = [shape[0] for name, shape in operands.calls
+                   if name == "matmul" and len(shape) == 3 and shape[1:] == (1, 4)]
+        assert sum(readout) == rho
 
     @pytest.mark.parametrize("variant", DROPOUT_VARIANTS)
     def test_float32_agrees_with_float64(self, variant):
@@ -450,6 +476,117 @@ class TestComputeDtype:
         assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) <= 1e-5
 
 
+def _thread_starts(monkeypatch) -> list:
+    """The threads started from now on, recorded as they start."""
+    starts, start = [], threading.Thread.start
+
+    def recorded(thread):
+        starts.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return starts
+
+
+class TestChunkedPrediction:
+    """predict_sequence runs chunks of pixels on worker threads with the bits
+    of one pass, so the number of CPUs never reaches a prediction."""
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        # Chunks use the CPUs that BLAS's own threads leave free.
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_any_number_of_chunks_gives_the_bits_of_one_pass(self, monkeypatch, with_state):
+        # Five groups of pixels: 2, 3 and 4 chunks split them unevenly. Time
+        # runs two whole blocks and a remainder. At hidden 64 a split inside a
+        # group would change bits.
+        w = init_weights(3, 64, 2, seed=80)
+        rng = np.random.default_rng(81)
+        n_batch, rho = 5 * PREDICT_CHUNK_PIXELS, 2 * PREDICT_BLOCK_DAYS + 5
+        X = rng.normal(size=(n_batch, rho, 3))
+        state = None
+        if with_state:
+            state = LstmState(h=rng.uniform(-0.5, 0.5, size=(n_batch, 64)),
+                              s=rng.normal(size=(n_batch, 64)))
+        monkeypatch.setattr(lstm_module, "PREDICT_CHUNK_GATES", 1)
+        runs, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # hand the interpreter lock over often
+        try:
+            for cpus in (1, 2, 3, 4):
+                monkeypatch.setattr(lstm_module, "usable_cpus", lambda cpus=cpus: cpus)
+                starts = _thread_starts(monkeypatch)
+                runs.append(predict_sequence(w, X, initial_state=state,
+                                             return_final_state=True))
+                # The pool starts a worker only while none is idle.
+                assert (cpus == 1 and not starts) or 1 <= len(starts) <= cpus - 1
+        finally:
+            sys.setswitchinterval(interval)
+        (Y1, final1), serial = runs[0], predict_sequence(w, X, initial_state=state)
+        assert np.array_equal(serial, Y1)
+        for Y, final in runs[1:]:
+            assert Y.shape == (n_batch, rho, 2)
+            assert np.array_equal(Y, Y1)
+            assert np.array_equal(final.h, final1.h) and np.array_equal(final.s, final1.s)
+
+    @pytest.mark.parametrize("n_batch,hidden,force,blas_threads", [
+        (64, 16, False, "1"),                        # the cli workload: below the threshold
+        (PREDICT_CHUNK_PIXELS + 1, 4, True, "1"),    # a partial group of pixels
+        (None, 4, True, "1"),                        # a single sequence
+        (256, 64, False, None),                      # BLAS threads on every CPU
+        (256, 64, False, "4"),
+        (256, 64, False, "x"),                       # a count OpenBLAS cannot read
+    ], ids=["small", "partial_group", "single", "blas_default", "blas_four", "blas_bad"])
+    def test_no_thread_starts_without_a_split(self, monkeypatch, n_batch, hidden, force,
+                                              blas_threads):
+        monkeypatch.setattr(lstm_module, "usable_cpus", lambda: 4)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        if blas_threads is not None:
+            monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
+        if force:
+            monkeypatch.setattr(lstm_module, "PREDICT_CHUNK_GATES", 1)
+        w = random_weights(3, hidden, 1, seed=82)
+        shape = (20, 3) if n_batch is None else (n_batch, 20, 3)
+        starts = _thread_starts(monkeypatch)
+        predict_sequence(w, np.random.default_rng(83).normal(size=shape))
+        assert starts == []
+
+    def test_benchmark_tracer_sees_one_span_on_the_calling_thread(self, monkeypatch):
+        # perfbench's tracer is single-threaded and wraps predict_sequence by
+        # module attribute; its pixel-days over this span are the benchmark's
+        # prediction rate. A worker that called a traced name would open spans
+        # of its own and corrupt the span stack and the count.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import tracing
+
+        clock_threads = []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                clock_threads.append(threading.get_ident())
+                return time.perf_counter()
+        monkeypatch.setattr(lstm_module, "usable_cpus", lambda: 2)
+        starts = _thread_starts(monkeypatch)
+        w = init_weights(3, 64, 1, seed=84)
+        X = np.random.default_rng(85).normal(size=(128, 20, 3))  # 2 chunks of 16,384 gates
+        tracer = tracing.Tracer(tracing.STAGE_FUNCTIONS)
+        tracer.install()
+        try:
+            monkeypatch.setattr(tracing, "time", Clock)
+            tracer.begin("round-0")
+            lstm_module.predict_sequence(w, X)
+            tracer.end()
+        finally:
+            tracer.uninstall()
+        assert len(starts) == 1
+        assert [span[0] for span in tracer.spans] == ["lstm.predict"]
+        assert tracer.per_run()["round-0"]["lstm.predict.pixel_days"] == 128 * 20
+        assert set(clock_threads) == {threading.get_ident()}
+
+
 def test_sigmoid_extremes_stable():
     # Gate pre-activations of +-800: the in-place sigmoid of the i, f and o
     # gates saturates to exactly 0 and 1, and nothing overflows.
@@ -458,7 +595,7 @@ def test_sigmoid_extremes_stable():
         w.Wx[:, 0] = np.tile([800.0, -800.0], 4)
         w.W_hy[...] = 1.0
         Y, cache = forward_sequence(w, np.array([[1.0], [-1.0]]))
-        for arr in (Y, cache.gates, cache.s_fm, cache.h_fm):
+        for arr in (Y, cache.gates, cache.s_fm, hidden_states(cache)):
             assert np.all(np.isfinite(arr))
         gates = cache.gates[:, :, 0]
         assert np.array_equal(gates[:, 2:], [[1.0, 0.0] * 3, [0.0, 1.0] * 3])   # i, f, o
