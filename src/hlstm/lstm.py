@@ -37,7 +37,8 @@ and 0.5 + 0.5 * t finishes their sigmoid. After the block one stacked product
 forms its readout. Inside the loop every array is feature-major, (dim,
 batch), so each gate block of a step is contiguous; a single sequence runs
 as a batch of one. The forward cache keeps the gates and cell states for
-BPTT, which recomputes each h as o * tanh(s), bit for bit. Prediction reuses
+BPTT, which recomputes each h as o * tanh(s), bit for bit; training lends
+each epoch's cache to the next pass to overwrite. Prediction reuses
 one block of buffers and runs chunks of pixels on worker threads, with the
 bits of one pass (PREDICT_CHUNK_GATES).
 
@@ -289,17 +290,20 @@ def _loop_masks(masks: DropoutMasks, batched: bool, dtype):
             with_batch(masks.g))
 
 
-def _loop_arrays(w: LstmWeights, T: int, n_batch: int, keep: bool = False):
+def _loop_arrays(w: LstmWeights, T: int, n_batch: int, keep: bool = False,
+                 reuse: ForwardCache | None = None):
     """The arrays of a time loop over T steps of n_batch columns: Wx, Wh, b with
     the i, f, o rows halved (exact, so one tanh gives tanh(a/2) for sigma),
-    W_hy, b_y; gates and cell states of all T steps if ``keep``, else of a
-    block; hidden states of a block; one step's scratch."""
+    W_hy, b_y; gates and cell states of all T steps if ``keep`` (those of
+    ``reuse``, a cache of this shape, when given), else of a block; hidden
+    states of a block; one step's scratch."""
     H, dtype, n = w.hidden_size, w.theta.dtype, min(T, PREDICT_BLOCK_DAYS)
     half = np.full((4 * H, 1), 0.5, dtype=dtype)
     half[:H] = 1.0
     shapes = [(T if keep else n, 4 * H), (T if keep else n, H), (n, H), (4 * H,), (H,)]
-    return (w.Wx * half, w.Wh * half, w.b[:, None] * half, w.W_hy, w.b_y[:, None],
-            *(np.empty(shape + (n_batch,), dtype=dtype) for shape in shapes))
+    lent = () if reuse is None else (reuse.gates, reuse.s_fm)
+    return (w.Wx * half, w.Wh * half, w.b[:, None] * half, w.W_hy, w.b_y[:, None], *lent,
+            *(np.empty(shape + (n_batch,), dtype=dtype) for shape in shapes[len(lent):]))
 
 
 def _run_cell(arrays, x, h, s, Y, xm=None, hm=None, gm=None):
@@ -386,12 +390,14 @@ def _sequence_inputs(w: LstmWeights, X, initial_state: LstmState | None):
 
 def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | None = None,
                      spec: DropoutSpec | None = None, seed=None,
-                     masks: DropoutMasks | None = None):
+                     masks: DropoutMasks | None = None, reuse: ForwardCache | None = None):
     """Run the cell over a whole sequence (or batch of sequences).
 
     X has shape (rho, input) or (batch, rho, input). Masks are sampled from
     ``spec``/``seed`` unless given explicitly; passing the masks from a cache
-    replays a previous pass bit-exactly. Returns (Y, ForwardCache).
+    replays a previous pass bit-exactly. A ``reuse`` cache of the same shapes
+    lends its input, gate and cell-state buffers, which this pass overwrites,
+    so that cache is spent. Returns (Y, ForwardCache).
     """
     x, batched, initial_state = _sequence_inputs(w, X, initial_state)
     if masks is None:
@@ -403,8 +409,13 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
 
     # A time-major copy of the inputs in theta's dtype; the cache keeps it for BPTT.
     dtype = w.theta.dtype
-    x = np.array(x, dtype=dtype, order="C")
-    arrays = _loop_arrays(w, *x.shape[:2], keep=True)
+    if reuse is not None and (reuse.x.shape, reuse.x.dtype, reuse.hidden_size) == (
+            x.shape, dtype, w.hidden_size):
+        np.copyto(reuse.x, x)
+        x = reuse.x
+    else:
+        x, reuse = np.array(x, dtype=dtype, order="C"), None
+    arrays = _loop_arrays(w, *x.shape[:2], keep=True, reuse=reuse)
     Y = np.empty((len(x), w.output_size, x.shape[1]), dtype=dtype)
     _run_cell(arrays, x, _to_fm(initial_state.h, dtype), _to_fm(initial_state.s, dtype), Y,
               *_loop_masks(masks, batched, dtype))

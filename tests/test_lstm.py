@@ -383,6 +383,38 @@ class TestBpttGradients:
         for (name, a), (_, b) in zip(g1.named_arrays(), g2.named_arrays()):
             assert np.allclose(2.0 * a, b, rtol=1e-12, atol=1e-15), name
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reused_cache_gives_the_bits_of_a_fresh_one(self, dtype):
+        w = random_weights(3, 8, 1, seed=53).astype(dtype)
+        rng = np.random.default_rng(54)
+        X1, X2 = rng.normal(size=(2, 5, PREDICT_BLOCK_DAYS + 3, 3))
+        dY = rng.normal(size=(5, PREDICT_BLOCK_DAYS + 3, 1))
+        masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.4), 3, 8,
+                                     rho=PREDICT_BLOCK_DAYS + 3, seed=55, batch=5)
+        _, spent = forward_sequence(w, X1, masks=masks)
+        buffers = (spent.x, spent.gates, spent.s_fm)
+        Y_fresh, fresh = forward_sequence(w, X2, masks=masks)
+        Y, cache = forward_sequence(w, X2, masks=masks, reuse=spent)
+        assert all(np.shares_memory(a, b) for a, b in
+                   zip(buffers, (cache.x, cache.gates, cache.s_fm)))
+        assert np.array_equal(Y, Y_fresh)
+        for name in ("x", "gates", "s_fm", "y_fm"):
+            assert np.array_equal(getattr(cache, name), getattr(fresh, name)), name
+        assert np.array_equal(bptt_gradients(w, cache, dY).theta,
+                              bptt_gradients(w, fresh, dY).theta)
+        # A cache of another length, batch, input width, hidden size or dtype
+        # lends nothing.
+        for other in (X2[:, :-1], X2[:-1], X2[..., None, 0]):
+            w_other = random_weights(other.shape[-1], 8, 1, seed=53).astype(dtype)
+            _, cache_other = forward_sequence(w_other, other, reuse=cache)
+            assert not np.shares_memory(cache_other.gates, cache.gates)
+        _, cache_other = forward_sequence(random_weights(3, 9, 1, seed=53).astype(dtype), X2,
+                                          reuse=cache)
+        assert not np.shares_memory(cache_other.x, cache.x)
+        other_dtype = np.float32 if dtype == np.float64 else np.float64
+        _, cache_other = forward_sequence(w.astype(other_dtype), X2, reuse=cache)
+        assert not np.shares_memory(cache_other.x, cache.x)
+
     def test_shape_mismatch_rejected(self):
         w = random_weights(3, 4, 1, seed=50)
         X = np.random.default_rng(51).normal(size=(6, 3))

@@ -303,6 +303,31 @@ class TestTrainLstm:
         assert back.theta.dtype == np.float64
         assert back.theta.tobytes() == w.theta.tobytes()
 
+    def test_each_epoch_overwrites_the_previous_cache(self, monkeypatch):
+        # One set of activation buffers serves every epoch; the weights are
+        # those of a run whose every forward pass allocates its own.
+        lent = []
+
+        def recording_forward(w, X, **kwargs):
+            lent.append(kwargs.get("reuse"))
+            Y, cache = forward_sequence(w, X, **kwargs)
+            lent.append(cache)
+            return Y, cache
+
+        data = make_data(4, 60, lambda p, T: np.random.default_rng(p).normal(size=(T, 2)),
+                         lambda p, T, x: 0.2 + 0.05 * np.tanh(x[:, 0]))
+        cfg = TrainingConfig(hidden_size=5, unroll_length=20, batch_size=4, epochs=5, seed=4)
+        monkeypatch.setattr(training, "forward_sequence", recording_forward)
+        w, _ = train_lstm(data, cfg)
+        assert lent[0] is None
+        assert all(lent[k] is lent[k - 1] for k in range(2, len(lent), 2))
+        assert all(np.shares_memory(c.gates, lent[1].gates) for c in lent[1::2])
+
+        monkeypatch.setattr(training, "forward_sequence", lambda w, X, **kwargs: forward_sequence(
+            w, X, **{k: v for k, v in kwargs.items() if k != "reuse"}))
+        fresh, _ = train_lstm(data, cfg)
+        assert w.theta.tobytes() == fresh.theta.tobytes()
+
     def test_loss_divergence_tripwire(self):
         data = make_data(4, 120, lambda p, T: np.full((T, 2), 0.5),
                          lambda p, T, x: np.full(T, 0.3))
