@@ -12,16 +12,19 @@ pixels still in the sweep, and :func:`select_ar_order` is its one-pixel case.
 
 The network keeps its parameters in one flat vector, as the LSTM does, and
 steps it with the LSTM's optimizer, :func:`hlstm.training.adam_step`.
+
+A fitted model is also its container section (README "Model containers"),
+``INPUTS`` naming its array with one entry per input column on the last axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import Config
+from .config import AnyFloat, Config, Matrix, Vector, diagnostic, optional
 from .errors import ValidationError
 from .lstm import make_rng
 from .training import AdamState, adam_step
@@ -57,12 +60,13 @@ class BaselineSettings(Config):
 
 
 @dataclass
-class LassoModel:
+class LassoModel(Config):
     beta0: float
-    beta: np.ndarray
-    lam: float
-    converged: bool = True
-    n_sweeps: int = 0
+    beta: Vector
+    lam: float = field(metadata={"key": "lambda"})
+    converged: bool
+    n_sweeps: int = diagnostic(0)
+    INPUTS = "beta"
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -152,13 +156,22 @@ def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float,
 
 
 @dataclass
-class ArModel:
+class ArModel(Config):
     """theta_t = c + sum_i alpha_i * theta_{t-i} + sum_k gamma_k * x_{k,t}"""
 
     c: float
-    alpha: np.ndarray
-    gamma: np.ndarray
-    n_rows: int = 0
+    alpha: Vector
+    gamma: Vector
+    order_rmse: dict[str, AnyFloat] = optional(kw_only=True)   # set by the order sweep
+    order: int   # p
+    n_rows: int = diagnostic(0)
+    INPUTS = "gamma"
+
+    def validate(self):
+        if self.order != self.alpha.size:
+            raise ValidationError(f"field 'order' is {self.order}, not the "
+                                  f"{self.alpha.size} lags of 'alpha'")
+        return self
 
     @property
     def p(self) -> int:
@@ -205,7 +218,7 @@ def fit_ar(theta: np.ndarray, mask: np.ndarray, X_exog: np.ndarray | None,
     A[:, 1:1 + p] = theta[rows[:, None] - np.arange(1, p + 1)]
     A[:, 1 + p:] = X_exog[rows]
     coef, *_ = np.linalg.lstsq(A, theta[rows], rcond=None)
-    return ArModel(c=float(coef[0]), alpha=coef[1:1 + p], gamma=coef[1 + p:],
+    return ArModel(c=float(coef[0]), alpha=coef[1:1 + p], gamma=coef[1 + p:], order=p,
                    n_rows=int(rows.size))
 
 
@@ -339,8 +352,8 @@ def select_ar_orders(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
     pixel leaves the sweep at its first rejected order, so only one order's
     predictions are held at a time.
 
-    Returns one entry per pixel: (model, best_p, rmse_by_p), or the
-    ValidationError that :func:`select_ar_order` raises for that pixel.
+    Returns one entry per pixel: (model, best_p, rmse_by_p), with ``order_rmse``
+    set, or the ValidationError that :func:`select_ar_order` raises for it.
     """
     n = len(theta_fit)
     labels = labels or [""] * n
@@ -386,23 +399,32 @@ def select_ar_orders(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
             continue
         floor = min(rmse_by_p[k].values())
         best_p = min(p for p in models[k] if rmse_by_p[k][p] <= floor * 1.02)
+        models[k][best_p].order_rmse = {str(p): v for p, v in rmse_by_p[k].items()}
         results[k] = (models[k][best_p], best_p, rmse_by_p[k])
     return results
 
 
 @dataclass
-class FfnnModel:
+class FfnnModel(Config):
     """One tan-sigmoid hidden layer with a linear scalar output."""
 
-    W1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
+    W1: Matrix
+    b1: Vector
+    w2: Vector
     b2: float
     hidden_size: int
     l2: float
-    degenerate: bool = False
-    epochs_run: int = 0
-    val_rmse: float = float("nan")
+    degenerate: bool
+    epochs_run: int = diagnostic(0)
+    val_rmse: float = diagnostic(float("nan"))
+    INPUTS = "W1"
+
+    def validate(self):
+        for name, rows in (("W1", len(self.W1)), ("b1", self.b1.size), ("w2", self.w2.size)):
+            if rows != self.hidden_size:
+                raise ValidationError(f"field {name!r} has {rows} rows, not the "
+                                      f"{self.hidden_size} of 'hidden_size'")
+        return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """w2 . tansig(W1 x + b1) + b2 per row; stateless across rows."""
@@ -497,5 +519,5 @@ def fit_ffnn(X: np.ndarray, y: np.ndarray, hidden_size: int,
 
     W1, b1, w2, b2 = views(best)
     return FfnnModel(W1=W1, b1=b1, w2=w2 * y_sd, b2=float(b2[0] * y_sd + y_mu),
-                     hidden_size=hidden_size, l2=l2, epochs_run=epoch,
+                     hidden_size=hidden_size, l2=l2, degenerate=False, epochs_run=epoch,
                      val_rmse=float(np.sqrt(best_mse)) * y_sd)

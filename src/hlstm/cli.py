@@ -260,14 +260,11 @@ def cmd_hindcast(args, manifest: RunManifest) -> int:
                                      window_days=hc.window_days,
                                      out_dir=args.out)
     names, stats, features = (result.models[k] for k in ("feature_names", "stats", "features"))
-    save_model(os.path.join(args.out, "model_lstm.json"), "lstm",
-               model_payload("lstm", (result.models["lstm"], []), names, stats,
-                             hc.training, features))
-    ar_models = {px.pixel_id: (m, m.p, rmse_by_p) for px, m, rmse_by_p in
-                 zip(dataset.pixels, result.models["ar_p"],
-                     result.models["ar_rmse_by_p"])}
-    save_model(os.path.join(args.out, "model_ar_p.json"), "ar_p",
-               model_payload("ar_p", ar_models, names, stats, features=features))
+    pixel_ids = [px.pixel_id for px in dataset.pixels]
+    for kind, model in (("lstm", (result.models["lstm"], [])),
+                        ("ar_p", dict(zip(pixel_ids, result.models["ar_p"])))):
+        save_model(os.path.join(args.out, f"model_{kind}.json"), kind,
+                   model_payload(kind, model, names, stats, hc.training, features))
 
     manifest.doc["config"] = hc.to_dict()
     manifest.doc["seeds"] = {"synthetic": hc.synthetic.seed, "training": hc.training.seed}

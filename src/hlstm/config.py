@@ -7,7 +7,8 @@ containers"). Besides JSON's types a field may be a ``dict[str, X]``, a
 :data:`Vector` or :data:`Matrix` (a finite float64 array, as nested lists) or
 an :data:`AnyFloat` (a number that may be NaN or infinite). An
 :func:`optional` field may be absent, and is then None and left out of
-``to_dict``; a field with a ``"key"`` in its metadata has that JSON key.
+``to_dict``; a :func:`diagnostic` field is never read or written, its key
+unknown to JSON; a field with a ``"key"`` in its metadata has that JSON key.
 ``from_dict`` raises ValidationError naming the field for a non-object, an
 unknown or missing key or a value of the wrong JSON type, then runs the
 section's ``validate()``, prefixing its ValidationError with the section's
@@ -43,6 +44,17 @@ def optional(**kwargs):
     return dataclasses.field(default=None, metadata={"optional": True}, **kwargs)
 
 
+def diagnostic(default):
+    """A field JSON never holds (a fit's record of its work), keyword-only."""
+    return dataclasses.field(default=default, kw_only=True, metadata={"diagnostic": True})
+
+
+def json_fields(section) -> dict:
+    """The fields of a section or section class by JSON key, diagnostics left out."""
+    return {f.metadata.get("key", f.name): f for f in dataclasses.fields(section)
+            if not f.metadata.get("diagnostic")}
+
+
 class Config:
     """Base of the sections; subclasses are dataclasses."""
 
@@ -57,7 +69,7 @@ class Config:
         if not isinstance(d, dict):
             raise ValidationError(f"{what} must be a JSON object, "
                                   f"got {json.dumps(d, default=repr)}")
-        fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+        fields = json_fields(cls)
         unknown = sorted(set(d) - set(fields))
         if unknown:
             raise ValidationError(f"{what} has unknown field(s) {unknown}")
@@ -81,8 +93,8 @@ class Config:
     def to_dict(self) -> dict:
         """The section as JSON data, the inverse of ``from_dict``."""
         hints = _type_hints(type(self))
-        return {f.metadata.get("key", f.name): _give(getattr(self, f.name), hints[f.name])
-                for f in dataclasses.fields(self)
+        return {key: _give(getattr(self, f.name), hints[f.name])
+                for key, f in json_fields(self).items()
                 if not (f.metadata.get("optional") and getattr(self, f.name) is None)}
 
 

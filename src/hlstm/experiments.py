@@ -529,9 +529,7 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
     }
     result = HindcastResult(windows=windows, rmse_rows=rmse_rows,
                             summary=summary,
-                            models={"lstm": w, "ar_p": ar_models,
-                                    "ar_rmse_by_p": [rmse for _, _, rmse in swept],
-                                    "stats": stats,
+                            models={"lstm": w, "ar_p": ar_models, "stats": stats,
                                     "feature_names": data.feature_names,
                                     "features": data.features})
     if out_dir is not None:

@@ -6,9 +6,9 @@ fitted on the training pixels' rows, ``predict(model, data, split)`` returns
 {"train": {pid: series}, "test": {...}}, and ``payload`` is the section of
 its container payload: ``payload.of(model, feature_names, stats, config)``
 holds a model, ``section.model()`` gives it back. ``point`` kinds fit and
-score each pixel on its own series. Models are (weights, history) for lstm,
-{pixel id: model} for lasso_p and nn_p, and {pixel id: (model, order,
-rmse_by_order)} for ar_p.
+score each pixel on its own series. Models are (weights, history) for lstm
+and {pixel id: model} for lasso_p, nn_p and ar_p. A baseline model is its own
+section: a lasso or nn payload is the model followed by :class:`Inputs`.
 
 A container, ``{"format": "hlstm-v1", "kind": ..., "toolkit_version": ...,
 "payload": {...}}``, is read and written only as ``config.Config`` sections,
@@ -36,7 +36,7 @@ from .baselines import (
     fit_lasso,
     select_ar_orders,
 )
-from .config import AnyFloat, Config, Matrix, Vector, optional
+from .config import Config, Matrix, Vector, optional
 from .dataset import NormalizationStats, apply_normalization, write_json_atomic
 from .errors import DataError, ValidationError
 from .lstm import LstmWeights, predict_sequence
@@ -88,16 +88,17 @@ def load_model(path: str):
 
 
 def _check_inputs(section, n: int, where: str = ""):
-    """Raise unless the last axis of ``section``'s INPUTS array has ``n`` entries."""
+    """``section``, checked to have ``n`` entries on its INPUTS array's last axis."""
     got = getattr(section, section.INPUTS).shape[-1]
     if got != n:
         raise ValidationError(f"{where}field {section.INPUTS!r} has {got} input columns, "
                               f"not the {n} of 'feature_names'")
+    return section
 
 
 # The lstm "weights" object: one field per per-gate view of LstmWeights.
 LstmGates = dataclasses.make_dataclass(
-    "LstmGates", [(name, "Matrix" if len(shape) == 2 else "Vector")
+    "LstmGates", [(name, Matrix if len(shape) == 2 else Vector)
                   for name, shape in LstmWeights.gate_shapes(1, 1, 1)],
     bases=(Config,), namespace={"__module__": __name__})
 
@@ -147,89 +148,34 @@ def lstm_payload(w: LstmWeights, feature_names, stats: NormalizationStats | None
 
 
 @dataclass
-class LassoPayload(Config):
-    beta0: float
-    beta: Vector
-    lam: float = field(metadata={"key": "lambda"})
-    converged: bool
+class Inputs:
+    """A lasso or nn payload's fields after the model's; a lasso_p or nn_p
+    pixel repeats its container's ``feature_names`` and has no statistics."""
+
     feature_names: list[str]
     normalization: NormalizationStats | None
     include_lsm: bool | None = optional()
     include_attributes: bool = optional()
-    INPUTS = "beta"
 
     @classmethod
     def of(cls, model, feature_names, stats, config):
-        return cls(model.beta0, model.beta, model.lam, model.converged, list(feature_names),
-                   stats)
+        return cls(**{**vars(model), "feature_names": list(feature_names), "normalization": stats})
 
     def validate(self):
-        _check_inputs(self, len(self.feature_names))
-        return self
+        return _check_inputs(super().validate(), len(self.feature_names))
 
     def model(self):
-        return LassoModel(self.beta0, self.beta, self.lam, self.converged)
+        return self
 
 
 @dataclass
-class NnPayload(Config):
-    W1: Matrix
-    b1: Vector
-    w2: Vector
-    b2: float
-    hidden_size: int
-    l2: float
-    degenerate: bool
-    feature_names: list[str]
-    normalization: NormalizationStats | None
-    include_lsm: bool | None = optional()
-    include_attributes: bool = optional()
-    INPUTS = "W1"
-
-    @classmethod
-    def of(cls, model, feature_names, stats, config):
-        return cls(model.W1, model.b1, model.w2, model.b2, model.hidden_size, model.l2,
-                   model.degenerate, list(feature_names), stats)
-
-    def validate(self):
-        for name, rows in (("W1", len(self.W1)), ("b1", self.b1.size), ("w2", self.w2.size)):
-            if rows != self.hidden_size:
-                raise ValidationError(f"field {name!r} has {rows} rows, not the "
-                                      f"{self.hidden_size} of 'hidden_size'")
-        _check_inputs(self, len(self.feature_names))
-        return self
-
-    def model(self):
-        return FfnnModel(self.W1, self.b1, self.w2, self.b2, self.hidden_size, self.l2,
-                         self.degenerate)
+class LassoPayload(Inputs, LassoModel):
+    """The lasso payload, and a lasso_p pixel."""
 
 
 @dataclass
-class ArPixel(Config):
-    """One pixel of an ar_p payload; ``order_rmse`` maps each swept order to
-    its forecast RMSE, Infinity where the order could not be fitted."""
-
-    c: float
-    alpha: Vector
-    gamma: Vector
-    order_rmse: dict[str, AnyFloat] = optional(kw_only=True)
-    order: int
-    INPUTS = "gamma"
-
-    @classmethod
-    def of(cls, model, feature_names, stats, config):
-        ar, order, rmse = model
-        return cls(ar.c, ar.alpha, ar.gamma, order,
-                   order_rmse=rmse and {str(p): v for p, v in rmse.items()})
-
-    def validate(self):
-        if self.order != self.alpha.size:
-            raise ValidationError(f"field 'order' is {self.order}, not the "
-                                  f"{self.alpha.size} lags of 'alpha'")
-        return self
-
-    def model(self):
-        return ArModel(self.c, self.alpha, self.gamma), self.order, self.order_rmse
+class NnPayload(Inputs, FfnnModel):
+    """The nn payload, and an nn_p pixel."""
 
 
 @dataclass
@@ -247,16 +193,21 @@ class PointPayload(Config):
     @classmethod
     def of(cls, models, feature_names, stats, config):
         pixel = typing.get_args(typing.get_type_hints(cls)["pixels"])[1]
-        return cls({pid: pixel.of(m, feature_names, None, config) for pid, m in models.items()},
-                   list(feature_names), stats)
+        if issubclass(pixel, Inputs):   # an ar_p pixel is the model itself
+            models = {pid: pixel.of(m, feature_names, None, config) for pid, m in models.items()}
+        return cls(dict(models), list(feature_names), stats)
 
     def validate(self):
         for pid, doc in self.pixels.items():
-            _check_inputs(doc, len(self.feature_names), f"pixels[{pid!r}] ")
+            where = f"pixels[{pid!r}] "
+            for name, want in (("feature_names", self.feature_names), ("normalization", None)):
+                if getattr(doc, name, want) != want:   # an ar_p pixel has neither
+                    raise ValidationError(f"{where}field {name!r} must be {json.dumps(want)}")
+            _check_inputs(doc, len(self.feature_names), where)
         return self
 
     def model(self):
-        return {pid: doc.model() for pid, doc in self.pixels.items()}
+        return self.pixels
 
 
 @dataclass
@@ -266,7 +217,7 @@ class NnPixels(PointPayload):
 
 @dataclass
 class ArPixels(PointPayload):
-    pixels: dict[str, ArPixel]
+    pixels: dict[str, ArModel]
 
 
 def _ar_warmup(theta, mask, p_max):
@@ -353,7 +304,7 @@ def _fit_ar(train_data, split, lstm_config, baselines, seed):
                              train_data.targets[ks, e0:e1], train_data.mask[ks, e0:e1],
                              train_data.inputs[ks, e0:e1], warm,
                              p_max=baselines.ar_max_order, labels=pids)
-    models = {pid: res for pid, res in zip(pids, swept)
+    models = {pid: res[0] for pid, res in zip(pids, swept)
               if not isinstance(res, ValidationError)}
     if not models:
         raise ValidationError("no pixel could support an AR fit")
@@ -367,7 +318,7 @@ def _predict_ar(models, data, split):
     idx = {pid: k for k, pid in enumerate(data.pixel_ids)}
     pids = [pid for pid in split.train_pixels if pid in models]
     ks = [idx[pid] for pid in pids]
-    ar = [models[pid][0] for pid in pids]
+    ar = [models[pid] for pid in pids]
     mask = data.mask[ks, t0:t1]
     theta = np.where(mask, data.targets[ks, t0:t1], 0.0)
     p_warm = max([m.p for m in ar] + [1])

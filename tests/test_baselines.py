@@ -211,19 +211,19 @@ class TestAr:
 
 class TestArForecast:
     def test_p_zero_is_pure_exog_function(self):
-        model = ArModel(c=0.1, alpha=np.zeros(0), gamma=np.array([2.0]))
+        model = ArModel(c=0.1, alpha=np.zeros(0), gamma=np.array([2.0]), order=0)
         X = np.array([[0.0], [1.0], [-1.0]])
         out = ar_forecast(model, X, warmup=np.zeros(0))
         assert np.array_equal(out, np.array([0.1, 2.1, -1.9]))
 
     def test_unit_root_holds_state(self):
-        model = ArModel(c=0.0, alpha=np.array([1.0]), gamma=np.zeros(0))
+        model = ArModel(c=0.0, alpha=np.array([1.0]), gamma=np.zeros(0), order=1)
         out = ar_forecast(model, None, warmup=np.array([0.3]), horizon=50)
         assert np.array_equal(out, np.full(50, 0.3))
 
     def test_stable_pole_decays_to_fixed_point(self):
         c, a = 0.06, 0.7
-        model = ArModel(c=c, alpha=np.array([a]), gamma=np.zeros(0))
+        model = ArModel(c=c, alpha=np.array([a]), gamma=np.zeros(0), order=1)
         out = ar_forecast(model, None, warmup=np.array([0.9]), horizon=400)
         fp = c / (1 - a)
         assert abs(out[-1] - fp) < 1e-12
@@ -233,7 +233,7 @@ class TestArForecast:
         assert np.max(np.abs(out[:50] - expect)) < 1e-12
 
     def test_short_warmup_rejected(self):
-        model = ArModel(c=0.0, alpha=np.array([0.5, 0.1]), gamma=np.zeros(0))
+        model = ArModel(c=0.0, alpha=np.array([0.5, 0.1]), gamma=np.zeros(0), order=2)
         with pytest.raises(ValidationError):
             ar_forecast(model, None, warmup=np.array([0.3]), horizon=5)
 
@@ -246,7 +246,7 @@ class TestArForecast:
         for k in range(n_pix):
             p = k % 3
             models.append(ArModel(c=0.01 * k, alpha=rng.uniform(-0.4, 0.8, size=p),
-                                  gamma=rng.normal(size=2)))
+                                  gamma=rng.normal(size=2), order=p))
         batch = ar_forecast_batch(models, X, warm)
         for k in range(n_pix):
             single = ar_forecast(models[k], X[k], warm[k])
@@ -303,7 +303,7 @@ class TestArKernels:
         X = rng.normal(size=(n_pix, T, 3))
         warm = rng.uniform(0.1, 0.4, size=(n_pix, 5))
         models = [ArModel(c=0.02 * k, alpha=rng.uniform(-0.3, 0.5, size=k),
-                          gamma=rng.normal(size=3)) for k in range(n_pix)]
+                          gamma=rng.normal(size=3), order=k) for k in range(n_pix)]
         batch = ar_forecast_batch(models, X, warm)
         for k, m in enumerate(models):
             expect = scalar_ar_forecast(m.c, m.alpha, m.gamma, X[k], warm[k], T)
@@ -357,14 +357,15 @@ class TestArKernels:
 class TestFfnn:
     def test_zero_model_outputs_bias(self):
         model = FfnnModel(W1=np.zeros((4, 3)), b1=np.zeros(4), w2=np.zeros(4),
-                          b2=0.5, hidden_size=4, l2=0.0)
+                          b2=0.5, hidden_size=4, l2=0.0, degenerate=False)
         X = np.random.default_rng(0).normal(size=(10, 3))
         assert np.array_equal(model.predict(X), np.full(10, 0.5))
 
     def test_stateless_row_permutation(self):
         rng = np.random.default_rng(1)
         model = FfnnModel(W1=rng.normal(size=(5, 3)), b1=rng.normal(size=5),
-                          w2=rng.normal(size=5), b2=0.1, hidden_size=5, l2=0.0)
+                          w2=rng.normal(size=5), b2=0.1, hidden_size=5, l2=0.0,
+                          degenerate=False)
         X = rng.normal(size=(20, 3))
         perm = rng.permutation(20)
         assert np.array_equal(model.predict(X)[perm], model.predict(X[perm]))
@@ -373,7 +374,8 @@ class TestFfnn:
         import math
         rng = np.random.default_rng(2)
         model = FfnnModel(W1=rng.normal(size=(3, 2)), b1=rng.normal(size=3),
-                          w2=rng.normal(size=3), b2=-0.2, hidden_size=3, l2=0.0)
+                          w2=rng.normal(size=3), b2=-0.2, hidden_size=3, l2=0.0,
+                          degenerate=False)
         x = rng.normal(size=2)
         expect = model.b2
         for j in range(3):
@@ -422,6 +424,6 @@ class TestFfnn:
 
     def test_dimension_mismatch(self):
         model = FfnnModel(W1=np.zeros((4, 3)), b1=np.zeros(4), w2=np.zeros(4),
-                          b2=0.0, hidden_size=4, l2=0.0)
+                          b2=0.0, hidden_size=4, l2=0.0, degenerate=False)
         with pytest.raises(ValidationError):
             model.predict(np.zeros((5, 2)))

@@ -408,6 +408,20 @@ class TestCliErrors:
         assert self.evaluate_edited(workspace, tmp_path, model, edit) == 1
         assert self.error_names(capsys, tmp_path, f"'{field}'")
 
+    @pytest.mark.parametrize("field", ["feature_names", "normalization"])
+    @pytest.mark.parametrize("model", ["lasso_p", "nn_p"])
+    def test_container_pixel_unlike_its_container_exits_one(self, workspace, tmp_path, capsys,
+                                                            model, field):
+        # A pixel's feature_names are its container's, and it has no statistics.
+        first = []
+
+        def edit(payload):
+            first.append(next(iter(payload["pixels"])))
+            each_pixel(payload, **{field: payload["normalization"] if field == "normalization"
+                                   else payload["feature_names"][::-1]})
+        assert self.evaluate_edited(workspace, tmp_path, model, edit) == 1
+        assert self.error_names(capsys, tmp_path, f"pixels[{first[0]!r}] field '{field}'")
+
     def test_container_unknown_top_level_key_exits_one(self, workspace, tmp_path, capsys):
         _, data, split_cfg = workspace
         run = tmp_path / "run"

@@ -14,15 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlstm
-from hlstm.baselines import BaselineSettings
-from hlstm.config import AnyFloat, Config
+from hlstm.baselines import ArModel, BaselineSettings, FfnnModel, LassoModel
+from hlstm.config import AnyFloat, Config, json_fields
 from hlstm.dataset import Manifest, NormalizationStats, PixelEntry
 from hlstm.errors import ValidationError
 from hlstm.experiments import HindcastConfig, Split, SplitSpec
 from hlstm.lstm import DROPOUT_VARIANTS, DropoutSpec, LstmWeights
 from hlstm.modelio import (
     MODEL_KINDS,
-    ArPixel,
     ArPixels,
     Envelope,
     LassoPayload,
@@ -37,8 +36,8 @@ from hlstm.training import LOSS_DIVISORS, OPTIMIZERS, Features, TrainingConfig
 
 SECTIONS = [DropoutSpec, TrainingConfig, Features, BaselineSettings, SyntheticConfig,
             SplitSpec, Split, HindcastConfig, PixelEntry, Manifest, NormalizationStats,
-            Envelope, LstmGates, LstmPayload, LassoPayload, NnPayload, ArPixel, PointPayload,
-            NnPixels, ArPixels]
+            Envelope, LstmGates, LstmPayload, LassoModel, FfnnModel, ArModel, LassoPayload,
+            NnPayload, PointPayload, NnPixels, ArPixels]
 # Valid values are drawn around these instances; they give the sections with
 # required fields their values.
 BASES = {SplitSpec: lambda: SplitSpec("spatial_subsample"),
@@ -53,15 +52,18 @@ BASES = {SplitSpec: lambda: SplitSpec("spatial_subsample"),
          LstmGates: lambda: LstmGates(**dict(LstmWeights(1, 2, 1).named_arrays())),
          LstmPayload: lambda: LstmPayload.of((LstmWeights(1, 2, 1), []), ["precip"], None,
                                              None),
+         LassoModel: lambda: LassoModel(0.5, np.array([0.25]), 0.01, True),
+         FfnnModel: lambda: FfnnModel(np.zeros((1, 1)), np.zeros(1), np.ones(1), 0.5, 1, 0.0,
+                                      False),
+         ArModel: lambda: ArModel(0.5, np.zeros(0), np.array([0.25]), 0),
          LassoPayload: lambda: LassoPayload(0.5, np.array([0.25]), 0.01, True, ["precip"],
                                             None),
          NnPayload: lambda: NnPayload(np.zeros((1, 1)), np.zeros(1), np.ones(1), 0.5, 1, 0.0,
                                       False, ["precip"], None),
-         ArPixel: lambda: ArPixel(0.5, np.zeros(0), np.array([0.25]), 0),
          PointPayload: lambda: PointPayload({"px_0_0": BASES[LassoPayload]()}, ["precip"],
                                             None),
          NnPixels: lambda: NnPixels({"px_0_0": BASES[NnPayload]()}, ["precip"], None),
-         ArPixels: lambda: ArPixels({"px_0_0": BASES[ArPixel]()}, ["precip"], None)}
+         ArPixels: lambda: ArPixels({"px_0_0": BASES[ArModel]()}, ["precip"], None)}
 # str fields whose valid values are a fixed set
 CHOICES = {"variant": DROPOUT_VARIANTS, "optimizer": OPTIMIZERS,
            "loss_divisor": LOSS_DIVISORS, "noise_kind": NOISE_KINDS,
@@ -88,7 +90,7 @@ def is_array(tp):
 def key_types(cls):
     """The field types of ``cls`` by JSON key, array annotations kept."""
     hints = typing.get_type_hints(cls, include_extras=True)
-    return {f.metadata.get("key", f.name): hints[f.name] for f in dataclasses.fields(cls)}
+    return {key: hints[f.name] for key, f in json_fields(cls).items()}
 
 
 def values(tp, name):
@@ -116,13 +118,13 @@ def values(tp, name):
 
 def same(a, b) -> bool:
     """``a == b``, with arrays compared bit for bit (dtype and shape
-    included) and a NaN equal to a NaN."""
+    included), a NaN equal to a NaN and sections compared by their JSON fields."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
                 and a.tobytes() == b.tobytes())
     if dataclasses.is_dataclass(a):
         return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
-                                          for f in dataclasses.fields(a))
+                                          for f in json_fields(a).values())
     if isinstance(a, (list, tuple, dict)):
         keys = list(a) if isinstance(a, dict) else range(len(a))
         return (type(a) is type(b) and len(a) == len(b)
@@ -134,9 +136,9 @@ def same(a, b) -> bool:
 
 
 def sections(cls):
-    """Valid instances of ``cls``: its base with up to three fields redrawn."""
+    """Valid instances of ``cls``: its base with up to three JSON fields redrawn."""
     hints = typing.get_type_hints(cls, include_extras=True)
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = [f.name for f in json_fields(cls).values()]
 
     def build(changes):
         try:

@@ -258,7 +258,7 @@ class TestRunExperiment:
                          test_window=window_dates(ds, 365, 729))
         result = run_experiment(ds, spec, ["ar_p"])
         assert not result.errors
-        assert all(best_p == 0 for (_, best_p, _) in result.models["ar_p"].values())
+        assert all(model.order == 0 for model in result.models["ar_p"].values())
 
     def test_point_mode_isolation(self):
         ds = grid_dataset(3, 3, 2, revisit_days=1, seed=8)
@@ -315,7 +315,7 @@ class TestContainerParity:
                                 out_dir=str(tmp_path / "experiment"))
         assert not result.errors
         if orders is not None:
-            assert sorted(p for _, p, _ in result.models["ar_p"].values()) == orders
+            assert sorted(m.order for m in result.models["ar_p"].values()) == orders
 
         model_files = []
         for kind in MODEL_KINDS:
@@ -352,7 +352,7 @@ class TestArInSample:
         theta = np.where(mask, rng.uniform(0.1, 0.4, size=T), 0.0)
         X = rng.normal(size=(T, r))
         model = ArModel(c=0.05, alpha=rng.uniform(-0.4, 0.6, size=p),
-                        gamma=rng.normal(size=r))
+                        gamma=rng.normal(size=r), order=p)
         got = _ar_in_sample(model, theta, mask, X)
         expect = scalar_ar_in_sample(model.c, model.alpha, model.gamma, theta, mask, X)
         assert got.shape == (T,)

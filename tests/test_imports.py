@@ -1,8 +1,16 @@
-"""The runtime uses only the standard library and numpy."""
+"""The runtime uses only the standard library and numpy, and gives the
+benchmark's tracer and checks what they read."""
 
 import ast
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from hlstm import baselines
+from hlstm.experiments import run_hindcast_experiment
+from hlstm.synthetic import SyntheticConfig, generate_synthetic
+from hlstm.training import TrainingConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hlstm"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "hlstm"}
@@ -34,3 +42,43 @@ def test_benchmark_tracer_finds_every_function_it_wraps(monkeypatch):
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing.LAYER_FUNCTIONS
                if not callable(getattr(owner, attr, None))]
     assert len(tracing.LAYER_FUNCTIONS) > 20 and not missing, missing
+
+
+def test_benchmark_tracer_reads_what_the_fits_return(monkeypatch):
+    # The tracer counts lasso sweeps and network epochs off each fit's
+    # result, so those diagnostics stay attributes of the fitted models.
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    import tracing
+
+    counters = {attr: counts for owner, attr, _, counts in tracing.LAYER_FUNCTIONS
+                if owner is baselines}
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    y = X @ np.array([0.5, -0.2, 0.1]) + 0.1 * rng.normal(size=40)
+    lasso = baselines.fit_lasso(X, y, lam=0.01)
+    nn = baselines.fit_ffnn(X, y, hidden_size=3, max_epochs=5)
+    assert counters["fit_lasso"]["baselines.lasso.sweeps"]((X, y), {"lam": 0.01}, lasso) \
+        == lasso.n_sweeps >= 1
+    assert counters["fit_ffnn"]["baselines.ffnn.epochs"]((X, y), {}, nn) == nn.epochs_run == 5
+
+
+def test_benchmark_hindcast_check_reads_ar_models_in_pixel_order(monkeypatch):
+    # The hindcast workload zips models["ar_p"] with the dataset's pixels and
+    # refits each pixel's c, alpha and gamma at its order p by least squares.
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    import checks
+
+    ds = generate_synthetic(SyntheticConfig(rows=2, cols=2, years=3, seed=5))
+    res = run_hindcast_experiment(ds, train_days=730, lstm_config=TrainingConfig(
+        hidden_size=4, unroll_length=30, batch_size=4, epochs=2))
+    ar = res.models["ar_p"]
+    assert type(ar) is list and len(ar) == len(ds.pixels)
+    assert all(type(model) is baselines.ArModel for model in ar)
+    forcing = np.concatenate([px.forcing for px in ds.pixels])
+    mean, std = forcing.mean(axis=0), forcing.std(axis=0)
+    h_end = ds.n_days - 730
+    for px, model in zip(ds.pixels, ar):
+        ref = checks.ar_reference(np.nan_to_num(px.target[h_end:]), px.mask[h_end:],
+                                  (px.forcing[h_end:] - mean) / std, model.p)
+        got = np.concatenate([[model.c], model.alpha, model.gamma])
+        assert np.allclose(got, ref, rtol=1e-8, atol=1e-10), px.pixel_id

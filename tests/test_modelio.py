@@ -70,20 +70,22 @@ class TestContainer:
         assert np.array_equal(back.beta, model.beta)
 
     def test_ar_round_trip(self, tmp_path):
-        model = ArModel(c=0.01, alpha=np.array([0.8]), gamma=np.array([0.3, -0.1]))
+        model = ArModel(c=0.01, alpha=np.array([0.8]), gamma=np.array([0.3, -0.1]), order=1,
+                        order_rmse={"0": 0.5, "1": 0.1})
         path = str(tmp_path / "a.json")
-        save_model(path, "ar_p", ArPixels.of({"px0": (model, 1, {0: 0.5, 1: 0.1})},
-                                             ["x1", "x2"], None, None).to_dict())
+        save_model(path, "ar_p", ArPixels.of({"px0": model}, ["x1", "x2"], None,
+                                             None).to_dict())
         _, payload = load_model(path)
-        back, order, rmse = ArPixels.from_dict(payload).model()["px0"]
-        assert (order, rmse) == (1, {"0": 0.5, "1": 0.1})
+        back = ArPixels.from_dict(payload).model()["px0"]
+        assert (back.order, back.order_rmse) == (1, {"0": 0.5, "1": 0.1})
         assert np.array_equal(back.alpha, model.alpha)
         assert np.array_equal(back.gamma, model.gamma)
 
     def test_ffnn_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         model = FfnnModel(W1=rng.normal(size=(4, 3)), b1=rng.normal(size=4),
-                          w2=rng.normal(size=4), b2=0.3, hidden_size=4, l2=0.002)
+                          w2=rng.normal(size=4), b2=0.3, hidden_size=4, l2=0.002,
+                          degenerate=False)
         path = str(tmp_path / "n.json")
         save_model(path, "nn", NnPayload.of(model, ["x1", "x2", "x3"], stats_fixture(),
                                             None).to_dict())
@@ -111,22 +113,22 @@ class TestMalformedContainers:
             LstmPayload.from_dict(payload)
 
     def test_lasso_missing_field_named(self):
-        model = LassoModel(beta0=0.1, beta=np.array([0.5]), lam=0.002)
+        model = LassoModel(beta0=0.1, beta=np.array([0.5]), lam=0.002, converged=True)
         payload = LassoPayload.of(model, ["x1"], None, None).to_dict()
         del payload["lambda"]
         with pytest.raises(ValidationError, match="lambda"):
             LassoPayload.from_dict(payload)
 
     def test_ar_missing_field_named(self):
-        model = ArModel(c=0.0, alpha=np.array([0.5]), gamma=np.zeros(0))
-        payload = ArPixels.of({"px0": (model, 1, None)}, [], None, None).to_dict()
+        model = ArModel(c=0.0, alpha=np.array([0.5]), gamma=np.zeros(0), order=1)
+        payload = ArPixels.of({"px0": model}, [], None, None).to_dict()
         del payload["pixels"]["px0"]["gamma"]
         with pytest.raises(ValidationError, match="gamma"):
             ArPixels.from_dict(payload)
 
     def test_ffnn_missing_field_named(self):
         model = FfnnModel(W1=np.zeros((2, 1)), b1=np.zeros(2), w2=np.zeros(2),
-                          b2=0.0, hidden_size=2, l2=0.0)
+                          b2=0.0, hidden_size=2, l2=0.0, degenerate=False)
         payload = NnPayload.of(model, ["x1"], None, None).to_dict()
         del payload["degenerate"]
         with pytest.raises(ValidationError, match="degenerate"):
@@ -158,23 +160,25 @@ class TestGoldenContainer:
             assert path.read_bytes() == fh.read()
 
 
+@pytest.fixture(scope="module")
+def fitted():
+    """(models by kind, the prepared data, its statistics, the lstm's config)."""
+    ds = generate_synthetic(SyntheticConfig(rows=3, cols=3, years=2, noise_kind="white",
+                                            noise_param=0.04, revisit_days=2, seed=3))
+    split = make_split(ds, SplitSpec("temporal", ("2000-01-01", "2000-12-30"),
+                                     ("2000-12-31", "2001-12-30")))
+    data, train_data, stats = prepare_split(ds, split)
+    config = TrainingConfig(hidden_size=6, unroll_length=40, batch_size=6, epochs=5,
+                            learning_rate=0.01, dropout=DropoutSpec("recurrent_constant", 0.2))
+    baselines = BaselineSettings(ffnn_epochs=40, ffnn_hidden=10, ffnn_hidden_point=5)
+    models = {kind: entry.fit(train_data, split, config, baselines, 0)
+              for kind, entry in MODEL_KINDS.items()}
+    return models, data, stats, config
+
+
 class TestResave:
     """Every kind's container, read into its payload section and written
     back, keeps its bytes, with and without the Features echo."""
-
-    @pytest.fixture(scope="class")
-    def fitted(self):
-        ds = generate_synthetic(SyntheticConfig(rows=3, cols=3, years=2, noise_kind="white",
-                                                noise_param=0.04, revisit_days=2, seed=3))
-        split = make_split(ds, SplitSpec("temporal", ("2000-01-01", "2000-12-30"),
-                                         ("2000-12-31", "2001-12-30")))
-        data, train_data, stats = prepare_split(ds, split)
-        config = TrainingConfig(hidden_size=6, unroll_length=40, batch_size=6, epochs=5,
-                                learning_rate=0.01, dropout=DropoutSpec("recurrent_constant", 0.2))
-        baselines = BaselineSettings(ffnn_epochs=40, ffnn_hidden=10, ffnn_hidden_point=5)
-        models = {kind: entry.fit(train_data, split, config, baselines, 0)
-                  for kind, entry in MODEL_KINDS.items()}
-        return models, data, stats, config
 
     @pytest.mark.parametrize("echo", [True, False], ids=["echo", "no_echo"])
     @pytest.mark.parametrize("kind", list(MODEL_KINDS))
@@ -190,3 +194,75 @@ class TestResave:
         if kind == "ar_p":   # an order that could not be fitted
             assert any(math.isinf(rmse) for pixel in payload["pixels"].values()
                        for rmse in pixel["order_rmse"].values())
+
+
+# The hlstm-v1 payload keys of each kind in order, at the top level and in the
+# first pixel, as the CLI writes them; "?" marks a key that may be absent.
+SCHEMA = {
+    "lstm": (["input_size", "hidden_size", "output_size", "weights", "feature_names",
+              "normalization", "config", "include_lsm?", "include_attributes?"], None),
+    "lasso": (["beta0", "beta", "lambda", "converged", "feature_names", "normalization",
+               "include_lsm?", "include_attributes?"], None),
+    "lasso_p": (["pixels", "feature_names", "normalization", "include_lsm?",
+                 "include_attributes?"],
+                ["beta0", "beta", "lambda", "converged", "feature_names", "normalization"]),
+    "ar_p": (["pixels", "feature_names", "normalization", "flags?", "include_lsm?",
+              "include_attributes?"],
+             ["c", "alpha", "gamma", "order_rmse?", "order"]),
+    "nn": (["W1", "b1", "w2", "b2", "hidden_size", "l2", "degenerate", "feature_names",
+            "normalization", "include_lsm?", "include_attributes?"], None),
+    "nn_p": (["pixels", "feature_names", "normalization", "include_lsm?",
+              "include_attributes?"],
+             ["W1", "b1", "w2", "b2", "hidden_size", "l2", "degenerate", "feature_names",
+              "normalization"]),
+}
+SCHEMA_KEYS = [(kind, level, key) for kind, levels in SCHEMA.items()
+               for level, keys in zip(("top", "pixel"), levels) for key in keys or ()]
+
+
+class TestSchema:
+    """The container schema, pinned: every kind's keys, their order, which of
+    them may be absent, and the fit diagnostics kept out."""
+
+    @pytest.fixture(scope="class")
+    def payloads(self, fitted):
+        models, data, stats, config = fitted
+        return {kind: json.dumps(model_payload(kind, models[kind], data.feature_names, stats,
+                                               config, data.features))
+                for kind in MODEL_KINDS}
+
+    @staticmethod
+    def level(payload, level):
+        return payload if level == "top" else next(iter(payload["pixels"].values()))
+
+    @pytest.mark.parametrize("kind", list(SCHEMA))
+    def test_keys_in_order(self, payloads, kind):
+        payload = json.loads(payloads[kind])
+        for level, keys in zip(("top", "pixel"), SCHEMA[kind]):
+            if keys is not None:
+                assert list(self.level(payload, level)) == [k.rstrip("?") for k in keys]
+
+    @pytest.mark.parametrize("kind,level,key", SCHEMA_KEYS,
+                             ids=[f"{kind}-{level}-{key}" for kind, level, key in SCHEMA_KEYS])
+    def test_deleting_a_key(self, payloads, kind, level, key):
+        """A required key's absence is named; an optional one's is not an error."""
+        payload = json.loads(payloads[kind])
+        del self.level(payload, level)[key.rstrip("?")]
+        section = MODEL_KINDS[kind].payload
+        if key.endswith("?"):
+            section.from_dict(payload, "model container")
+        else:
+            with pytest.raises(ValidationError, match=rf"lacks field\(s\) '{key}'$"):
+                section.from_dict(payload, "model container")
+
+    @pytest.mark.parametrize("kind,level,key,value", [
+        ("lasso", "top", "n_sweeps", 3), ("nn", "top", "epochs_run", 3),
+        ("nn_p", "pixel", "val_rmse", 0.5), ("ar_p", "pixel", "n_rows", 30)])
+    def test_a_fit_diagnostic_is_an_unknown_key(self, payloads, fitted, kind, level, key,
+                                                 value):
+        model = fitted[0][kind]
+        assert hasattr(model if level == "top" else next(iter(model.values())), key)
+        payload = json.loads(payloads[kind])
+        self.level(payload, level)[key] = value
+        with pytest.raises(ValidationError, match=rf"unknown field\(s\) \['{key}'\]"):
+            MODEL_KINDS[kind].payload.from_dict(payload, "model container")
