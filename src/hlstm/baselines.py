@@ -4,14 +4,17 @@ and a one-hidden-layer feedforward network.
 Each fit is a pure function of its inputs (plus a seed for the network), so
 point-by-point fits across pixels can run independently. All three operate on
 per-time-step feature rows; only the AR model carries state between steps.
+Each rejects a NaN or inf in what it reads, naming the argument. The lasso
+sweeps in Gram form, on d x d products formed once per fit.
 
 The AR path has one closed-loop recursion, :func:`_lockstep`, which steps
 every pixel of one order together; :func:`ar_forecast` is its one-pixel case.
 The order sweep :func:`select_ar_orders` runs it once per order over all
 pixels still in the sweep, and :func:`select_ar_order` is its one-pixel case.
 
-The network keeps its parameters in one flat vector, as the LSTM does, and
-steps it with the LSTM's optimizer, :func:`hlstm.training.adam_step`.
+The network keeps its parameters in one flat float64 vector, as the LSTM
+does, steps it with the LSTM's optimizer, :func:`hlstm.training.adam_step`,
+and like the LSTM computes its passes on a float32 copy.
 
 A fitted model is also its container section (README "Model containers"),
 ``INPUTS`` naming its array with one entry per input column on the last axis.
@@ -76,23 +79,19 @@ class LassoModel(Config):
         return self.beta0 + X @ self.beta
 
 
-def _soft_threshold(z: float, lam: float) -> float:
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
-
-
-def _kkt_violation(Xc: np.ndarray, resid: np.ndarray, beta: np.ndarray,
-                   lam: float) -> float:
+def _kkt_violation(c: np.ndarray, beta: np.ndarray, lam: float) -> float:
     """Largest violation of the lasso optimality conditions of the centered
-    problem, with c = Xc.T @ resid / N: |c_j - lam*sign(b_j)| where b_j != 0,
-    max(0, |c_j| - lam) where b_j == 0."""
-    c = Xc.T @ resid / Xc.shape[0]
-    v = np.where(beta != 0.0, np.abs(c - lam * np.sign(beta)),
-                 np.maximum(np.abs(c) - lam, 0.0))
-    return float(np.max(v, initial=0.0))
+    problem, given the residual correlations c = Xc.T @ resid / N:
+    |c_j - lam*sign(b_j)| where b_j != 0, max(0, |c_j| - lam) where b_j == 0."""
+    return float(np.max(np.where(beta != 0.0, np.abs(c - lam * np.sign(beta)),
+                                 np.maximum(np.abs(c) - lam, 0.0)), initial=0.0))
+
+
+def _check_finite(**arrays):
+    """Raise ValidationError naming the first argument that holds a NaN or inf."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"NaN or inf in {name}")
 
 
 def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float,
@@ -100,15 +99,19 @@ def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float,
     """Minimize (1/2N)*sum((y - b0 - x.b)^2) + lam*l1(b) by cyclic coordinate
     descent with soft thresholding. The intercept is unpenalized.
 
+    In Gram form (Friedman, Hastie & Tibshirani 2010), each coordinate update
+    moves the residual correlations c = Xc.T @ resid / N by one column of
+    G = Xc.T @ Xc / N, so a sweep costs O(d^2), not O(N*d).
+
     Converged when the largest KKT violation of the centered problem (see
-    :func:`_kkt_violation`) drops below ``tol``, so ``tol`` is in units of
-    (1/N)*Xc_j.r, the residual correlation of a centered column. A small
-    coefficient step alone certifies nothing when columns are correlated;
-    it only gates the check, which runs after a sweep whose largest step is
-    also below ``tol``. On unit-scale inputs the default makes the fit at
-    lam=0 agree with ordinary least squares to 1e-8. The bound is absolute:
-    a target far from unit scale needs a proportionally larger ``tol``, or
-    rounding keeps the violation above it. Hitting ``max_sweeps`` first sets
+    :func:`_kkt_violation`), on c recomputed from the true residual, drops
+    below ``tol``: ``tol`` is in units of (1/N)*Xc_j.r. A small coefficient
+    step alone certifies nothing when columns are correlated; it only gates
+    the check, which runs after a sweep whose largest step is also below
+    ``tol``. On unit-scale inputs the default makes the fit at lam=0 agree
+    with ordinary least squares to 1e-8. The bound is absolute: a target far
+    from unit scale needs a proportionally larger ``tol``, or rounding keeps
+    the violation above it. Hitting ``max_sweeps`` first sets
     ``converged=False`` on the returned model instead of raising.
     """
     X = np.asarray(X, dtype=float)
@@ -120,38 +123,30 @@ def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float,
         raise ValidationError("need at least 2 samples")
     if lam < 0:
         raise ValidationError("lambda must be >= 0")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValidationError("NaN or inf in lasso inputs")
+    _check_finite(X=X, y=y)
 
-    x_mean = X.mean(axis=0)
-    y_mean = y.mean()
-    Xc = X - x_mean
-    yc = y - y_mean
-    col_sq = (Xc * Xc).sum(axis=0) / N
-
-    beta = np.zeros(d)
-    resid = yc.copy()
-    converged = False
-    sweep = 0
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, yc = X - x_mean, y - y_mean
+    G = Xc.T @ Xc / N   # symmetric: row j is column j
+    c = Xc.T @ yc / N
+    beta, converged, sweep = np.zeros(d), False, 0
     for sweep in range(1, max_sweeps + 1):
         max_delta = 0.0
         for j in range(d):
-            if col_sq[j] == 0.0:
+            if G[j, j] == 0.0:
                 continue
             old = beta[j]
-            # partial residual correlation with coordinate j
-            z = (Xc[:, j] @ resid) / N + col_sq[j] * old
-            new = _soft_threshold(z, lam) / col_sq[j]
+            z = c[j] + G[j, j] * old   # partial residual correlation with coordinate j
+            new = (z - lam if z > lam else z + lam if z < -lam else 0.0) / G[j, j]
             if new != old:
-                resid -= Xc[:, j] * (new - old)
+                c -= G[j] * (new - old)
                 beta[j] = new
                 max_delta = max(max_delta, abs(new - old))
-        if max_delta < tol and _kkt_violation(Xc, resid, beta, lam) < tol:
-            converged = True
-            break
-
-    beta0 = y_mean - x_mean @ beta
-    return LassoModel(beta0=float(beta0), beta=beta, lam=lam,
+        if max_delta < tol:
+            c = Xc.T @ (yc - Xc @ beta) / N   # drops the updates' rounding drift
+            if converged := _kkt_violation(c, beta, lam) < tol:
+                break
+    return LassoModel(beta0=float(y_mean - x_mean @ beta), beta=beta, lam=lam,
                       converged=converged, n_sweeps=sweep)
 
 
@@ -202,9 +197,8 @@ def fit_ar(theta: np.ndarray, mask: np.ndarray, X_exog: np.ndarray | None,
         raise ValidationError(f"AR order must be in 0..{AR_MAX_ORDER}, got {p}")
     theta = np.asarray(theta, dtype=float)
     mask = np.asarray(mask).astype(bool)
-    if X_exog is None:
-        X_exog = np.zeros((theta.size, 0))
-    X_exog = np.asarray(X_exog, dtype=float)
+    X_exog = np.zeros((theta.size, 0)) if X_exog is None else np.asarray(X_exog, dtype=float)
+    _check_finite(theta=theta[mask], X_exog=X_exog)
     r = X_exog.shape[1]
 
     rows = _design_rows(mask, p)
@@ -445,6 +439,10 @@ def fit_ffnn(X: np.ndarray, y: np.ndarray, hidden_size: int,
     A seeded shuffle carves off ``val_fraction`` of the rows; training stops
     after ``patience`` epochs without validation improvement and the best
     weights seen are restored.
+
+    As in :func:`hlstm.training.train_lstm`, the parameters, Adam moments and
+    model are float64, the passes run on a float32 copy of the parameters in
+    buffers allocated once, and the gradient is widened for L2 and Adam.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -455,6 +453,7 @@ def fit_ffnn(X: np.ndarray, y: np.ndarray, hidden_size: int,
         raise ValidationError("need at least 10 samples")
     if hidden_size < 1:
         raise ValidationError("hidden_size must be >= 1")
+    _check_finite(X=X, y=y)
 
     if np.ptp(y) == 0.0:
         # constant target: nothing for the hidden layer to do
@@ -470,10 +469,9 @@ def fit_ffnn(X: np.ndarray, y: np.ndarray, hidden_size: int,
     rng = make_rng(seed)
     order = rng.permutation(N)
     n_val = max(1, int(round(val_fraction * N)))
-    val_idx, tr_idx = order[:n_val], order[n_val:]
-    Xt, yt = X[tr_idx], ys[tr_idx]
-    Xv, yv = X[val_idx], ys[val_idx]
-    n_tr = Xt.shape[0]
+    f32 = np.float32
+    XT = X[order].T.astype(f32, order="C")   # feature-major: a row per input
+    (Xv, Xt), (yv, yt) = np.split(XT, [n_val], axis=1), np.split(ys[order].astype(f32), [n_val])
 
     # W1, b1, w2 and b2 are views of one flat theta, and their gradients
     # views of one flat buffer, so that an epoch is one shared Adam step.
@@ -483,39 +481,51 @@ def fit_ffnn(X: np.ndarray, y: np.ndarray, hidden_size: int,
         W1, b1, w2, b2 = np.split(flat, sizes)
         return W1.reshape(hidden_size, d), b1, w2, b2
 
-    theta = np.zeros(sizes[-1] + 1)
-    grad = np.empty_like(theta)
-    W1, b1, w2, b2 = views(theta)
-    dW1, db1, dw2, db2 = views(grad)
+    theta, grad = np.zeros(sizes[-1] + 1), np.empty(sizes[-1] + 1)
+    (W1, b1, w2, b2), (dW1, _, dw2, _) = views(theta), views(grad)
     bound = 1.0 / np.sqrt(max(d, 1))
     W1[...] = rng.uniform(-bound, bound, size=W1.shape)
     w2[...] = rng.uniform(-1.0 / np.sqrt(hidden_size), 1.0 / np.sqrt(hidden_size),
                           size=hidden_size)
-    b2[...] = yt.mean()
+    b2[...] = ys[order[n_val:]].mean()
+
+    # float32 theta, gradient and pass buffers, the latter (hidden, rows) as in the LSTM
+    theta32, grad32 = theta.astype(f32), np.empty(theta.size, f32)
+    (W1f, b1f, w2f, b2f), (dW1f, db1f, dw2f, db2f) = views(theta32), views(grad32)
+    Hh, dH, Hv = (np.empty((hidden_size, x.shape[1]), f32) for x in (Xt, Xt, Xv))
+    dpred, ev = np.empty(len(yt), f32), np.empty(n_val, f32)
+
+    def residual(X, y, H, out):   # H = tanh(W1 @ X + b1), out = w2 @ H + b2 - y
+        np.tanh(np.add(np.matmul(W1f, X, out=H), b1f[:, None], out=H), out=H)
+        np.subtract(np.add(np.matmul(w2f, H, out=out), b2f, out=out), y, out=out)
 
     adam = AdamState(theta)
     decay = 2.0 * l2 / (W1.size + w2.size)   # of the mean-squared-weight penalty
-    best_mse, best = np.inf, theta.copy()
-    since_best = 0
-    epoch = 0
+    best_mse, best, since_best, epoch = np.inf, theta.copy(), 0, 0
     for epoch in range(1, max_epochs + 1):
-        Hh = np.tanh(Xt @ W1.T + b1)
-        dpred = (2.0 / n_tr) * (Hh @ w2 + b2 - yt)   # d(mse)/dpred
-        dw2[...] = Hh.T @ dpred + decay * w2
-        db2[...] = dpred.sum()
-        dH = np.outer(dpred, w2) * (1.0 - Hh * Hh)
-        dW1[...] = dH.T @ Xt + decay * W1
-        db1[...] = dH.sum(axis=0)
+        residual(Xt, yt, Hh, dpred)
+        dpred *= 2.0 / len(yt)                     # d(mse)/dpred
+        np.matmul(Hh, dpred, out=dw2f)
+        db2f[0] = dpred.sum()
+        np.subtract(1.0, np.multiply(Hh, Hh, out=dH), out=dH)
+        dH *= w2f[:, None]
+        dH *= dpred                                # (1 - Hh^2) * w2 * dpred
+        np.matmul(dH, Xt.T, out=dW1f)
+        np.sum(dH, axis=1, out=db1f)
+        np.copyto(grad, grad32)
+        dW1 += decay * W1
+        dw2 += decay * w2
         adam_step(theta, grad, adam, learning_rate)
 
-        val_mse = float(np.mean((np.tanh(Xv @ W1.T + b1) @ w2 + b2 - yv) ** 2))
+        np.copyto(theta32, theta)   # for the validation and the next epoch
+        residual(Xv, yv, Hv, ev)
+        val_mse = float(np.mean(np.square(ev, out=ev)))
+        since_best += 1
         if val_mse < best_mse - 1e-12:
-            best_mse, best = val_mse, theta.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= patience:
-                break
+            best_mse, since_best = val_mse, 0
+            np.copyto(best, theta)
+        elif since_best >= patience:
+            break
 
     W1, b1, w2, b2 = views(best)
     return FfnnModel(W1=W1, b1=b1, w2=w2 * y_sd, b2=float(b2[0] * y_sd + y_mu),

@@ -468,8 +468,8 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
     spin_days = min(365, n_days)
     _, state0 = predict_sequence(w, data.inputs[:, :spin_days],
                                  return_final_state=True)
-    lstm_pred = predict_sequence(w, data.inputs,
-                                 initial_state=state0)[..., 0]  # (n_pixels, T)
+    lstm_pred = predict_sequence(w, data.inputs[:, :h_end],
+                                 initial_state=state0)[..., 0]  # (n_pixels, h_end)
 
     # Per-pixel AR with the order swept against hindcast truth.
     truth = np.stack([px.truth for px in dataset.pixels])

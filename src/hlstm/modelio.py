@@ -203,6 +203,9 @@ class PointPayload(Config):
             for name, want in (("feature_names", self.feature_names), ("normalization", None)):
                 if getattr(doc, name, want) != want:   # an ar_p pixel has neither
                     raise ValidationError(f"{where}field {name!r} must be {json.dumps(want)}")
+            for name in ("include_lsm", "include_attributes"):
+                if getattr(doc, name, None) is not None:
+                    raise ValidationError(f"{where}field {name!r} belongs to the container only")
             _check_inputs(doc, len(self.feature_names), where)
         return self
 

@@ -123,6 +123,40 @@ def ols_fit(X, y):
     return coef[0], coef[1:]
 
 
+def residual_lasso_fit(X, y, lam, tol=1e-10, max_sweeps=10_000):
+    """Cyclic coordinate descent for the lasso ``fit_lasso`` documents, in
+    residual form: each coordinate update takes a dot with the full residual
+    and moves it by one column. Same stop rule: after a sweep whose largest
+    step is below ``tol``, the largest KKT violation must be below ``tol``.
+    Returns (beta0, beta, converged, n_sweeps)."""
+    N, d = X.shape
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, resid = X - x_mean, y - y_mean
+    col_sq = (Xc * Xc).sum(axis=0) / N
+    beta = np.zeros(d)
+    converged, sweep = False, 0
+    for sweep in range(1, max_sweeps + 1):
+        max_delta = 0.0
+        for j in range(d):
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            z = (Xc[:, j] @ resid) / N + col_sq[j] * old
+            new = math.copysign(max(abs(z) - lam, 0.0), z) / col_sq[j]
+            if new != old:
+                resid -= Xc[:, j] * (new - old)
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        if max_delta < tol:
+            c = Xc.T @ resid / N
+            kkt = np.where(beta != 0.0, np.abs(c - lam * np.sign(beta)),
+                           np.maximum(np.abs(c) - lam, 0.0))
+            if kkt.max() < tol:
+                converged = True
+                break
+    return y_mean - x_mean @ beta, beta, converged, sweep
+
+
 def pearson_r_brute(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -222,8 +256,11 @@ def four_array_ffnn_fit(X, y, hidden_size, l2, seed, val_fraction=0.2,
     """Full-batch fit of the one-hidden-layer tansig net with an Adam loop of
     its own over the four parameter arrays W1, b1, w2 and b2, each with its
     own moment arrays; the seeded split, initialization, L2 penalty and
-    early stop are those ``fit_ffnn`` documents. Returns a dict of W1, b1,
-    w2 (rescaled), b2, epochs_run, val_rmse and degenerate."""
+    early stop are those ``fit_ffnn`` documents. The parameters and moments
+    are float64; each pass computes on a float32 copy of them, feature-major
+    (hidden, rows), allocating as it goes, and its gradients are widened to
+    float64 before the L2 term. Returns a dict of W1, b1, w2 (rescaled), b2,
+    epochs_run, val_rmse and degenerate."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     N, d = X.shape
@@ -237,15 +274,17 @@ def four_array_ffnn_fit(X, y, hidden_size, l2, seed, val_fraction=0.2,
     order = rng.permutation(N)
     n_val = max(1, int(round(val_fraction * N)))
     val_idx, tr_idx = order[:n_val], order[n_val:]
-    Xt, yt = X[tr_idx], ys[tr_idx]
-    Xv, yv = X[val_idx], ys[val_idx]
-    n_tr = Xt.shape[0]
+    f32 = np.float32
+    XT = X[order].T.astype(f32, order="C")   # feature-major: (input, rows)
+    XtT, yt = XT[:, n_val:], ys[tr_idx].astype(f32)
+    XvT, yv = XT[:, :n_val], ys[val_idx].astype(f32)
+    n_tr = yt.size
 
     bound = 1.0 / np.sqrt(max(d, 1))
     W1 = rng.uniform(-bound, bound, size=(hidden_size, d))
     b1 = np.zeros(hidden_size)
     w2 = rng.uniform(-1.0 / np.sqrt(hidden_size), 1.0 / np.sqrt(hidden_size), size=hidden_size)
-    b2 = float(yt.mean())
+    b2 = float(ys[tr_idx].mean())
 
     params = [W1, b1, w2, np.array([b2])]
     m_acc = [np.zeros_like(p) for p in params]
@@ -256,16 +295,15 @@ def four_array_ffnn_fit(X, y, hidden_size, l2, seed, val_fraction=0.2,
     since_best = 0
     epoch = 0
     for epoch in range(1, max_epochs + 1):
-        W1, b1, w2, b2 = params[0], params[1], params[2], params[3][0]
-        Hh = np.tanh(Xt @ W1.T + b1)
-        err = Hh @ w2 + b2 - yt
+        W1, b1, w2, b2 = (p.astype(f32) for p in params)
+        Hh = np.tanh(W1 @ XtT + b1[:, None])      # (hidden, rows)
+        err = w2 @ Hh + b2 - yt
         dpred = (2.0 / n_tr) * err
-        dw2 = Hh.T @ dpred + (2.0 * l2 / n_weights) * w2
-        db2 = dpred.sum()
-        dH = np.outer(dpred, w2) * (1.0 - Hh * Hh)
-        dW1 = dH.T @ Xt + (2.0 * l2 / n_weights) * W1
-        db1 = dH.sum(axis=0)
-        grads = [dW1, db1, dw2, np.array([db2])]
+        dH = (1.0 - Hh * Hh) * w2[:, None] * dpred
+        grads = [(dH @ XtT.T).astype(float) + (2.0 * l2 / n_weights) * params[0],
+                 dH.sum(axis=1).astype(float),
+                 (Hh @ dpred).astype(float) + (2.0 * l2 / n_weights) * params[2],
+                 np.array([dpred.sum()], dtype=float)]
         corr1 = 1.0 - beta1 ** epoch
         corr2 = 1.0 - beta2 ** epoch
         for k in range(4):
@@ -273,10 +311,11 @@ def four_array_ffnn_fit(X, y, hidden_size, l2, seed, val_fraction=0.2,
             v_acc[k] = beta2 * v_acc[k] + (1 - beta2) * grads[k] * grads[k]
             step = learning_rate * (m_acc[k] / corr1) / (np.sqrt(v_acc[k] / corr2) + eps)
             params[k] = params[k] - step
-        W1, b1, w2, b2 = params[0], params[1], params[2], params[3][0]
-        val_mse = float(np.mean((np.tanh(Xv @ W1.T + b1) @ w2 + b2 - yv) ** 2))
+        W1, b1, w2, b2 = (p.astype(f32) for p in params)
+        val_mse = float(np.mean((w2 @ np.tanh(W1 @ XvT + b1[:, None]) + b2 - yv) ** 2))
         if val_mse < best[0] - 1e-12:
-            best = (val_mse, W1.copy(), b1.copy(), w2.copy(), b2)
+            best = (val_mse, params[0].copy(), params[1].copy(), params[2].copy(),
+                    params[3][0])
             since_best = 0
         else:
             since_best += 1

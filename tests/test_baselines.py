@@ -14,7 +14,13 @@ from hlstm.baselines import (
 )
 from hlstm.errors import ValidationError
 
-from oracles import four_array_ffnn_fit, loop_ar_design, ols_fit, scalar_ar_forecast
+from oracles import (
+    four_array_ffnn_fit,
+    loop_ar_design,
+    ols_fit,
+    residual_lasso_fit,
+    scalar_ar_forecast,
+)
 
 
 def lasso_problem(seed, n=80, d=6):
@@ -101,6 +107,26 @@ class TestLasso:
         assert not capped.converged
         assert capped.n_sweeps == 1
 
+    @pytest.mark.parametrize("n, d, spread, lam, seed, max_sweeps", [
+        (200, 5, 0.2, 0.01, 0, 10_000),
+        (2_000, 11, 0.5, 0.002, 1, 10_000),
+        (2_000, 11, 0.5, 0.0, 2, 10_000),
+        (2_000, 11, 0.5, 0.0, 2, 50),           # stopped by max_sweeps
+        (46_720, 11, 0.7, 0.002, 3, 10_000),    # criterion 6's shared fit size
+        (46_720, 11, 0.7, 0.0, 3, 10_000),
+    ])
+    def test_gram_form_equals_residual_form_oracle(self, n, d, spread, lam, seed, max_sweeps):
+        # Columns share one factor; a smaller spread correlates them more.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 1)) + spread * rng.normal(size=(n, d))
+        y = 0.3 + X @ rng.normal(size=d) * 0.05 + rng.normal(0, 0.05, size=n)
+        model = fit_lasso(X, y, lam, max_sweeps=max_sweeps)
+        beta0, beta, converged, n_sweeps = residual_lasso_fit(X, y, lam, max_sweeps=max_sweeps)
+        assert np.max(np.abs(model.beta - beta)) <= 1e-12
+        assert abs(model.beta0 - beta0) <= 1e-12
+        assert (model.converged, model.n_sweeps) == (converged, n_sweeps)
+        assert converged == (max_sweeps > 50)
+
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             fit_lasso(np.zeros((1, 2)), np.zeros(1), 0.0)
@@ -119,6 +145,45 @@ def simulate_arx(seed, n, alpha=0.8, c=0.02, gamma=0.3, noise=0.05):
     for t in range(1, n):
         theta[t] = c + alpha * theta[t - 1] + gamma * x[t] + rng.normal(0, noise)
     return theta, x[:, None]
+
+
+class TestNonFiniteInputs:
+    """Every fit rejects a NaN or inf in what it reads with a ValidationError
+    naming the argument, before any arithmetic meets it."""
+
+    @staticmethod
+    def poisoned(a, at, value):
+        a = a.copy()
+        a.flat[at] = value
+        return a
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["X", "y"])
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: fit_lasso(X, y, lam=0.01),
+        lambda X, y: fit_ffnn(X, y, hidden_size=4, max_epochs=5),
+    ], ids=["lasso", "ffnn"])
+    def test_lasso_and_ffnn(self, fit, arg, value):
+        rng = np.random.default_rng(12)
+        args = {"X": rng.normal(size=(40, 3)), "y": rng.normal(size=40)}
+        args[arg] = self.poisoned(args[arg], 17, value)
+        with pytest.raises(ValidationError, match=f"NaN or inf in {arg}$"):
+            fit(**args)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["theta", "X_exog"])
+    def test_ar_reads_theta_where_observed_and_writes_nothing(self, capfd, arg, value):
+        theta, x = simulate_arx(13, 200)
+        mask = np.ones(200, dtype=bool)
+        args = {"theta": theta, "mask": mask, "X_exog": x, "p": 1}
+        args[arg] = self.poisoned(args[arg], 50, value)
+        with pytest.raises(ValidationError, match=f"NaN or inf in {arg}$"):
+            fit_ar(**args)
+        assert capfd.readouterr() == ("", "")
+        if arg == "theta":   # an unobserved step is never read
+            mask[50] = False
+            # AR(1) rows t = 1..199 need theta_t and theta_{t-1}: t = 50, 51 drop
+            assert fit_ar(**args).n_rows == 199 - 2
 
 
 class TestAr:

@@ -408,17 +408,21 @@ class TestCliErrors:
         assert self.evaluate_edited(workspace, tmp_path, model, edit) == 1
         assert self.error_names(capsys, tmp_path, f"'{field}'")
 
-    @pytest.mark.parametrize("field", ["feature_names", "normalization"])
+    @pytest.mark.parametrize("field", ["feature_names", "normalization", "include_lsm",
+                                       "include_attributes"])
     @pytest.mark.parametrize("model", ["lasso_p", "nn_p"])
     def test_container_pixel_unlike_its_container_exits_one(self, workspace, tmp_path, capsys,
                                                             model, field):
-        # A pixel's feature_names are its container's, and it has no statistics.
+        # A pixel's feature_names are its container's, it has no statistics,
+        # and only the container says which inputs the model reads: a pixel
+        # holding include_* fails even with the container's own value.
         first = []
 
         def edit(payload):
             first.append(next(iter(payload["pixels"])))
-            each_pixel(payload, **{field: payload["normalization"] if field == "normalization"
-                                   else payload["feature_names"][::-1]})
+            wrong = {"feature_names": payload["feature_names"][::-1],
+                     "normalization": payload["normalization"]}
+            each_pixel(payload, **{field: wrong.get(field, payload.get(field, True))})
         assert self.evaluate_edited(workspace, tmp_path, model, edit) == 1
         assert self.error_names(capsys, tmp_path, f"pixels[{first[0]!r}] field '{field}'")
 

@@ -563,6 +563,26 @@ class TestChunkedPrediction:
             assert np.array_equal(Y, Y1)
             assert np.array_equal(final.h, final1.h) and np.array_equal(final.s, final1.s)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_chunk", "chunked"])
+    def test_a_time_prefix_predicts_the_prefix_of_the_whole(self, monkeypatch, dtype, cpus):
+        # The hindcast predicts only the days it scores, from a spun-up state.
+        w = init_weights(3, 48, 1, seed=84).astype(dtype)
+        rng = np.random.default_rng(85)
+        n_batch, rho = 2 * PREDICT_CHUNK_PIXELS, 3 * PREDICT_BLOCK_DAYS + 5
+        X = rng.normal(size=(n_batch, rho, 3))
+        state = LstmState(h=rng.uniform(-0.5, 0.5, size=(n_batch, 48)),
+                          s=rng.normal(size=(n_batch, 48)))
+        monkeypatch.setattr(lstm_module, "PREDICT_CHUNK_GATES", 1)
+        monkeypatch.setattr(lstm_module, "usable_cpus", lambda: cpus)
+        starts = _thread_starts(monkeypatch)
+        whole = predict_sequence(w, X, initial_state=state)
+        for days in (1, PREDICT_BLOCK_DAYS - 3, 2 * PREDICT_BLOCK_DAYS + 7):
+            prefix = predict_sequence(w, X[:, :days], initial_state=state)
+            assert prefix.dtype == dtype
+            assert np.array_equal(prefix, whole[:, :days]), days
+        assert bool(starts) == (cpus > 1)
+
     @pytest.mark.parametrize("n_batch,hidden,force,blas_threads", [
         (64, 16, False, "1"),                        # the cli workload: below the threshold
         (PREDICT_CHUNK_PIXELS + 1, 4, True, "1"),    # a partial group of pixels
