@@ -29,18 +29,18 @@ products themselves, in fixed instance order, so results do not depend on
 evaluation order.
 
 One time loop serves :func:`forward_sequence` and :func:`predict_sequence`.
-Per block of time, one stacked matrix product projects the inputs into a
-(steps, 4*hidden, batch) buffer of gate pre-activations in g, i, f, o order.
-Each step adds the recurrent product into its slice and turns the slice into
-activations in place, with a single tanh: the i, f, o weights are pre-halved,
-and 0.5 + 0.5 * t finishes their sigmoid. After the block one stacked product
-forms its readout. Inside the loop every array is feature-major, (dim,
-batch), so each gate block of a step is contiguous; a single sequence runs
-as a batch of one. The forward cache keeps the gates and cell states for
-BPTT, which recomputes each h as o * tanh(s), bit for bit; training lends
-each epoch's cache to the next pass to overwrite. Prediction reuses
-one block of buffers and runs chunks of pixels on worker threads, with the
-bits of one pass (PREDICT_CHUNK_GATES).
+Each step is one product of W = [Wh | Wx | b], built once per pass with its
+i, f, o rows halved, and z_t = [h_{t-1} * hm; x_t; 1] (hm the recurrent
+mask) into the step's (4*hidden, batch) slice of gate pre-activations in g,
+i, f, o order; one tanh then gives every gate, 0.5 + 0.5 * t finishing the
+sigmoids. Every array is feature-major, (dim, batch); a single sequence is a
+batch of one. A block's inputs are copied into its z slots once, and each
+step writes its h into the next slot, read by one stacked readout a block.
+The cache keeps gates, cell states and masked inputs: BPTT recomputes h as
+o * tanh(s) bit for bit, rebuilds z_t a block at a time and adds da_t z_t^T
+each step. Training lends each epoch's cache to the next pass. Prediction
+runs chunks of pixels on threads with the bits of one pass, in buffers
+padded to whole groups of pixels (PREDICT_CHUNK_GATES, PREDICT_CHUNK_PIXELS).
 
 This module also hosts the seeded RNG construction shared by the rest of the
 toolkit.
@@ -70,9 +70,9 @@ PREDICT_BLOCK_DAYS = 16
 # leave free, each of >= PREDICT_CHUNK_GATES gate values (4*hidden x pixels)
 # per step; numpy drops the GIL in matmul and tanh. On 2 vCPUs with one BLAS
 # thread, two chunks of 16k ran 1.5-1.7x faster, of 8k 0.9-1.1x, of 4k 0.46x;
-# with two BLAS threads, 1.4-1.5x slower. Chunks are whole groups of
-# PREDICT_CHUNK_PIXELS, as OpenBLAS 0.3.31 computes a partial group of
-# columns differently in a narrower matrix; a batch with one runs unsplit.
+# with two BLAS threads, 1.4-1.5x slower. OpenBLAS 0.3.31 computes a partial
+# group of columns differently in a narrower matrix: chunks are padded to whole
+# groups of PREDICT_CHUNK_PIXELS, so a pixel's bits do not depend on the others.
 PREDICT_CHUNK_GATES = 16384
 PREDICT_CHUNK_PIXELS = 16
 
@@ -281,50 +281,53 @@ def _from_fm(v: np.ndarray, batched: bool) -> np.ndarray:
 
 
 def _loop_masks(masks: DropoutMasks, batched: bool, dtype):
-    """The masks as the time loop reads them, in ``dtype``: x (rho, batch,
-    input) and g (rho, batch, hidden) with an instance axis, h feature-major."""
-    def with_batch(m):
-        return None if m is None else (m if batched else m[:, None]).astype(dtype, copy=False)
-
-    return (with_batch(masks.x), None if masks.h is None else _to_fm(masks.h, dtype),
-            with_batch(masks.g))
+    """The masks as the time loop reads them, feature-major and in ``dtype``:
+    x (rho, input, batch), h (hidden, batch) and g (rho, hidden, batch)."""
+    x, g = (m if m is None else np.moveaxis(m if batched else m[:, None], 1, 2).astype(
+        dtype, copy=False) for m in (masks.x, masks.g))
+    return x, None if masks.h is None else _to_fm(masks.h, dtype), g
 
 
-def _loop_arrays(w: LstmWeights, T: int, n_batch: int, keep: bool = False,
+def _loop_arrays(w: LstmWeights, T: int, width: int, keep: bool = False,
                  reuse: ForwardCache | None = None):
-    """The arrays of a time loop over T steps of n_batch columns: Wx, Wh, b with
-    the i, f, o rows halved (exact, so one tanh gives tanh(a/2) for sigma),
-    W_hy, b_y; gates and cell states of all T steps if ``keep`` (those of
-    ``reuse``, a cache of this shape, when given), else of a block; hidden
-    states of a block; one step's scratch."""
+    """The arrays of a time loop over T steps of ``width`` columns: W = [Wh |
+    Wx | b] with the i, f, o rows halved (exact, so one tanh gives tanh(a/2)
+    for sigma), W_hy, b_y; gates and cell states of all T steps if ``keep``
+    (those of ``reuse``, a cache of this shape, when given), else of a block;
+    a block's h and readout; one step's scratch; z slots of a block and one."""
     H, dtype, n = w.hidden_size, w.theta.dtype, min(T, PREDICT_BLOCK_DAYS)
-    half = np.full((4 * H, 1), 0.5, dtype=dtype)
-    half[:H] = 1.0
-    shapes = [(T if keep else n, 4 * H), (T if keep else n, H), (n, H), (4 * H,), (H,)]
+    half = np.repeat(np.array([1.0, 0.5], dtype=dtype), [H, 3 * H])[:, None]
+    W = np.concatenate((w.Wh, w.Wx, w.b[:, None]), axis=1) * half
+    Z = np.zeros((n + 1, H + w.input_size + 1, width), dtype=dtype)
+    Z[:, -1] = 1.0
+    shapes = [(T if keep else n, 4 * H), (T if keep else n, H), (n, H), (n, w.output_size), (H,)]
     lent = () if reuse is None else (reuse.gates, reuse.s_fm)
-    return (w.Wx * half, w.Wh * half, w.b[:, None] * half, w.W_hy, w.b_y[:, None], *lent,
-            *(np.empty(shape + (n_batch,), dtype=dtype) for shape in shapes[len(lent):]))
+    return (W, w.W_hy, w.b_y[:, None], *lent,
+            *(np.empty(shape + (width,), dtype=dtype) for shape in shapes[len(lent):]), Z)
 
 
-def _run_cell(arrays, x, h, s, Y, xm=None, hm=None, gm=None):
+def _run_cell(arrays, x, h, s, Y, hm=None, gm=None):
     """The LSTM time loop of the forward pass and prediction, in the dtype of
-    ``arrays`` (:func:`_loop_arrays`); returns the final (h, s). ``x`` is (T,
-    batch, input); ``h``, ``s``, ``hm`` and every per-step array are
-    feature-major, (hidden, batch), so each gate block of a step is one
-    contiguous slice. ``xm`` and ``gm`` are the x and g masks aligned with x's
-    time axis. ``Y`` (T, output, batch) receives the outputs."""
-    Wx_half, Wh_half, b_half, W_hy, b_y, gates, S, Hs, rec, sf = arrays
-    T, n, H = len(x), len(Hs), len(rec) // 4
+    ``arrays`` (:func:`_loop_arrays`); returns the final (h, s). ``x`` (T,
+    input, batch) holds the masked inputs; ``h``, ``s``, ``hm`` and every
+    per-step array are feature-major, (hidden, batch), and ``gm`` is aligned
+    with x. ``Y`` (T, output, batch) receives the outputs; buffer columns past
+    the batch run on zero inputs and state and are dropped. Slot t of a block
+    of Z holds z_t = [h_{t-1} * hm; x_t; 1]: the inputs are copied in once a
+    block, and step t writes h_t (times hm) into slot t + 1."""
+    W, W_hy, b_y, gates, S, Hs, Yb, sf, Z = arrays
+    T, n, H, nb = len(x), len(Hs), len(sf), Y.shape[-1]
+    hs = Z[1:, :H] if hm is None else Hs    # where step t's h goes; the readout reads it
+    Z[0, :H, :nb] = _apply(h, hm)
+    s0, s = s, np.zeros_like(sf)
+    s[:, :nb] = s0
     for t0 in range(0, T, n):
         m = min(n, T - t0)
         k = t0 % len(S)     # t0 when every step is kept, 0 in a one-block buffer
         A, Sb = gates[k:k + m], S[k:k + m]
-        xb = _apply(x[t0:t0 + m], None if xm is None else xm[t0:t0 + m])
-        np.matmul(Wx_half, xb.transpose(0, 2, 1), out=A)
-        A += b_half
+        Z[:m, H:-1, :nb] = x[t0:t0 + m]
         for t in range(m):
-            a = A[t]
-            a += np.matmul(Wh_half, _apply(h, hm), out=rec)
+            a = np.matmul(W, Z[t], out=A[t])
             np.tanh(a, out=a)
             # The i, f, o rows were pre-halved: finish sigma(z) = 0.5 + 0.5 tanh(z/2).
             sig = a[H:]
@@ -332,14 +335,16 @@ def _run_cell(arrays, x, h, s, Y, xm=None, hm=None, gm=None):
             sig += 0.5
             g, i, f, o = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
             np.multiply(s, f, out=sf)
-            s = np.multiply(g if gm is None else g * gm[t0 + t].T, i, out=Sb[t])
+            s = np.multiply(g if gm is None else g * gm[t0 + t], i, out=Sb[t])
             s += sf
-            h = np.tanh(s, out=Hs[t])
+            h = np.tanh(s, out=hs[t])
             h *= o
-        Yb = Y[t0:t0 + m]
-        np.matmul(W_hy, Hs[:m], out=Yb)
-        Yb += b_y
-    return h, s
+            if hm is not None:
+                np.multiply(h, hm, out=Z[t + 1, :H])
+        np.matmul(W_hy, hs[:m], out=Yb[:m])
+        np.add(Yb[:m, :, :nb], b_y, out=Y[t0:t0 + m])
+        Z[0, :H] = Z[m, :H]
+    return h[:, :nb], s[:, :nb]
 
 
 @dataclass
@@ -349,8 +354,8 @@ class ForwardCache:
     The buffers are kept as the time loop wrote them, feature-major:
     ``gates`` (rho, 4*hidden, batch) holds g, i, f, o; ``s_fm`` is (rho,
     hidden, batch), ``y_fm`` (rho, output, batch), and ``x`` the (rho,
-    batch, input) inputs. A single sequence is stored as a batch of one.
-    BPTT recomputes step t's hidden state, ``o * tanh(s_fm[t])``, exactly.
+    input, batch) inputs times their mask. A single sequence is stored as a
+    batch of one. BPTT recomputes step t's h, ``o * tanh(s_fm[t])``, exactly.
     """
 
     x: np.ndarray
@@ -361,14 +366,11 @@ class ForwardCache:
     s_fm: np.ndarray
     y_fm: np.ndarray
     batched: bool
-    input_size: int
-    hidden_size: int
-    output_size: int
 
 
 def _sequence_inputs(w: LstmWeights, X, initial_state: LstmState | None):
     """Check a finite (rho, input) or (batch, rho, input) X with rho >= 1;
-    return its time-major (rho, batch, input) view, whether it is a batch,
+    return its feature-major (rho, input, batch) view, whether it is a batch,
     and the initial state (default zeros)."""
     X = np.asarray(X, dtype=float)
     if X.ndim not in (2, 3):
@@ -384,8 +386,8 @@ def _sequence_inputs(w: LstmWeights, X, initial_state: LstmState | None):
                                       np.shape(initial_state.s)[-1]} != {w.hidden_size}:
         raise ValidationError("initial state dimensions do not match hidden_size")
     if X.ndim == 3:
-        return np.swapaxes(X, 0, 1), True, initial_state or LstmState.zeros(w.hidden_size, len(X))
-    return X[:, None], False, initial_state or LstmState.zeros(w.hidden_size)
+        return X.transpose(1, 2, 0), True, initial_state or LstmState.zeros(w.hidden_size, len(X))
+    return X[..., None], False, initial_state or LstmState.zeros(w.hidden_size)
 
 
 def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | None = None,
@@ -399,33 +401,28 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
     lends its input, gate and cell-state buffers, which this pass overwrites,
     so that cache is spent. Returns (Y, ForwardCache).
     """
-    x, batched, initial_state = _sequence_inputs(w, X, initial_state)
+    x, batched, state = _sequence_inputs(w, X, initial_state)
     if masks is None:
-        if spec is None or spec.is_identity:
-            masks = DropoutMasks()
-        else:
-            masks = sample_dropout_masks(spec, w.input_size, w.hidden_size, x.shape[0],
-                                         seed, batch=x.shape[1] if batched else None)
+        masks = DropoutMasks() if spec is None else sample_dropout_masks(
+            spec, w.input_size, w.hidden_size, len(x), seed,
+            batch=x.shape[2] if batched else None)
 
-    # A time-major copy of the inputs in theta's dtype; the cache keeps it for BPTT.
+    # A masked copy of the inputs in theta's dtype; the cache keeps it for BPTT.
     dtype = w.theta.dtype
-    if reuse is not None and (reuse.x.shape, reuse.x.dtype, reuse.hidden_size) == (
+    if reuse is None or (reuse.x.shape, reuse.x.dtype, reuse.s_fm.shape[1]) != (
             x.shape, dtype, w.hidden_size):
-        np.copyto(reuse.x, x)
-        x = reuse.x
-    else:
-        x, reuse = np.array(x, dtype=dtype, order="C"), None
-    arrays = _loop_arrays(w, *x.shape[:2], keep=True, reuse=reuse)
-    Y = np.empty((len(x), w.output_size, x.shape[1]), dtype=dtype)
-    _run_cell(arrays, x, _to_fm(initial_state.h, dtype), _to_fm(initial_state.s, dtype), Y,
-              *_loop_masks(masks, batched, dtype))
-    cache = ForwardCache(
-        x=x, masks=masks, h0=initial_state.h, s0=initial_state.s,
-        gates=arrays[5], s_fm=arrays[6], y_fm=Y, batched=batched,
-        input_size=w.input_size, hidden_size=w.hidden_size, output_size=w.output_size,
-    )
-    Y_out = Y.transpose(2, 0, 1) if batched else Y[..., 0]
-    return Y_out, cache
+        reuse = None
+    xc = np.empty(x.shape, dtype=dtype) if reuse is None else reuse.x
+    np.copyto(xc, x)
+    xm, hm, gm = _loop_masks(masks, batched, dtype)
+    if xm is not None:
+        xc *= xm
+    arrays = _loop_arrays(w, len(x), x.shape[2], keep=True, reuse=reuse)
+    Y = np.empty((len(x), w.output_size, x.shape[2]), dtype=dtype)
+    _run_cell(arrays, xc, _to_fm(state.h, dtype), _to_fm(state.s, dtype), Y, hm, gm)
+    return (Y.transpose(2, 0, 1) if batched else Y[..., 0]), ForwardCache(
+        x=xc, masks=masks, h0=state.h, s0=state.s, gates=arrays[3], s_fm=arrays[4], y_fm=Y,
+        batched=batched)
 
 
 def predict_sequence(w: LstmWeights, X: np.ndarray,
@@ -436,22 +433,21 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
     X is as for :func:`forward_sequence`. Time runs in blocks of
     PREDICT_BLOCK_DAYS steps, so memory does not grow with the sequence
     length beyond the inputs and outputs; a large batch runs in chunks of
-    pixels on threads, with the bits of one pass (PREDICT_CHUNK_GATES). With
-    ``return_final_state`` the result is (Y, LstmState), e.g. for spin-up.
+    pixels on threads, and each pixel gets the bits it would get alone
+    (PREDICT_CHUNK_GATES, PREDICT_CHUNK_PIXELS). With ``return_final_state``
+    the result is (Y, LstmState), e.g. for spin-up.
     """
     x, batched, state = _sequence_inputs(w, X, initial_state)
-    dtype = w.theta.dtype
-    x = x.astype(dtype, copy=False)
-    T, n_batch = x.shape[:2]
-    groups = n_batch // PREDICT_CHUNK_PIXELS if n_batch % PREDICT_CHUNK_PIXELS == 0 else 0
+    dtype, T, n_batch, P = w.theta.dtype, len(x), x.shape[2], PREDICT_CHUNK_PIXELS
+    groups = -(-n_batch // P)
     n = max(1, min(usable_cpus() // _blas_threads(), groups,
                    4 * w.hidden_size * n_batch // PREDICT_CHUNK_GATES))
-    edges = [groups * c // n * PREDICT_CHUNK_PIXELS for c in range(n)] + [n_batch]
-    # Every buffer is allocated in this thread; the chunks write Y in place.
+    edges = [groups * c // n * P for c in range(n)] + [n_batch]
+    # Every buffer, padded to whole groups, is allocated here; chunks write Y in place.
     Y = np.empty((T, w.output_size, n_batch), dtype=dtype)
     h0, s0 = _to_fm(state.h, dtype), _to_fm(state.s, dtype)
-    chunks = [(_loop_arrays(w, T, hi - lo), x[:, lo:hi], h0[:, lo:hi], s0[:, lo:hi], Y[..., lo:hi])
-              for lo, hi in zip(edges, edges[1:])]
+    chunks = [(_loop_arrays(w, T, -(-(hi - lo) // P) * P), x[..., lo:hi], h0[:, lo:hi],
+               s0[:, lo:hi], Y[..., lo:hi]) for lo, hi in zip(edges, edges[1:])]
     if n == 1:
         finals = [_run_cell(*chunks[0])]
     else:
@@ -471,9 +467,11 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
 
     dL_dY is (rho, output), (batch, rho, output) matching the forward layout,
     and the returned container has the LstmWeights layout, in the dtype of
-    ``w``. Dropout masks are replayed from the cache.
+    ``w``. Dropout masks are replayed from the cache. The forward pass's
+    operands z_t = [h_{t-1} * hm; x_t; 1] are rebuilt a block at a time, and
+    each step adds da_t z_t^T to one [Wh | Wx | b] gradient, split at the end.
     """
-    if (cache.input_size, cache.hidden_size, cache.output_size) != (
+    if (cache.x.shape[1], cache.s_fm.shape[1], cache.y_fm.shape[1]) != (
             w.input_size, w.hidden_size, w.output_size):
         raise ValidationError("cache does not match the weight dimensions")
     dtype = w.theta.dtype
@@ -487,22 +485,15 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     dY = (np.ascontiguousarray(dL_dY.transpose(1, 2, 0)) if cache.batched
           else dL_dY[..., None])
 
-    xm, hm, gm = _loop_masks(cache.masks, cache.batched, dtype)
-    # The gradients accumulate straight into the views of one flat buffer.
+    _, hm, gm = _loop_masks(cache.masks, cache.batched, dtype)
     grads = LstmWeights(w.input_size, w.hidden_size, w.output_size, dtype)
-    dWx, dWh, db = grads.Wx, grads.Wh, grads.b
-    Wh, W_hy = w.Wh, w.W_hy
-    H = w.hidden_size
-    G, S = cache.gates, cache.s_fm
+    Wh, W_hy, H, G, S = w.Wh, w.W_hy, w.hidden_size, cache.gates, cache.s_fm
     grads.b_y[...] = dY.sum(axis=(0, 2))
 
     h0, s0 = _to_fm(cache.h0, dtype), _to_fm(cache.s0, dtype)
-    dh_carry = np.zeros_like(h0)
-    ds_carry = np.zeros_like(s0)
-    # One step's gate pre-activation gradients, in the g, i, f, o order, and
-    # the gate derivatives they are scaled by; both reused across steps.
-    da = np.empty(G.shape[1:], dtype=dtype)
-    dact = np.empty_like(da)
+    dh, ds, dh_carry, ds_carry = np.zeros((4,) + h0.shape, dtype=dtype)
+    # One step's gate pre-activation gradients (g, i, f, o) and gate derivatives.
+    da, dact = np.empty((2,) + G.shape[1:], dtype=dtype)
     da_g, da_i, da_f, da_o = da[:H], da[H:2 * H], da[2 * H:3 * H], da[3 * H:]
     # h_{t-1} is recomputed as o * tanh(s) from the tanh(S[t - 1]) step t - 1
     # reads; a ring of a block of them feeds one stacked dY[t] @ h_t^T a block.
@@ -510,22 +501,28 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     ring, dW_hy = np.empty((n, H, n_batch), dtype=dtype), np.empty((rho, n_out, H), dtype=dtype)
     tanh_s = np.tanh(S[-1])
     np.multiply(G[-1, 3 * H:], tanh_s, out=ring[(rho - 1) % n])
+    # A block's z_t in slots t % n (their last row stays 1), and dW = sum da_t z_t^T.
+    Z = np.ones((n, H + w.input_size + 1, n_batch), dtype=dtype)
+    dW, dW_t = np.zeros((2, 4 * H, Z.shape[1]), dtype=dtype)
 
     for t in range(rho - 1, -1, -1):
-        dh = W_hy.T @ dY[t]
+        j = t % n
+        if j == n - 1 or t == rho - 1:  # a block's last step: load its inputs
+            Z[:j + 1, H:-1] = cache.x[t - j:t + 1]
+        np.dot(W_hy.T, dY[t], out=dh)   # np.matmul is 8x slower at output 1
         dh += dh_carry
-        if t % n == 0:
+        if j == 0:
             m = min(n, rho - t)
             np.matmul(dY[t:t + m], ring[:m].transpose(0, 2, 1), out=dW_hy[t:t + m])
 
         a = G[t]
         g, i, f, o = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
         np.multiply(dh, tanh_s, out=da_o)
-        ds = dh * o
+        np.multiply(dh, o, out=ds)
         ds *= 1.0 - tanh_s * tanh_s
         ds += ds_carry
 
-        mg = None if gm is None else gm[t].T
+        mg = None if gm is None else gm[t]
         s_prev = S[t - 1] if t > 0 else s0
         np.multiply(_apply(ds, mg), i, out=da_g)
         np.multiply(ds, _apply(g, mg), out=da_i)
@@ -538,13 +535,15 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
         np.multiply(ds, f, out=ds_carry)
 
         if t > 0:   # step t - 1's tanh(s), and its h
-            tanh_s = np.tanh(S[t - 1])
+            np.tanh(S[t - 1], out=tanh_s)
         h_prev = np.multiply(G[t - 1, 3 * H:], tanh_s, out=ring[(t - 1) % n]) if t else h0
-        xd = _apply(cache.x[t], None if xm is None else xm[t])
-        dWx += da @ xd
-        dWh += da @ _apply(h_prev, hm).T
-        db += da.sum(axis=1)
-        dh_carry = _apply(Wh.T @ da, hm)
+        Z[j, :H] = h_prev
+        np.matmul(Wh.T, da, out=dh_carry)
+        if hm is not None:      # z_t holds h_{t-1} * hm, so dh_{t-1} is masked too
+            Z[j, :H] *= hm
+            dh_carry *= hm
+        dW += np.matmul(da, Z[j].T, out=dW_t)
 
+    grads.Wh[...], grads.Wx[...], grads.b[...] = dW[:, :H], dW[:, H:-1], dW[:, -1]
     grads.W_hy[...] = dW_hy.sum(axis=0)
     return grads

@@ -249,14 +249,15 @@ class AdamState:
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
-    """One adaptive-moment update of the flat parameter vector ``theta`` in
-    place, from the flat gradient ``grad`` of the same layout."""
+    """One adaptive-moment update, in place, of the flat parameter vector
+    ``theta`` and of ``state``'s moments, from the flat gradient ``grad``."""
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    m = state.m = beta1 * state.m + (1 - beta1) * grad
-    v = state.v = beta2 * state.v + (1 - beta2) * grad * grad
-    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    c1, c2 = 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t
+    state.m *= beta1
+    state.m += (1 - beta1) * grad
+    state.v *= beta2
+    state.v += (1 - beta2) * grad * grad
+    theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float):

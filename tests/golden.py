@@ -2,10 +2,11 @@
 
 ``tests/data/golden_lstm.json`` is an ``hlstm-v1`` container (input 3,
 hidden 4, five epochs) and ``tests/data/golden_lstm_predictions.json`` holds
-its predictions on :func:`golden_dataset` over :func:`golden_split`. Both
-were written by the version of hlstm that still stored the LSTM as 14
-per-gate arrays, so the tests that read them pin the container format and
-the prediction path across changes to the weight storage. The dataset is
+its predictions on :func:`golden_dataset` over :func:`golden_split`. The
+tests that read them pin the container format (the 14 per-gate arrays of
+``hlstm-v1``, whatever the in-memory weight storage) and the bits of the
+training and prediction paths: the fused one-product-per-step time loop and
+BPTT, and prediction over two pixels padded to a whole group. The dataset is
 built from exact binary fractions, so it does not depend on any generator.
 
 Rewrite the fixture (only on purpose) with ``PYTHONPATH=src python tests/golden.py``.

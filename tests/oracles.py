@@ -115,6 +115,17 @@ def max_relative_gradient_error(analytic, numeric, tiny=1e-7):
     return worst
 
 
+def rebinding_adam_step(theta, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The adaptive-moment step with each moment formed as a new array and
+    rebound to ``state``; ``theta`` is updated in place."""
+    state.t += 1
+    c1 = 1.0 - beta1 ** state.t
+    c2 = 1.0 - beta2 ** state.t
+    m = state.m = beta1 * state.m + (1 - beta1) * grad
+    v = state.v = beta2 * state.v + (1 - beta2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 def ols_fit(X, y):
     """Normal-equation least squares with intercept; returns (beta0, beta)."""
     N = X.shape[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import time
@@ -32,7 +33,7 @@ from oracles import (
 def hidden_states(cache):
     """Every step's hidden state, (rho, hidden, batch): o * tanh(s), as the
     forward pass forms it (the cache keeps gates and cell states only)."""
-    return cache.gates[:, 3 * cache.hidden_size:] * np.tanh(cache.s_fm)
+    return cache.gates[:, 3 * cache.s_fm.shape[1]:] * np.tanh(cache.s_fm)
 
 
 def random_weights(n_in, n_hid, n_out, seed):
@@ -260,10 +261,17 @@ class TestForwardSequence:
             assert np.max(np.abs(Yb[b] - Ys)) < 1e-12
 
     def test_predict_sequence_matches_forward(self):
+        # Prediction pads the pixels to a whole group with zero-input pixels,
+        # so it has the bits of a forward pass over that group.
         w = random_weights(3, 4, 1, seed=14)
         X = np.random.default_rng(15).normal(size=(30, 3))
         Y, _ = forward_sequence(w, X)
-        assert np.array_equal(predict_sequence(w, X), Y)
+        group = np.zeros((PREDICT_CHUNK_PIXELS, 30, 3))
+        group[0] = X
+        Y_group, _ = forward_sequence(w, group)
+        P = predict_sequence(w, X)
+        assert np.array_equal(P, Y_group[0])
+        assert np.max(np.abs(P - Y)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4, 5, 3), (0, 3), (2, 0, 3), (6, 2)],
                              ids=["1d", "4d", "no_days", "batch_no_days", "wrong_width"])
@@ -415,6 +423,23 @@ class TestBpttGradients:
         _, cache_other = forward_sequence(w.astype(other_dtype), X2, reuse=cache)
         assert not np.shares_memory(cache_other.x, cache.x)
 
+    @pytest.mark.parametrize("variant", DROPOUT_VARIANTS)
+    def test_the_cache_holds_gates_cell_states_inputs_and_outputs_only(self, variant):
+        # BPTT rebuilds each step's operand [h * hm; x; 1] a block at a time:
+        # a full-length copy in the cache would add rho x (hidden + input + 1)
+        # x batch floats to the training working set.
+        n_batch, rho, n_in, n_hid, n_out = 5, 2 * PREDICT_BLOCK_DAYS + 3, 3, 8, 2
+        w = random_weights(n_in, n_hid, n_out, seed=56).astype(np.float32)
+        X = np.random.default_rng(57).normal(size=(n_batch, rho, n_in))
+        masks = sample_dropout_masks(DropoutSpec(variant, 0.4), n_in, n_hid, rho=rho,
+                                     seed=58, batch=n_batch)
+        _, cache = forward_sequence(w, X, masks=masks)
+        assert cache.x.shape == (rho, n_in, n_batch)
+        arrays = [getattr(cache, f.name) for f in dataclasses.fields(cache)]
+        per_step = rho * n_batch * 4 * (4 * n_hid + n_hid + n_in + n_out)
+        assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) == (
+            per_step + cache.h0.nbytes + cache.s0.nbytes)
+
     def test_shape_mismatch_rejected(self):
         w = random_weights(3, 4, 1, seed=50)
         X = np.random.default_rng(51).normal(size=(6, 3))
@@ -477,12 +502,14 @@ class TestComputeDtype:
         assert {name: arr.dtype for name, arr in buffers.items()} == {
             name: np.dtype(dtype) for name in buffers}
         assert operands.seen == {np.dtype(dtype)}
-        # BPTT's recomputed hidden states and readout products went through the
-        # recorded calls: one tanh per step, whose result also rebuilds h with
-        # one multiply beside the six of the gate gradients, and stacked
-        # (steps, output, hidden) readout products that cover every step.
+        # BPTT's recomputed hidden states, operands and products went through
+        # the recorded calls: one tanh per step, whose result also rebuilds h
+        # with one multiply beside the seven of ds and the gate gradients; one
+        # (4*hidden, hidden+input+1) weight-gradient product per step; and
+        # stacked (steps, output, hidden) readout products that cover every step.
         names = [name for name, _ in operands.calls]
-        assert names.count("tanh") == rho and names.count("multiply") == 7 * rho
+        assert names.count("tanh") == rho and names.count("multiply") == 8 * rho
+        assert operands.calls.count(("matmul", (16, 4 + 3 + 1))) == rho
         readout = [shape[0] for name, shape in operands.calls
                    if name == "matmul" and len(shape) == 3 and shape[1:] == (1, 4)]
         assert sum(readout) == rho
@@ -583,14 +610,36 @@ class TestChunkedPrediction:
             assert np.array_equal(prefix, whole[:, :days]), days
         assert bool(starts) == (cpus > 1)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("hidden", [4, 16, 48, 64])
+    def test_a_pixel_predicts_alone_what_it_predicts_in_any_batch(self, monkeypatch, hidden,
+                                                                  dtype):
+        # Buffers are padded to whole groups of pixels, so a pixel's bits do
+        # not depend on how many pixels share its prediction, nor on where
+        # the chunks split them.
+        rng = np.random.default_rng(86 + hidden)
+        w = init_weights(3, hidden, 1, seed=hidden).astype(dtype)
+        rho = PREDICT_BLOCK_DAYS + 5
+        monkeypatch.setattr(lstm_module, "PREDICT_CHUNK_GATES", 1)
+        monkeypatch.setattr(lstm_module, "usable_cpus", lambda: 2)
+        for n_batch in rng.integers(1, 81, size=3):
+            X = rng.normal(size=(n_batch, rho, 3))
+            state = LstmState(h=rng.uniform(-0.5, 0.5, size=(n_batch, hidden)),
+                              s=rng.normal(size=(n_batch, hidden)))
+            whole = predict_sequence(w, X, initial_state=state)
+            for p in range(n_batch):
+                alone = predict_sequence(w, X[p:p + 1], initial_state=LstmState(
+                    h=state.h[p:p + 1], s=state.s[p:p + 1]))
+                assert np.array_equal(alone[0], whole[p]), (n_batch, p)
+
     @pytest.mark.parametrize("n_batch,hidden,force,blas_threads", [
         (64, 16, False, "1"),                        # the cli workload: below the threshold
-        (PREDICT_CHUNK_PIXELS + 1, 4, True, "1"),    # a partial group of pixels
+        (PREDICT_CHUNK_PIXELS, 4, True, "1"),        # one group of pixels
         (None, 4, True, "1"),                        # a single sequence
         (256, 64, False, None),                      # BLAS threads on every CPU
         (256, 64, False, "4"),
         (256, 64, False, "x"),                       # a count OpenBLAS cannot read
-    ], ids=["small", "partial_group", "single", "blas_default", "blas_four", "blas_bad"])
+    ], ids=["small", "one_group", "single", "blas_default", "blas_four", "blas_bad"])
     def test_no_thread_starts_without_a_split(self, monkeypatch, n_batch, hidden, force,
                                               blas_threads):
         monkeypatch.setattr(lstm_module, "usable_cpus", lambda: 4)

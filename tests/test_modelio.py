@@ -136,8 +136,7 @@ class TestMalformedContainers:
 
 
 class TestGoldenContainer:
-    """An hlstm-v1 container written while the weights were 14 per-gate
-    arrays (see tests/golden.py)."""
+    """A pinned hlstm-v1 container and its predictions (see tests/golden.py)."""
 
     def test_predictions_reproduced_bit_for_bit(self):
         kind, payload = load_model(golden.CONTAINER)

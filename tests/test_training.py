@@ -28,6 +28,8 @@ from hlstm.training import (
     train_lstm,
 )
 
+from oracles import rebinding_adam_step
+
 
 def make_data(n_pixels, T, inputs_fn, target_fn, mask=None, n_features=2):
     inputs = np.zeros((n_pixels, T, n_features))
@@ -172,6 +174,23 @@ class TestClipping:
 
 
 class TestOptimizerSteps:
+    @pytest.mark.parametrize("n,lr,seed", [(1, 0.01, 0), (391, 0.01, 1), (2_000, 0.1, 2)])
+    def test_adam_updates_its_moments_in_place_with_the_oracle_bits(self, n, lr, seed):
+        rng = np.random.default_rng(seed)
+        theta = rng.normal(size=n)
+        ref_theta = theta.copy()
+        state, ref_state = AdamState(theta), AdamState(theta)
+        m, v = state.m, state.v
+        for _ in range(5):
+            grad = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=n)
+            adam_step(theta, grad, state, lr)
+            rebinding_adam_step(ref_theta, grad, ref_state, lr)
+            assert state.m is m and state.v is v
+            for got, want in ((theta, ref_theta), (state.m, ref_state.m),
+                              (state.v, ref_state.v)):
+                assert np.array_equal(got, want)
+        assert state.t == ref_state.t == 5
+
     def test_steps_update_theta_in_place_and_the_forward_pass_reads_it(self):
         w = init_weights(3, 4, 1, seed=5)
         views = [w.Wx, w.Wh, w.b, w.W_hy, w.b_y] + [a for _, a in w.named_arrays()]
