@@ -23,24 +23,25 @@ input) in one buffer.
 The kernel runs in the dtype of the weights: every buffer of the time loop
 and of BPTT (inputs, masks, states, gates, gradients) takes theta's dtype, so
 float64 weights compute in float64 and float32 weights in float32, with no
-silent promotion. Sequences may be a single (rho, input) matrix or a batch
-tensor (batch, rho, input); batch gradients are accumulated by the matrix
-products themselves, in fixed instance order, so results do not depend on
-evaluation order.
+silent promotion. Every sequence comes in a batch: inputs are (batch, rho,
+input), outputs (batch, rho, output) and a state's h and s (batch, hidden).
+:func:`forward_sequence` starts from the zero state and takes sampled masks.
+Batch gradients are accumulated by the matrix products themselves, in fixed
+instance order, so results do not depend on evaluation order.
 
 One time loop serves :func:`forward_sequence` and :func:`predict_sequence`.
 Each step is one product of W = [Wh | Wx | b], built once per pass with its
 i, f, o rows halved, and z_t = [h_{t-1} * hm; x_t; 1] (hm the recurrent
 mask) into the step's (4*hidden, batch) slice of gate pre-activations in g,
 i, f, o order; one tanh then gives every gate, 0.5 + 0.5 * t finishing the
-sigmoids. Every array is feature-major, (dim, batch); a single sequence is a
-batch of one. A block's inputs are copied into its z slots once, and each
-step writes its h into the next slot, read by one stacked readout a block.
-The cache keeps gates, cell states and masked inputs: BPTT recomputes h as
-o * tanh(s) bit for bit, rebuilds z_t a block at a time and adds da_t z_t^T
-each step. Training lends each epoch's cache to the next pass. Prediction
-runs chunks of pixels on threads with the bits of one pass, in buffers
-padded to whole groups of pixels (PREDICT_CHUNK_GATES, PREDICT_CHUNK_PIXELS).
+sigmoids. Every array of the loop is feature-major, (dim, batch). A block's
+inputs are copied into its z slots once, and each step writes its h into the
+next slot, read by one stacked readout a block. The cache keeps gates, cell
+states and masked inputs: BPTT recomputes h as o * tanh(s) bit for bit,
+rebuilds z_t a block at a time and adds da_t z_t^T each step. Training lends
+each epoch's cache to the next pass. Prediction runs chunks of pixels on
+threads with the bits of one pass, in buffers padded to whole groups of
+pixels (PREDICT_CHUNK_GATES, PREDICT_CHUNK_PIXELS).
 
 This module also hosts the seeded RNG construction shared by the rest of the
 toolkit.
@@ -176,15 +177,10 @@ class LstmWeights:
 
 @dataclass
 class LstmState:
-    """Hidden state h and cell state s of one sequence (or a batch of them)."""
+    """Hidden state h and cell state s of a batch of sequences, each (batch, hidden)."""
 
     h: np.ndarray
     s: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_size: int, batch: int | None = None) -> "LstmState":
-        shape = (hidden_size,) if batch is None else (batch, hidden_size)
-        return cls(h=np.zeros(shape), s=np.zeros(shape))
 
 
 @dataclass
@@ -220,9 +216,9 @@ class DropoutMasks:
     """
 
     def __init__(self, x=None, h=None, g=None):
-        self.x = x          # (rho, ..., input) resampled each step
-        self.h = h          # (..., hidden) constant across the sequence
-        self.g = g          # (rho, ..., hidden) resampled each step
+        self.x = x          # (rho, batch, input) resampled each step
+        self.h = h          # (batch, hidden) constant across the sequence
+        self.g = g          # (rho, batch, hidden) resampled each step
 
 
 def _apply(value, mask):
@@ -243,11 +239,10 @@ def init_weights(input_size: int, hidden_size: int, output_size: int, seed) -> L
 
 
 def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
-                         rho: int, seed, batch: int | None = None) -> DropoutMasks:
-    """Sample the mask set for one forward pass of length rho.
-
-    For batch evaluation each instance gets independent masks. Identity
-    variants (variant "none" or rate 0) consume no random numbers.
+                         rho: int, seed, batch: int) -> DropoutMasks:
+    """Sample the mask set for one forward pass of ``batch`` sequences of
+    length rho; each instance gets independent masks. Identity variants
+    (variant "none" or rate 0) consume no random numbers.
     """
     spec.validate()
     if rho < 1:
@@ -260,31 +255,24 @@ def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
     def bernoulli(shape):
         return (rng.random(shape) >= spec.rate).astype(float) / keep
 
-    inst = () if batch is None else (batch,)
     if spec.variant == "non_recurrent":
-        return DropoutMasks(x=bernoulli((rho, *inst, input_size)))
+        return DropoutMasks(x=bernoulli((rho, batch, input_size)))
     if spec.variant == "recurrent_constant":
-        return DropoutMasks(h=bernoulli((*inst, hidden_size)))
+        return DropoutMasks(h=bernoulli((batch, hidden_size)))
     # memory_cell: per-step mask on the candidate node.
-    return DropoutMasks(g=bernoulli((rho, *inst, hidden_size)))
+    return DropoutMasks(g=bernoulli((rho, batch, hidden_size)))
 
 
 def _to_fm(v, dtype) -> np.ndarray:
-    """A (..., dim) state or mask as a contiguous feature-major (dim, batch)
-    array of ``dtype``; a single instance becomes (dim, 1)."""
-    return np.array(np.atleast_2d(v).T, dtype=dtype, order="C")
+    """A (batch, dim) state or mask as a contiguous feature-major (dim, batch) ``dtype`` array."""
+    return np.array(np.asarray(v).T, dtype=dtype, order="C")
 
 
-def _from_fm(v: np.ndarray, batched: bool) -> np.ndarray:
-    """Inverse of :func:`_to_fm`, as a new array."""
-    return np.ascontiguousarray(v.T) if batched else v[:, 0].copy()
-
-
-def _loop_masks(masks: DropoutMasks, batched: bool, dtype):
+def _loop_masks(masks: DropoutMasks, dtype):
     """The masks as the time loop reads them, feature-major and in ``dtype``:
     x (rho, input, batch), h (hidden, batch) and g (rho, hidden, batch)."""
-    x, g = (m if m is None else np.moveaxis(m if batched else m[:, None], 1, 2).astype(
-        dtype, copy=False) for m in (masks.x, masks.g))
+    x, g = (m if m is None else np.moveaxis(m, 1, 2).astype(dtype, copy=False)
+            for m in (masks.x, masks.g))
     return x, None if masks.h is None else _to_fm(masks.h, dtype), g
 
 
@@ -354,58 +342,46 @@ class ForwardCache:
     The buffers are kept as the time loop wrote them, feature-major:
     ``gates`` (rho, 4*hidden, batch) holds g, i, f, o; ``s_fm`` is (rho,
     hidden, batch), ``y_fm`` (rho, output, batch), and ``x`` the (rho,
-    input, batch) inputs times their mask. A single sequence is stored as a
-    batch of one. BPTT recomputes step t's h, ``o * tanh(s_fm[t])``, exactly.
+    input, batch) inputs times their mask. The pass started from the zero
+    state. BPTT recomputes step t's h, ``o * tanh(s_fm[t])``, exactly.
     """
 
     x: np.ndarray
     masks: DropoutMasks
-    h0: np.ndarray
-    s0: np.ndarray
     gates: np.ndarray
     s_fm: np.ndarray
     y_fm: np.ndarray
-    batched: bool
 
 
-def _sequence_inputs(w: LstmWeights, X, initial_state: LstmState | None):
-    """Check a finite (rho, input) or (batch, rho, input) X with rho >= 1;
-    return its feature-major (rho, input, batch) view, whether it is a batch,
-    and the initial state (default zeros)."""
+def _sequence_inputs(w: LstmWeights, X) -> np.ndarray:
+    """Check a finite (batch, rho, input) X with rho >= 1; return its
+    feature-major (rho, input, batch) view."""
     X = np.asarray(X, dtype=float)
-    if X.ndim not in (2, 3):
-        raise ValidationError(f"X must be 2-D or 3-D, got shape {X.shape}")
-    if X.shape[-2] < 1:
+    if X.ndim != 3:
+        raise ValidationError(f"X must be (batch, rho, input), got shape {X.shape}")
+    if X.shape[1] < 1:
         raise ValidationError("sequence length must be >= 1")
     if X.shape[-1] != w.input_size:
         raise ValidationError(
             f"input width {X.shape[-1]} does not match input_size {w.input_size}")
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite values in X")
-    if initial_state is not None and {np.shape(initial_state.h)[-1],
-                                      np.shape(initial_state.s)[-1]} != {w.hidden_size}:
-        raise ValidationError("initial state dimensions do not match hidden_size")
-    if X.ndim == 3:
-        return X.transpose(1, 2, 0), True, initial_state or LstmState.zeros(w.hidden_size, len(X))
-    return X[..., None], False, initial_state or LstmState.zeros(w.hidden_size)
+    return X.transpose(1, 2, 0)
 
 
-def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | None = None,
-                     spec: DropoutSpec | None = None, seed=None,
-                     masks: DropoutMasks | None = None, reuse: ForwardCache | None = None):
-    """Run the cell over a whole sequence (or batch of sequences).
+def forward_sequence(w: LstmWeights, X: np.ndarray, masks: DropoutMasks | None = None,
+                     reuse: ForwardCache | None = None):
+    """Run the cell over a batch of sequences, X (batch, rho, input), from
+    the zero state.
 
-    X has shape (rho, input) or (batch, rho, input). Masks are sampled from
-    ``spec``/``seed`` unless given explicitly; passing the masks from a cache
-    replays a previous pass bit-exactly. A ``reuse`` cache of the same shapes
-    lends its input, gate and cell-state buffers, which this pass overwrites,
-    so that cache is spent. Returns (Y, ForwardCache).
+    ``masks`` are sampled ones (:func:`sample_dropout_masks`; None means no
+    dropout); passing the masks from a cache replays a previous pass
+    bit-exactly. A ``reuse`` cache of the same shapes lends its input, gate
+    and cell-state buffers, which this pass overwrites, so that cache is
+    spent. Returns (Y (batch, rho, output), ForwardCache).
     """
-    x, batched, state = _sequence_inputs(w, X, initial_state)
-    if masks is None:
-        masks = DropoutMasks() if spec is None else sample_dropout_masks(
-            spec, w.input_size, w.hidden_size, len(x), seed,
-            batch=x.shape[2] if batched else None)
+    x = _sequence_inputs(w, X)
+    masks = DropoutMasks() if masks is None else masks
 
     # A masked copy of the inputs in theta's dtype; the cache keeps it for BPTT.
     dtype = w.theta.dtype
@@ -414,15 +390,15 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, initial_state: LstmState | N
         reuse = None
     xc = np.empty(x.shape, dtype=dtype) if reuse is None else reuse.x
     np.copyto(xc, x)
-    xm, hm, gm = _loop_masks(masks, batched, dtype)
+    xm, hm, gm = _loop_masks(masks, dtype)
     if xm is not None:
         xc *= xm
     arrays = _loop_arrays(w, len(x), x.shape[2], keep=True, reuse=reuse)
     Y = np.empty((len(x), w.output_size, x.shape[2]), dtype=dtype)
-    _run_cell(arrays, xc, _to_fm(state.h, dtype), _to_fm(state.s, dtype), Y, hm, gm)
-    return (Y.transpose(2, 0, 1) if batched else Y[..., 0]), ForwardCache(
-        x=xc, masks=masks, h0=state.h, s0=state.s, gates=arrays[3], s_fm=arrays[4], y_fm=Y,
-        batched=batched)
+    zeros = np.zeros((w.hidden_size, x.shape[2]), dtype=dtype)
+    _run_cell(arrays, xc, zeros, zeros, Y, hm, gm)
+    return Y.transpose(2, 0, 1), ForwardCache(
+        x=xc, masks=masks, gates=arrays[3], s_fm=arrays[4], y_fm=Y)
 
 
 def predict_sequence(w: LstmWeights, X: np.ndarray,
@@ -430,22 +406,28 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
                      return_final_state: bool = False):
     """Mask-free evaluation forward pass that keeps no cache (long sequences).
 
-    X is as for :func:`forward_sequence`. Time runs in blocks of
+    X is (batch, rho, input) and Y (batch, rho, output); ``initial_state``,
+    zeros by default, holds (batch, hidden) arrays. Time runs in blocks of
     PREDICT_BLOCK_DAYS steps, so memory does not grow with the sequence
     length beyond the inputs and outputs; a large batch runs in chunks of
     pixels on threads, and each pixel gets the bits it would get alone
     (PREDICT_CHUNK_GATES, PREDICT_CHUNK_PIXELS). With ``return_final_state``
     the result is (Y, LstmState), e.g. for spin-up.
     """
-    x, batched, state = _sequence_inputs(w, X, initial_state)
+    x = _sequence_inputs(w, X)
     dtype, T, n_batch, P = w.theta.dtype, len(x), x.shape[2], PREDICT_CHUNK_PIXELS
+    shape = (n_batch, w.hidden_size)
+    state = initial_state or LstmState(h=np.zeros(shape), s=np.zeros(shape))
+    if {np.shape(state.h), np.shape(state.s)} != {shape}:
+        raise ValidationError(f"initial state h and s must be (batch, hidden) = {shape}, "
+                              f"got {np.shape(state.h)} and {np.shape(state.s)}")
+    h0, s0 = _to_fm(state.h, dtype), _to_fm(state.s, dtype)
     groups = -(-n_batch // P)
     n = max(1, min(usable_cpus() // _blas_threads(), groups,
                    4 * w.hidden_size * n_batch // PREDICT_CHUNK_GATES))
     edges = [groups * c // n * P for c in range(n)] + [n_batch]
     # Every buffer, padded to whole groups, is allocated here; chunks write Y in place.
     Y = np.empty((T, w.output_size, n_batch), dtype=dtype)
-    h0, s0 = _to_fm(state.h, dtype), _to_fm(state.s, dtype)
     chunks = [(_loop_arrays(w, T, -(-(hi - lo) // P) * P), x[..., lo:hi], h0[:, lo:hi],
                s0[:, lo:hi], Y[..., lo:hi]) for lo, hi in zip(edges, edges[1:])]
     if n == 1:
@@ -455,18 +437,18 @@ def predict_sequence(w: LstmWeights, X: np.ndarray,
         with ThreadPoolExecutor(n - 1) as pool:
             rest = [pool.submit(_run_cell, *chunk) for chunk in chunks[1:]]
             finals = [_run_cell(*chunks[0])] + [job.result() for job in rest]
-    Y = Y.transpose(2, 0, 1) if batched else Y[..., 0]
+    Y = Y.transpose(2, 0, 1)
     if return_final_state:
-        h, s = (np.concatenate(v, axis=1) for v in zip(*finals))
-        return Y, LstmState(h=_from_fm(h, batched), s=_from_fm(s, batched))
+        h, s = (np.ascontiguousarray(np.concatenate(v, axis=1).T) for v in zip(*finals))
+        return Y, LstmState(h=h, s=s)
     return Y
 
 
 def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> LstmWeights:
     """Exact reverse-mode gradients of the cached forward pass.
 
-    dL_dY is (rho, output), (batch, rho, output) matching the forward layout,
-    and the returned container has the LstmWeights layout, in the dtype of
+    dL_dY is (batch, rho, output), as the forward pass returned Y, and the
+    returned container has the LstmWeights layout, in the dtype of
     ``w``. Dropout masks are replayed from the cache. The forward pass's
     operands z_t = [h_{t-1} * hm; x_t; 1] are rebuilt a block at a time, and
     each step adds da_t z_t^T to one [Wh | Wx | b] gradient, split at the end.
@@ -477,21 +459,19 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     dtype = w.theta.dtype
     dL_dY = np.asarray(dL_dY, dtype=dtype)
     rho, n_out, n_batch = cache.y_fm.shape
-    expected = (n_batch, rho, n_out) if cache.batched else (rho, n_out)
-    if dL_dY.shape != expected:
+    if dL_dY.shape != (n_batch, rho, n_out):
         raise ValidationError(
             f"dL_dY shape {dL_dY.shape} does not match forward outputs")
     # Feature-major (rho, output, batch), as the forward pass wrote Y.
-    dY = (np.ascontiguousarray(dL_dY.transpose(1, 2, 0)) if cache.batched
-          else dL_dY[..., None])
+    dY = np.ascontiguousarray(dL_dY.transpose(1, 2, 0))
 
-    _, hm, gm = _loop_masks(cache.masks, cache.batched, dtype)
+    _, hm, gm = _loop_masks(cache.masks, dtype)
     grads = LstmWeights(w.input_size, w.hidden_size, w.output_size, dtype)
     Wh, W_hy, H, G, S = w.Wh, w.W_hy, w.hidden_size, cache.gates, cache.s_fm
     grads.b_y[...] = dY.sum(axis=(0, 2))
 
-    h0, s0 = _to_fm(cache.h0, dtype), _to_fm(cache.s0, dtype)
-    dh, ds, dh_carry, ds_carry = np.zeros((4,) + h0.shape, dtype=dtype)
+    # The pass started from zeros: h_{-1} = s_{-1} = 0.
+    dh, ds, dh_carry, ds_carry, zeros = np.zeros((5, H, n_batch), dtype=dtype)
     # One step's gate pre-activation gradients (g, i, f, o) and gate derivatives.
     da, dact = np.empty((2,) + G.shape[1:], dtype=dtype)
     da_g, da_i, da_f, da_o = da[:H], da[H:2 * H], da[2 * H:3 * H], da[3 * H:]
@@ -523,7 +503,7 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
         ds += ds_carry
 
         mg = None if gm is None else gm[t]
-        s_prev = S[t - 1] if t > 0 else s0
+        s_prev = S[t - 1] if t > 0 else zeros
         np.multiply(_apply(ds, mg), i, out=da_g)
         np.multiply(ds, _apply(g, mg), out=da_i)
         np.multiply(ds, s_prev, out=da_f)
@@ -536,7 +516,7 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
 
         if t > 0:   # step t - 1's tanh(s), and its h
             np.tanh(S[t - 1], out=tanh_s)
-        h_prev = np.multiply(G[t - 1, 3 * H:], tanh_s, out=ring[(t - 1) % n]) if t else h0
+        h_prev = np.multiply(G[t - 1, 3 * H:], tanh_s, out=ring[(t - 1) % n]) if t else zeros
         Z[j, :H] = h_prev
         np.matmul(Wh.T, da, out=dh_carry)
         if hm is not None:      # z_t holds h_{t-1} * hm, so dh_{t-1} is masked too

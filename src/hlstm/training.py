@@ -159,42 +159,31 @@ def masked_loss(Y: np.ndarray, targets: np.ndarray, mask: np.ndarray,
                 divisor: str = "rho"):
     """Observation-masked mean squared error and its gradient in Y.
 
-    Y is (..., rho, 1) or (..., rho); the batch loss averages the
-    per-instance losses. Raises DegenerateBatchError when no step anywhere in
-    the batch is observed.
+    Y is (batch, rho, 1), targets and mask (batch, rho); the batch loss
+    averages the per-instance losses, and the gradient is shaped like Y.
+    Raises DegenerateBatchError when no step anywhere in the batch is observed.
     """
     Y = np.asarray(Y, dtype=float)
     targets = np.asarray(targets, dtype=float)
     mask = np.asarray(mask)
-    squeeze = Y.ndim == targets.ndim + 1
-    Ys = Y[..., 0] if squeeze else Y
-    if Ys.shape != targets.shape or targets.shape != mask.shape:
+    if targets.ndim != 2 or Y.shape != targets.shape + (1,) or mask.shape != targets.shape:
         raise ValidationError(
-            f"shape mismatch Y {Ys.shape}, targets {targets.shape}, mask {mask.shape}")
+            f"shape mismatch Y {Y.shape}, targets {targets.shape}, mask {mask.shape}")
     maskf = mask.astype(float)
     if not maskf.any():
         raise DegenerateBatchError("batch has no observed target steps")
 
-    rho = targets.shape[-1]
-    diff = np.where(mask.astype(bool), Ys - targets, 0.0)
+    n_batch, rho = targets.shape
+    diff = np.where(mask.astype(bool), Y[..., 0] - targets, 0.0)
     if divisor == "rho":
-        denom = np.full(targets.shape[:-1], float(rho))
+        denom = np.full(n_batch, float(rho))
     elif divisor == "observed":
-        denom = np.maximum(maskf.sum(axis=-1), 1.0)
+        denom = np.maximum(maskf.sum(axis=1), 1.0)
     else:
         raise ValidationError(f"unknown loss divisor {divisor!r}")
 
-    per_instance = (diff * diff).sum(axis=-1) / denom
-    if per_instance.ndim == 0:
-        loss = float(per_instance)
-        grad = 2.0 * diff / denom
-    else:
-        n_inst = per_instance.size
-        loss = float(per_instance.mean())
-        grad = 2.0 * diff / denom[..., None] / n_inst
-    if squeeze:
-        grad = grad[..., None]
-    return loss, grad
+    loss = float(((diff * diff).sum(axis=1) / denom).mean())
+    return loss, (2.0 * diff / denom[:, None] / n_batch)[..., None]
 
 
 def sample_batch(data: SequenceData, config: TrainingConfig, rng,

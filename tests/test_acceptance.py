@@ -64,10 +64,10 @@ class TestCriterion1GradientOracle:
             w = LstmWeights(n_in, n_hid, 1)
             for name, arr in w.named_arrays():
                 arr[...] = rng.normal(0.0, 0.5, size=arr.shape)
-            X = rng.normal(size=(rho, n_in))
-            targets = rng.normal(size=(rho, 1))
+            X = rng.normal(size=(1, rho, n_in))
+            targets = rng.normal(size=(1, rho, 1))
             masks = sample_dropout_masks(DropoutSpec(variant, rate), n_in,
-                                         n_hid, rho, seed=int(rng.integers(1e6)))
+                                         n_hid, rho, seed=int(rng.integers(1e6)), batch=1)
 
             def loss_fn(weights):
                 Y, _ = forward_sequence(weights, X, masks=masks)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hlstm import baselines
+from hlstm import baselines, lstm, modelio
 from hlstm.experiments import run_hindcast_experiment
 from hlstm.synthetic import SyntheticConfig, generate_synthetic
 from hlstm.training import TrainingConfig
@@ -82,3 +82,18 @@ def test_benchmark_hindcast_check_reads_ar_models_in_pixel_order(monkeypatch):
                                   (px.forcing[h_end:] - mean) / std, model.p)
         got = np.concatenate([[model.c], model.alpha, model.gamma])
         assert np.allclose(got, ref, rtol=1e-8, atol=1e-10), px.pixel_id
+
+
+def test_benchmark_train_check_reads_the_batch_layout(monkeypatch):
+    # The train workload predicts (pixels, days, 1) and compares each pixel's
+    # series with a gate-by-gate LSTM over the container's per-gate weights.
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    import checks
+
+    rng = np.random.default_rng(6)
+    w = lstm.init_weights(4, 5, 1, seed=7)
+    X = rng.normal(size=(3, 40, 4))
+    pred = lstm.predict_sequence(w, X)[..., 0]
+    weights = modelio.lstm_payload(w, [], None)["weights"]
+    for k in range(len(X)):
+        assert np.max(np.abs(checks.lstm_reference(weights, X[k]) - pred[k])) <= 1e-9, k

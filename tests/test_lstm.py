@@ -119,38 +119,43 @@ class TestFlatParameters:
 
 class TestDropoutMasks:
     def test_none_variant_is_identity(self):
-        masks = sample_dropout_masks(DropoutSpec("none", 0.5), 3, 4, rho=5, seed=1)
+        masks = sample_dropout_masks(DropoutSpec("none", 0.5), 3, 4, rho=5, seed=1, batch=1)
         assert masks.x is None and masks.h is None and masks.g is None
 
     def test_rate_zero_is_identity(self):
-        masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.0), 3, 4, rho=5, seed=1)
+        masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.0), 3, 4, rho=5, seed=1,
+                                     batch=1)
         assert masks.x is None and masks.h is None and masks.g is None
 
     def test_recurrent_constant_mask_shared_across_steps(self):
-        masks = sample_dropout_masks(DropoutSpec("recurrent_constant", 0.3), 3, 4, rho=10, seed=5)
-        assert masks.h.shape == (4,)
+        masks = sample_dropout_masks(DropoutSpec("recurrent_constant", 0.3), 3, 4, rho=10, seed=5,
+                                     batch=1)
+        assert masks.h.shape == (1, 4)
         assert masks.x is None and masks.g is None
 
     def test_non_recurrent_resampled_each_step(self):
-        masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.5), 6, 4, rho=8, seed=5)
-        assert masks.x.shape == (8, 6)
+        masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.5), 6, 4, rho=8, seed=5,
+                                     batch=1)
+        assert masks.x.shape == (8, 1, 6)
         assert any(not np.array_equal(masks.x[t], masks.x[0]) for t in range(1, 8))
 
     def test_inverted_scaling_mean_is_one(self):
         # Monte-Carlo check of the inverted-dropout expectation
-        masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.5), 100, 4, rho=1000, seed=11)
+        masks = sample_dropout_masks(DropoutSpec("non_recurrent", 0.5), 100, 4, rho=1000, seed=11,
+                                     batch=1)
         assert masks.x.size == 100_000
         assert abs(masks.x.mean() - 1.0) <= 0.02
 
     def test_memory_cell_masks_candidate_per_step(self):
-        masks = sample_dropout_masks(DropoutSpec("memory_cell", 0.4), 3, 4, rho=6, seed=2)
-        assert masks.g.shape == (6, 4)
+        masks = sample_dropout_masks(DropoutSpec("memory_cell", 0.4), 3, 4, rho=6, seed=2,
+                                     batch=1)
+        assert masks.g.shape == (6, 1, 4)
         kept = masks.g[masks.g > 0]
         assert np.allclose(kept, 1.0 / 0.6)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValidationError):
-            sample_dropout_masks(DropoutSpec("non_recurrent", 1.0), 3, 4, rho=5, seed=1)
+            sample_dropout_masks(DropoutSpec("non_recurrent", 1.0), 3, 4, rho=5, seed=1, batch=1)
 
     def test_batch_masks_independent_per_instance(self):
         masks = sample_dropout_masks(DropoutSpec("recurrent_constant", 0.5), 3, 8, rho=4, seed=3, batch=16)
@@ -163,63 +168,70 @@ class TestLstmStep:
 
     def test_all_zero_parameters(self):
         w = LstmWeights(3, 4, 1)
-        Y, cache = forward_sequence(w, np.array([[0.3, -2.0, 5.0]]))
+        Y, cache = forward_sequence(w, np.array([[[0.3, -2.0, 5.0]]]))
         gates = cache.gates[0, :, 0]
         assert np.array_equal(gates[:4], np.zeros(4))          # g
         assert np.array_equal(gates[4:], np.full(12, 0.5))     # i, f, o
         assert np.array_equal(cache.s_fm[0, :, 0], np.zeros(4))
         assert np.array_equal(hidden_states(cache)[0, :, 0], np.zeros(4))
-        assert np.array_equal(Y, np.zeros((1, 1)))
+        assert np.array_equal(Y, np.zeros((1, 1, 1)))
 
     def test_output_bias_only(self):
         w = LstmWeights(2, 3, 1)
         w.b_y[...] = 0.42
-        Y, _ = forward_sequence(w, np.zeros((1, 2)))
-        assert Y[0, 0] == pytest.approx(0.42, abs=1e-15)
+        Y, _ = forward_sequence(w, np.zeros((1, 1, 2)))
+        assert Y[0, 0, 0] == pytest.approx(0.42, abs=1e-15)
 
     def test_matches_scalar_oracle(self):
         w = random_weights(2, 2, 1, seed=42)
         x = np.array([[1.0, 0.0]])
-        Y, _ = forward_sequence(w, x)
+        Y, _ = forward_sequence(w, x[None])
         expected = scalar_lstm_sequence(w, x)[0][0]
-        assert abs(Y[0, 0] - expected) < 1e-12
+        assert abs(Y[0, 0, 0] - expected) < 1e-12
 
     def test_dimension_mismatch(self):
         w = LstmWeights(3, 4, 1)
         for run in (forward_sequence, predict_sequence):
             with pytest.raises(ValidationError):
-                run(w, np.zeros((1, 5)), LstmState.zeros(4))
-            with pytest.raises(ValidationError):
-                run(w, np.zeros((1, 3)), LstmState.zeros(2))
+                run(w, np.zeros((1, 1, 5)))
+        # An initial state is (batch, hidden): one state is not broadcast to
+        # every pixel, however many chunks prediction runs in.
+        X = np.zeros((2 * PREDICT_CHUNK_PIXELS, 1, 3))
+        for shape in ((2 * PREDICT_CHUNK_PIXELS, 2), (4,), (1, 4), (PREDICT_CHUNK_PIXELS, 4)):
+            with pytest.raises(ValidationError, match="batch, hidden"):
+                predict_sequence(w, X, LstmState(h=np.zeros(shape), s=np.zeros(shape)))
+        good = np.zeros((2 * PREDICT_CHUNK_PIXELS, 4))
+        with pytest.raises(ValidationError, match="batch, hidden"):
+            predict_sequence(w, X, LstmState(h=good, s=np.zeros((1, 4))))
 
     def test_non_finite_input(self):
         w = LstmWeights(3, 4, 1)
         with pytest.raises(NumericError):
-            forward_sequence(w, np.array([[1.0, np.nan, 0.0]]))
+            forward_sequence(w, np.array([[[1.0, np.nan, 0.0]]]))
 
 
 class TestForwardSequence:
     def test_length_one_equals_single_step(self):
         # A length-one pass is the first step of any longer pass.
         w = random_weights(3, 4, 2, seed=0)
-        X = np.random.default_rng(1).normal(size=(5, 3))
-        Y1, cache1 = forward_sequence(w, X[:1])
+        X = np.random.default_rng(1).normal(size=(1, 5, 3))
+        Y1, cache1 = forward_sequence(w, X[:, :1])
         Y, cache = forward_sequence(w, X)
-        assert np.array_equal(Y1[0], Y[0])
+        assert np.array_equal(Y1[:, 0], Y[:, 0])
         assert np.array_equal(hidden_states(cache1)[0], hidden_states(cache)[0])
         assert np.array_equal(cache1.gates[0], cache.gates[0])
 
     def test_deterministic_given_seed(self):
         w = random_weights(3, 4, 1, seed=0)
-        X = np.random.default_rng(2).normal(size=(20, 3))
+        X = np.random.default_rng(2).normal(size=(1, 20, 3))
         spec = DropoutSpec("non_recurrent", 0.5)
-        Y1, _ = forward_sequence(w, X, spec=spec, seed=9)
-        Y2, _ = forward_sequence(w, X, spec=spec, seed=9)
+        Y1, _ = forward_sequence(w, X, sample_dropout_masks(spec, 3, 4, 20, seed=9, batch=1))
+        Y2, _ = forward_sequence(w, X, sample_dropout_masks(spec, 3, 4, 20, seed=9, batch=1))
         assert np.array_equal(Y1, Y2)
 
     def test_constant_input_state_converges(self):
         w = random_weights(3, 4, 1, seed=3)
-        X = np.tile(np.array([0.5, -0.2, 1.0]), (200, 1))
+        X = np.tile(np.array([0.5, -0.2, 1.0]), (1, 200, 1))
         _, cache = forward_sequence(w, X)
         h = hidden_states(cache)
         early = np.max(np.abs(h[1] - h[0]))
@@ -228,7 +240,7 @@ class TestForwardSequence:
 
     def test_gate_ranges(self):
         w = random_weights(4, 6, 1, seed=8)
-        X = np.random.default_rng(4).normal(0, 5, size=(50, 4))
+        X = np.random.default_rng(4).normal(0, 5, size=(1, 50, 4))
         _, cache = forward_sequence(w, X)
         g, ifo = cache.gates[:, :6], cache.gates[:, 6:]
         assert np.all(ifo > 0) and np.all(ifo < 1)
@@ -237,19 +249,20 @@ class TestForwardSequence:
 
     def test_dropout_identity_paths_bit_identical(self):
         w = random_weights(3, 4, 1, seed=5)
-        X = np.random.default_rng(6).normal(size=(15, 3))
+        X = np.random.default_rng(6).normal(size=(1, 15, 3))
         base, _ = forward_sequence(w, X)
-        for spec in (None, DropoutSpec("none", 0.7), DropoutSpec("recurrent_constant", 0.0)):
-            Y, _ = forward_sequence(w, X, spec=spec, seed=1)
+        for spec in (DropoutSpec("none", 0.7), DropoutSpec("recurrent_constant", 0.0)):
+            Y, _ = forward_sequence(w, X, sample_dropout_masks(spec, 3, 4, 15, seed=1, batch=1))
             assert np.array_equal(Y, base)
 
     def test_recurrent_constant_matches_scalar_oracle_with_same_mask(self):
         w = random_weights(2, 3, 1, seed=10)
-        X = np.random.default_rng(11).normal(size=(12, 2))
-        masks = sample_dropout_masks(DropoutSpec("recurrent_constant", 0.5), 2, 3, rho=12, seed=21)
+        X = np.random.default_rng(11).normal(size=(1, 12, 2))
+        masks = sample_dropout_masks(DropoutSpec("recurrent_constant", 0.5), 2, 3, rho=12, seed=21,
+                                     batch=1)
         Y, _ = forward_sequence(w, X, masks=masks)
-        expected = scalar_lstm_sequence(w, X, h_mask=masks.h)
-        assert np.max(np.abs(Y - np.asarray(expected))) < 1e-12
+        expected = scalar_lstm_sequence(w, X[0], h_mask=masks.h[0])
+        assert np.max(np.abs(Y[0] - np.asarray(expected))) < 1e-12
 
     def test_batch_layout_matches_per_instance_runs(self):
         w = random_weights(3, 4, 1, seed=12)
@@ -257,24 +270,24 @@ class TestForwardSequence:
         X = rng.normal(size=(5, 7, 3))
         Yb, _ = forward_sequence(w, X)
         for b in range(5):
-            Ys, _ = forward_sequence(w, X[b])
-            assert np.max(np.abs(Yb[b] - Ys)) < 1e-12
+            Ys, _ = forward_sequence(w, X[b:b + 1])
+            assert np.max(np.abs(Yb[b] - Ys[0])) < 1e-12
 
     def test_predict_sequence_matches_forward(self):
         # Prediction pads the pixels to a whole group with zero-input pixels,
         # so it has the bits of a forward pass over that group.
         w = random_weights(3, 4, 1, seed=14)
-        X = np.random.default_rng(15).normal(size=(30, 3))
+        X = np.random.default_rng(15).normal(size=(1, 30, 3))
         Y, _ = forward_sequence(w, X)
         group = np.zeros((PREDICT_CHUNK_PIXELS, 30, 3))
-        group[0] = X
+        group[0] = X[0]
         Y_group, _ = forward_sequence(w, group)
         P = predict_sequence(w, X)
-        assert np.array_equal(P, Y_group[0])
+        assert np.array_equal(P[0], Y_group[0])
         assert np.max(np.abs(P - Y)) < 1e-12
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 4, 5, 3), (0, 3), (2, 0, 3), (6, 2)],
-                             ids=["1d", "4d", "no_days", "batch_no_days", "wrong_width"])
+    @pytest.mark.parametrize("shape", [(3,), (6, 3), (2, 4, 5, 3), (0, 3), (2, 0, 3), (2, 6, 2)],
+                             ids=["1d", "2d", "4d", "no_days", "batch_no_days", "wrong_width"])
     def test_forward_and_predict_reject_the_same_inputs(self, shape):
         w = random_weights(3, 4, 1, seed=14)
         for run in (forward_sequence, predict_sequence):
@@ -283,37 +296,42 @@ class TestForwardSequence:
 
     @pytest.mark.parametrize("with_state", [False, True])
     def test_blocked_predict_matches_forward(self, with_state):
-        # Two whole prediction blocks plus a remainder, batched.
+        # Two whole prediction blocks plus a remainder, batched. The forward
+        # pass starts from zeros; from a state, each pixel is checked against
+        # the scalar oracle, and the final state against the oracle's next step.
         w = random_weights(3, 4, 2, seed=16)
         rng = np.random.default_rng(17)
         rho = 2 * PREDICT_BLOCK_DAYS + 7
         X = rng.normal(size=(5, rho, 3))
-        state = None
         if with_state:
-            state = LstmState(h=rng.uniform(-0.5, 0.5, size=(5, 4)),
-                              s=rng.normal(size=(5, 4)))
-        Y, cache = forward_sequence(w, X, initial_state=state)
-        Yp, final = predict_sequence(w, X, initial_state=state,
-                                     return_final_state=True)
-        assert Yp.shape == Y.shape == (5, rho, 2)
-        assert np.max(np.abs(Yp - Y)) < 1e-12
-        assert np.max(np.abs(final.h - hidden_states(cache)[-1].T)) < 1e-12
-        assert np.max(np.abs(final.s - cache.s_fm[-1].T)) < 1e-12
+            state = LstmState(h=rng.uniform(-0.5, 0.5, size=(5, 4)), s=rng.normal(size=(5, 4)))
+            Yp, final = predict_sequence(w, X, initial_state=state, return_final_state=True)
+            x_next = rng.normal(size=(5, 1, 3))
+            Y_next = predict_sequence(w, x_next, initial_state=final)
+            assert Yp.shape == (5, rho, 2)
+            for b in range(5):
+                expected = np.asarray(scalar_lstm_sequence(
+                    w, np.concatenate([X[b], x_next[b]]), h0=state.h[b], s0=state.s[b]))
+                assert np.max(np.abs(Yp[b] - expected[:-1])) < 1e-12, b
+                assert np.max(np.abs(Y_next[b] - expected[-1:])) < 1e-12, b
+        else:
+            Y, cache = forward_sequence(w, X)
+            Yp, final = predict_sequence(w, X, return_final_state=True)
+            assert Yp.shape == Y.shape == (5, rho, 2)
+            assert np.max(np.abs(Yp - Y)) < 1e-12
+            assert np.max(np.abs(final.h - hidden_states(cache)[-1].T)) < 1e-12
+            assert np.max(np.abs(final.s - cache.s_fm[-1].T)) < 1e-12
 
-    @pytest.mark.parametrize("batch", [None, 4])
-    def test_spin_up_then_continuation_equals_one_pass(self, batch):
+    def test_spin_up_then_continuation_equals_one_pass(self):
         w = random_weights(3, 5, 1, seed=18)
         rho = PREDICT_BLOCK_DAYS + 40
-        shape = (rho, 3) if batch is None else (batch, rho, 3)
-        X = np.random.default_rng(19).normal(size=shape)
+        X = np.random.default_rng(19).normal(size=(4, rho, 3))
         cut = 50  # not a multiple of the prediction block
         whole, whole_state = predict_sequence(w, X, return_final_state=True)
-        head, tail = (X[:cut], X[cut:]) if batch is None else (X[:, :cut], X[:, cut:])
-        _, spun = predict_sequence(w, head, return_final_state=True)
-        rest, rest_state = predict_sequence(w, tail, initial_state=spun,
+        _, spun = predict_sequence(w, X[:, :cut], return_final_state=True)
+        rest, rest_state = predict_sequence(w, X[:, cut:], initial_state=spun,
                                             return_final_state=True)
-        expect = whole[cut:] if batch is None else whole[:, cut:]
-        assert np.max(np.abs(rest - expect)) < 1e-12
+        assert np.max(np.abs(rest - whole[:, cut:])) < 1e-12
         assert np.max(np.abs(rest_state.h - whole_state.h)) < 1e-12
         assert np.max(np.abs(rest_state.s - whole_state.s)) < 1e-12
 
@@ -344,9 +362,9 @@ class TestBpttGradients:
 
     def test_zero_upstream_gives_zero_gradients(self):
         w = random_weights(3, 4, 1, seed=20)
-        X = np.random.default_rng(21).normal(size=(6, 3))
+        X = np.random.default_rng(21).normal(size=(1, 6, 3))
         _, cache = forward_sequence(w, X)
-        grads = bptt_gradients(w, cache, np.zeros((6, 1)))
+        grads = bptt_gradients(w, cache, np.zeros((1, 6, 1)))
         for name, arr in grads.named_arrays():
             assert np.array_equal(arr, np.zeros_like(arr)), name
 
@@ -360,9 +378,9 @@ class TestBpttGradients:
         rng = np.random.default_rng(hash(variant) % 2**32)
         w = random_weights(2, 3, 1, seed=30)
         rho = 5
-        X = rng.normal(size=(rho, 2))
-        targets = rng.normal(size=(rho, 1))
-        masks = sample_dropout_masks(DropoutSpec(variant, rate), 2, 3, rho=rho, seed=31)
+        X = rng.normal(size=(1, rho, 2))
+        targets = rng.normal(size=(1, rho, 1))
+        masks = sample_dropout_masks(DropoutSpec(variant, rate), 2, 3, rho=rho, seed=31, batch=1)
 
         _, analytic = self.loss_and_grad(w, X, targets, masks)
 
@@ -381,13 +399,12 @@ class TestBpttGradients:
         # different batch shapes, so equality holds to rounding, not bitwise.
         w = random_weights(3, 4, 1, seed=40)
         rng = np.random.default_rng(41)
-        X = rng.normal(size=(6, 3))
-        dY = rng.normal(size=(6, 1))
+        X = rng.normal(size=(1, 6, 3))
+        dY = rng.normal(size=(1, 6, 1))
         _, cache1 = forward_sequence(w, X)
         g1 = bptt_gradients(w, cache1, dY)
-        Xb = np.stack([X, X])
-        _, cache2 = forward_sequence(w, Xb)
-        g2 = bptt_gradients(w, cache2, np.stack([dY, dY]))
+        _, cache2 = forward_sequence(w, np.concatenate([X, X]))
+        g2 = bptt_gradients(w, cache2, np.concatenate([dY, dY]))
         for (name, a), (_, b) in zip(g1.named_arrays(), g2.named_arrays()):
             assert np.allclose(2.0 * a, b, rtol=1e-12, atol=1e-15), name
 
@@ -437,18 +454,18 @@ class TestBpttGradients:
         assert cache.x.shape == (rho, n_in, n_batch)
         arrays = [getattr(cache, f.name) for f in dataclasses.fields(cache)]
         per_step = rho * n_batch * 4 * (4 * n_hid + n_hid + n_in + n_out)
-        assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) == (
-            per_step + cache.h0.nbytes + cache.s0.nbytes)
+        assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) == per_step
 
     def test_shape_mismatch_rejected(self):
         w = random_weights(3, 4, 1, seed=50)
-        X = np.random.default_rng(51).normal(size=(6, 3))
+        X = np.random.default_rng(51).normal(size=(1, 6, 3))
         _, cache = forward_sequence(w, X)
         other = random_weights(3, 5, 1, seed=52)
         with pytest.raises(ValidationError):
-            bptt_gradients(other, cache, np.zeros((6, 1)))
-        with pytest.raises(ValidationError):
-            bptt_gradients(w, cache, np.zeros((7, 1)))
+            bptt_gradients(other, cache, np.zeros((1, 6, 1)))
+        for shape in ((1, 7, 1), (6, 1), (2, 6, 1)):
+            with pytest.raises(ValidationError):
+                bptt_gradients(w, cache, np.zeros(shape))
 
 
 class _OperandDtypes:
@@ -479,7 +496,7 @@ class _OperandDtypes:
 class TestComputeDtype:
     """The kernel runs in the dtype of the weights it is given."""
 
-    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("variant", DROPOUT_VARIANTS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_buffer_takes_the_weights_dtype(self, monkeypatch, dtype, variant, batch):
@@ -488,7 +505,7 @@ class TestComputeDtype:
         # slower, so the operands of the arithmetic are checked too.
         w = init_weights(3, 4, 1, seed=60).astype(dtype)
         rho = 7
-        shape = (rho, 3) if batch is None else (batch, rho, 3)
+        shape = (batch, rho, 3)
         X = np.random.default_rng(61).normal(size=shape)
         masks = sample_dropout_masks(DropoutSpec(variant, 0.5), 3, 4, rho=rho,
                                      seed=62, batch=batch)
@@ -635,11 +652,10 @@ class TestChunkedPrediction:
     @pytest.mark.parametrize("n_batch,hidden,force,blas_threads", [
         (64, 16, False, "1"),                        # the cli workload: below the threshold
         (PREDICT_CHUNK_PIXELS, 4, True, "1"),        # one group of pixels
-        (None, 4, True, "1"),                        # a single sequence
         (256, 64, False, None),                      # BLAS threads on every CPU
         (256, 64, False, "4"),
         (256, 64, False, "x"),                       # a count OpenBLAS cannot read
-    ], ids=["small", "one_group", "single", "blas_default", "blas_four", "blas_bad"])
+    ], ids=["small", "one_group", "blas_default", "blas_four", "blas_bad"])
     def test_no_thread_starts_without_a_split(self, monkeypatch, n_batch, hidden, force,
                                               blas_threads):
         monkeypatch.setattr(lstm_module, "usable_cpus", lambda: 4)
@@ -649,9 +665,8 @@ class TestChunkedPrediction:
         if force:
             monkeypatch.setattr(lstm_module, "PREDICT_CHUNK_GATES", 1)
         w = random_weights(3, hidden, 1, seed=82)
-        shape = (20, 3) if n_batch is None else (n_batch, 20, 3)
         starts = _thread_starts(monkeypatch)
-        predict_sequence(w, np.random.default_rng(83).normal(size=shape))
+        predict_sequence(w, np.random.default_rng(83).normal(size=(n_batch, 20, 3)))
         assert starts == []
 
     def test_benchmark_tracer_sees_one_span_on_the_calling_thread(self, monkeypatch):
@@ -695,7 +710,7 @@ def test_sigmoid_extremes_stable():
         w = LstmWeights(1, 2, 1, dtype=dtype)
         w.Wx[:, 0] = np.tile([800.0, -800.0], 4)
         w.W_hy[...] = 1.0
-        Y, cache = forward_sequence(w, np.array([[1.0], [-1.0]]))
+        Y, cache = forward_sequence(w, np.array([[[1.0], [-1.0]]]))
         for arr in (Y, cache.gates, cache.s_fm, hidden_states(cache)):
             assert np.all(np.isfinite(arr))
         gates = cache.gates[:, :, 0]

@@ -138,8 +138,13 @@ class TestMalformedContainers:
 class TestGoldenContainer:
     """A pinned hlstm-v1 container and its predictions (see tests/golden.py)."""
 
-    def test_predictions_reproduced_bit_for_bit(self):
+    # The lstm's config is an echo of its training settings that prediction
+    # never reads: null, or an echo missing keys, predicts the same bits.
+    @pytest.mark.parametrize("config", [..., None, {}], ids=["as_written", "null", "empty"])
+    def test_predictions_reproduced_bit_for_bit(self, config):
         kind, payload = load_model(golden.CONTAINER)
+        if config is not ...:
+            payload["config"] = config
         got = predict_container(kind, payload, golden.golden_dataset(), golden.golden_split())
         with open(golden.PREDICTIONS) as fh:
             expected = json.load(fh)

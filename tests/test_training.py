@@ -55,12 +55,12 @@ class TestMaskedLoss:
 
     def test_worked_example(self):
         # rho=4, mask (1,0,0,1), errors (0.1, 9, 9, 0.3) -> (0.01 + 0.09)/4
-        targets = np.zeros(4)
-        Y = np.array([0.1, 9.0, 9.0, 0.3])
-        mask = np.array([1, 0, 0, 1])
+        targets = np.zeros((1, 4))
+        Y = np.array([0.1, 9.0, 9.0, 0.3]).reshape(1, 4, 1)
+        mask = np.array([[1, 0, 0, 1]])
         loss, grad = masked_loss(Y, targets, mask)
         assert loss == pytest.approx(0.025, abs=1e-15)
-        assert np.array_equal(grad, np.array([0.05, 0.0, 0.0, 0.15]))
+        assert np.array_equal(grad, np.array([0.05, 0.0, 0.0, 0.15]).reshape(1, 4, 1))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -82,21 +82,29 @@ class TestMaskedLoss:
         with pytest.raises(DegenerateBatchError):
             masked_loss(np.zeros((2, 4, 1)), np.zeros((2, 4)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("y_shape,t_shape", [
+        ((4,), (4,)), ((4, 1), (4,)), ((2, 4), (2, 4)), ((2, 4, 1), (2, 5)), ((1, 4, 1), (4,)),
+    ], ids=["single", "single_column", "batch_no_column", "mismatch", "unbatched_targets"])
+    def test_only_the_batch_layout_is_accepted(self, y_shape, t_shape):
+        # Y is (batch, rho, 1), targets and mask (batch, rho).
+        with pytest.raises(ValidationError):
+            masked_loss(np.zeros(y_shape), np.zeros(t_shape), np.ones(t_shape))
+
     def test_masked_steps_carry_exactly_zero_gradient(self):
         rng = np.random.default_rng(1)
-        Y = rng.normal(size=(6, 1))
-        T = rng.normal(size=6)
-        mask = np.array([1, 0, 1, 1, 0, 1])
+        Y = rng.normal(size=(1, 6, 1))
+        T = rng.normal(size=(1, 6))
+        mask = np.array([[1, 0, 1, 1, 0, 1]])
         _, g1 = masked_loss(Y, T, mask)
         T2 = T.copy()
-        T2[1] += 123.0  # masked step
+        T2[0, 1] += 123.0  # masked step
         _, g2 = masked_loss(Y, T2, mask)
         assert g1.tobytes() == g2.tobytes()
 
     def test_observed_divisor_option(self):
-        Y = np.array([0.1, 9.0, 9.0, 0.3])
-        mask = np.array([1, 0, 0, 1])
-        loss, _ = masked_loss(Y, np.zeros(4), mask, divisor="observed")
+        Y = np.array([0.1, 9.0, 9.0, 0.3]).reshape(1, 4, 1)
+        mask = np.array([[1, 0, 0, 1]])
+        loss, _ = masked_loss(Y, np.zeros((1, 4)), mask, divisor="observed")
         assert loss == pytest.approx((0.01 + 0.09) / 2, abs=1e-15)
 
 
@@ -194,7 +202,7 @@ class TestOptimizerSteps:
     def test_steps_update_theta_in_place_and_the_forward_pass_reads_it(self):
         w = init_weights(3, 4, 1, seed=5)
         views = [w.Wx, w.Wh, w.b, w.W_hy, w.b_y] + [a for _, a in w.named_arrays()]
-        X = np.random.default_rng(6).normal(size=(6, 3))
+        X = np.random.default_rng(6).normal(size=(1, 6, 3))
         Y0, cache = forward_sequence(w, X)
         grads = bptt_gradients(w, cache, np.ones_like(Y0))
         start = w.theta.copy()
