@@ -20,7 +20,6 @@ Command-line flags override config values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime as dt
 import json
 import os
@@ -35,7 +34,6 @@ from .baselines import BaselineSettings
 from .dataset import GridDataset, load_dataset, save_dataset, write_json_atomic
 from .errors import DataError, ValidationError
 from .experiments import (
-    ExperimentResult,
     HindcastConfig,
     Split,
     SplitSpec,
@@ -43,7 +41,7 @@ from .experiments import (
     prepare_split,
     require_point_split,
     run_hindcast_experiment,
-    score_predictions,
+    score_models,
     write_experiment_reports,
 )
 from .lstm import usable_cpus
@@ -215,27 +213,19 @@ def cmd_train(args, manifest: RunManifest) -> int:
 def cmd_evaluate(args, manifest: RunManifest) -> int:
     dataset = load_dataset(args.data)
     split = _load_split(args.split, dataset)
-    eval_ds = dataset
-    if args.against == "truth":
-        if any(px.truth is None for px in dataset.pixels):
-            raise ValidationError("--against truth needs a dataset with the "
-                                  "truth column")
-        # score against the dense clean series instead of the observations
-        eval_ds = dataclasses.replace(dataset, pixels=[
-            dataclasses.replace(px, target=px.truth.copy(),
-                                mask=np.ones(dataset.n_days, dtype=bool))
-            for px in dataset.pixels])
-
-    reports = []
+    predictions = {}
     for path in args.model_file:
         kind, payload = load_model(path)
+        if kind in predictions:
+            raise ValidationError(f"{path}: a second {kind} container; evaluate "
+                                  f"takes one container per model kind")
         require_point_split([kind], split)
         try:
-            predictions = predict_container(kind, payload, dataset, split)
+            predictions[kind] = predict_container(kind, payload, dataset, split)
         except (ValidationError, DataError) as exc:
             raise DataError(f"{path}: {exc}") from exc
-        reports += score_predictions(kind, eval_ds, predictions, split)
-    write_experiment_reports(ExperimentResult(split=split, reports=reports), args.out)
+    write_experiment_reports(score_models(dataset, split, predictions, args.against),
+                             args.out)
     manifest.doc["inputs"] = {"dataset": args.data, "split": args.split,
                               "models": list(args.model_file)}
     manifest.doc["config"] = {"against": args.against}

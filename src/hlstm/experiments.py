@@ -70,6 +70,14 @@ class Split(Config):
     test_window: tuple[int, int]
     spec: SplitSpec
 
+    def validate(self):
+        if not self.train_pixels or not self.test_pixels:
+            raise ValidationError("split leaves an empty train or test set")
+        (a0, a1), (b0, b1) = self.train_window, self.test_window
+        if max(a0, b0) < min(a1, b1) and not set(self.train_pixels).isdisjoint(self.test_pixels):
+            raise ValidationError("train and test windows overlap on shared pixels")
+        return self
+
 
 def _window_indices(dataset: GridDataset, window: tuple[str, str] | None):
     if window is None:
@@ -83,15 +91,12 @@ def _window_indices(dataset: GridDataset, window: tuple[str, str] | None):
 
 def make_split(dataset: GridDataset, spec: SplitSpec) -> Split:
     spec.validate()
+    tr = te = _window_indices(dataset, spec.train_window)
     if spec.kind == "temporal":
-        tr = _window_indices(dataset, spec.train_window)
         te = _window_indices(dataset, spec.test_window)
-        if max(tr[0], te[0]) < min(tr[1], te[1]):
-            raise ValidationError("temporal train and test windows overlap")
         pixels = [px.pixel_id for px in dataset.pixels]
         train_px, test_px = pixels, list(pixels)
     elif spec.kind == "spatial_subsample":
-        tr = te = _window_indices(dataset, spec.train_window)
         r0, c0 = spec.offset
         train_px = [px.pixel_id for px in dataset.pixels
                     if px.row % spec.stride == r0 % spec.stride
@@ -99,7 +104,6 @@ def make_split(dataset: GridDataset, spec: SplitSpec) -> Split:
         chosen = set(train_px)
         test_px = [px.pixel_id for px in dataset.pixels if px.pixel_id not in chosen]
     else:  # regional_holdout
-        tr = te = _window_indices(dataset, spec.train_window)
         labels = set(spec.train_regions)
         known = set(dataset.region_labels())
         missing = labels - known
@@ -107,10 +111,8 @@ def make_split(dataset: GridDataset, spec: SplitSpec) -> Split:
             raise ValidationError(f"regions not in dataset: {sorted(missing)}")
         train_px = [px.pixel_id for px in dataset.pixels if px.region in labels]
         test_px = [px.pixel_id for px in dataset.pixels if px.region not in labels]
-    if not train_px or not test_px:
-        raise ValidationError("split leaves an empty train or test set")
     return Split(train_pixels=train_px, test_pixels=test_px,
-                 train_window=tr, test_window=te, spec=spec)
+                 train_window=tr, test_window=te, spec=spec).validate()
 
 
 def compute_metrics(pred: np.ndarray, obs: np.ndarray, mask: np.ndarray):
@@ -169,42 +171,36 @@ def _percentile_block(values) -> dict:
 def build_metrics_report(model_kind: str, phase: str, dataset: GridDataset,
                          predictions: dict, window: tuple[int, int],
                          pixel_ids, split_echo: dict,
-                         flags: dict | None = None) -> MetricsReport:
+                         flags: dict | None = None, against: str = "target") -> MetricsReport:
     """Assemble per-pixel metrics for `predictions[pid]` (dense series over
-    ``window``) against the observed target."""
+    ``window``) against the observed target, or with ``against="truth"``
+    against the clean truth on every day."""
     t0, t1 = window
-    rows = []
-    n_no_obs = 0
-    n_r_undef = 0
+    rows, n_no_obs, n_r_undef = [], 0, 0
     by_id = {px.pixel_id: px for px in dataset.pixels}
     for pid in pixel_ids:
         px = by_id[pid]
-        if pid not in predictions:
-            n_no_obs += 1
-            continue
-        mask = px.mask[t0:t1]
-        if not mask.any():
+        if against == "truth":
+            if px.truth is None:
+                raise ValidationError("scoring against truth needs a dataset with "
+                                      "the truth column")
+            ref, mask = px.truth[t0:t1], np.ones(t1 - t0, dtype=bool)
+        else:
+            ref, mask = px.target[t0:t1], px.mask[t0:t1]
+        if pid not in predictions or not mask.any():
             n_no_obs += 1
             continue
         pred = np.asarray(predictions[pid], dtype=float)
         if pred.shape != (t1 - t0,):
             raise ValidationError(
                 f"prediction for {pid} has shape {pred.shape}, expected {(t1 - t0,)}")
-        bias, rmse, r = compute_metrics(pred, px.target[t0:t1], mask)
-        if math.isnan(r):
-            n_r_undef += 1
-            r_val = None
-        else:
-            r_val = r
+        bias, rmse, r = compute_metrics(pred, ref, mask)
+        n_r_undef += math.isnan(r)
         rows.append({"pixel_id": pid, "row": px.row, "col": px.col,
-                     "bias": bias, "rmse": rmse, "r": r_val})
+                     "bias": bias, "rmse": rmse, "r": None if math.isnan(r) else r})
     counts = {"total": len(list(pixel_ids)), "evaluated": len(rows),
               "excluded_no_obs": n_no_obs, "r_undefined": n_r_undef}
-    percentiles = {
-        "bias": _percentile_block(r["bias"] for r in rows),
-        "rmse": _percentile_block(r["rmse"] for r in rows),
-        "r": _percentile_block(r["r"] for r in rows),
-    }
+    percentiles = {m: _percentile_block(row[m] for row in rows) for m in ("bias", "rmse", "r")}
     return MetricsReport(model_kind=model_kind, phase=phase, split=split_echo,
                          rows=rows, percentiles=percentiles, counts=counts,
                          flags=dict(flags or {}))
@@ -216,12 +212,9 @@ def self_assessed_bias(predictions: dict, dataset: GridDataset,
     if not dataset.has_lsm:
         raise ValidationError("self-assessed bias needs the lsm channel")
     t0, t1 = window
-    out = {}
     by_id = {px.pixel_id: px for px in dataset.pixels}
-    for pid, pred in predictions.items():
-        px = by_id[pid]
-        out[pid] = float(np.mean(np.asarray(pred) - px.lsm[t0:t1]))
-    return out
+    return {pid: float(np.mean(np.asarray(pred) - by_id[pid].lsm[t0:t1]))
+            for pid, pred in predictions.items()}
 
 
 def _iqr(values) -> tuple[float, float]:
@@ -237,18 +230,21 @@ def training_bias_flag(self_assessed: dict, dataset: GridDataset,
     correction a pixel needs; the training set's observed corrections are
     (target - lsm) over observed steps. When the test-set self-assessed box
     barely overlaps the training correction box, the model is applying
-    corrections it never saw during training.
+    corrections it never saw during training. None when no training pixel
+    has an observed step in the train window.
     """
     t0, t1 = train_window
     by_id = {px.pixel_id: px for px in dataset.pixels}
-    train_corr = {}
+    train_corr = []
     for pid in train_pixels:
         px = by_id[pid]
         m = px.mask[t0:t1]
         if m.any():
-            train_corr[pid] = float(np.mean(px.target[t0:t1][m] - px.lsm[t0:t1][m]))
+            train_corr.append(float(np.mean(px.target[t0:t1][m] - px.lsm[t0:t1][m])))
+    if not train_corr:
+        return None
     self_lo, self_hi = _iqr(self_assessed.values())
-    train_lo, train_hi = _iqr(train_corr.values())
+    train_lo, train_hi = _iqr(train_corr)
     inter = max(0.0, min(self_hi, train_hi) - max(self_lo, train_lo))
     narrower = max(min(self_hi - self_lo, train_hi - train_lo), 1e-9)
     overlap = inter / narrower
@@ -261,8 +257,6 @@ def training_bias_flag(self_assessed: dict, dataset: GridDataset,
         "message": ("possible biased training sample: self-assessed test "
                     "corrections barely overlap the training-set corrections")
                    if flag else "",
-        "per_pixel_self_assessed": self_assessed,
-        "per_pixel_train_correction": train_corr,
     }
 
 
@@ -289,15 +283,9 @@ class ExperimentResult:
             "split": self.split.to_dict(),
             "reports": [r.summary_dict() for r in self.reports],
             "comparison": self.comparison,
-            "bias_diagnostic": _strip_private(self.bias_diagnostic),
+            "bias_diagnostic": self.bias_diagnostic,
             "errors": self.errors,
         }
-
-
-def _strip_private(diag):
-    if diag is None:
-        return None
-    return {k: v for k, v in diag.items() if not k.startswith("per_pixel")}
 
 
 def require_point_split(model_kinds, split: Split):
@@ -310,15 +298,25 @@ def require_point_split(model_kinds, split: Split):
             "(temporal split)")
 
 
-def score_predictions(kind: str, dataset: GridDataset, predictions: dict,
-                      split: Split) -> list:
-    """The train and the test report of one kind's predictions against the
-    dataset's target."""
-    return [build_metrics_report(kind, phase, dataset, predictions[phase], window,
-                                 pixel_ids, split.spec.to_dict(), MODEL_KINDS[kind].flags)
-            for phase, pixel_ids, window in (
-                ("train", split.train_pixels, split.train_window),
-                ("test", split.test_pixels, split.test_window))]
+def score_models(dataset: GridDataset, split: Split, predictions: dict,
+                 against: str = "target", **fields) -> ExperimentResult:
+    """Every kind's train and test report, in ``predictions`` order
+    (kind -> phase -> pid -> series), scored against ``against``, and the
+    bias diagnostic of the lstm's test predictions when the dataset has lsm;
+    ``fields`` fill the rest of the result."""
+    reports = [build_metrics_report(kind, phase, dataset, preds[phase], window, pixel_ids,
+                                    split.spec.to_dict(), MODEL_KINDS[kind].flags, against)
+               for kind, preds in predictions.items()
+               for phase, pixel_ids, window in (
+                   ("train", split.train_pixels, split.train_window),
+                   ("test", split.test_pixels, split.test_window))]
+    diag = None
+    if "lstm" in predictions and dataset.has_lsm:
+        diag = training_bias_flag(
+            self_assessed_bias(predictions["lstm"]["test"], dataset, split.test_window),
+            dataset, split.train_pixels, split.train_window)
+    return ExperimentResult(split=split, reports=reports, bias_diagnostic=diag,
+                            predictions=predictions, **fields)
 
 
 def prepare_split(dataset: GridDataset, split: Split, features: Features | None = None):
@@ -346,27 +344,17 @@ def run_experiment(dataset: GridDataset, split_spec: SplitSpec, model_kinds,
     require_point_split(model_kinds, split)
     data, train_data, stats = prepare_split(dataset, split, features)
 
-    reports, models, predictions, errors = [], {}, {}, {}
-    bias_diag = None
+    models, predictions, errors = {}, {}, {}
     for kind in model_kinds:
         try:
             entry = MODEL_KINDS[kind]
             models[kind] = entry.fit(train_data, split, lstm_config, baselines, seed)
             predictions[kind] = entry.predict(models[kind], data, split)
-            reports += score_predictions(kind, dataset, predictions[kind], split)
-            if kind == "lstm" and dataset.has_lsm:
-                sab = self_assessed_bias(predictions[kind]["test"], dataset,
-                                         split.test_window)
-                bias_diag = training_bias_flag(sab, dataset,
-                                               split.train_pixels,
-                                               split.train_window)
         except Exception as exc:  # noqa: BLE001 - isolate per-model failures
             errors[kind] = f"{type(exc).__name__}: {exc}"
 
-    result = ExperimentResult(split=split, reports=reports, models=models,
-                              bias_diagnostic=bias_diag, errors=errors,
-                              stats=stats, feature_names=data.feature_names,
-                              predictions=predictions)
+    result = score_models(dataset, split, predictions, models=models, errors=errors,
+                          stats=stats, feature_names=data.feature_names)
     if out_dir is not None:
         write_experiment_reports(result, out_dir)
     return result
@@ -496,18 +484,18 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
         t1 = min(t0 + window_days, h_end)
         windows.append((t0, t1, f"window_{len(windows)}"))
         t0 = t1
-    rmse_rows = []
-    for (t0, t1, label) in windows:
-        for model_name, pred in (("lstm", lstm_pred), ("ar_p", ar_pred)):
-            for k, px in enumerate(dataset.pixels):
-                err = pred[k, t0:t1] - truth[k, t0:t1]
-                rmse_rows.append({"pixel_id": px.pixel_id, "model": model_name,
-                                  "window": label, "rmse": float(np.sqrt(np.mean(err * err)))})
-    per_window = {m: {label: _percentile_block(r["rmse"] for r in rmse_rows
-                                               if r["model"] == m and r["window"] == label)
-                      for *_, label in windows} for m in ("lstm", "ar_p")}
-    pooled = {m: _percentile_block(r["rmse"] for r in rmse_rows if r["model"] == m)
-              for m in ("lstm", "ar_p")}
+    preds = {"lstm": lstm_pred, "ar_p": ar_pred}
+    rmse = {}   # (window label, model) -> per-pixel RMSE
+    for t0, t1, label in windows:
+        for m, pred in preds.items():
+            err = pred[:, t0:t1] - truth[:, t0:t1]
+            rmse[label, m] = np.sqrt(np.mean(err * err, axis=1))
+    rmse_rows = [{"pixel_id": pid, "model": m, "window": label, "rmse": float(v)}
+                 for (label, m), values in rmse.items() for pid, v in zip(all_ids, values)]
+    per_window = {m: {label: _percentile_block(rmse[label, m]) for *_, label in windows}
+                  for m in preds}
+    pooled = {m: _percentile_block(np.concatenate([rmse[label, m] for *_, label in windows]))
+              for m in preds}
     first_label, last_label = windows[0][2], windows[-1][2]
     summary = {
         "train_days": train_days,
@@ -524,7 +512,7 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
         "ar_order_counts": {str(p): sum(1 for m in ar_models if m.p == p)
                             for p in range(ar_max_order + 1)},
         "flags": dict(MODEL_KINDS["ar_p"].flags),
-        "lstm_config": (lstm_config or TrainingConfig()).to_dict(),
+        "lstm_config": config.to_dict(),
         "final_training_loss": history[-1]["loss"] if history else None,
     }
     result = HindcastResult(windows=windows, rmse_rows=rmse_rows,

@@ -13,6 +13,7 @@ import golden
 from hlstm import dataset as dataset_module
 from hlstm.cli import main
 from hlstm.dataset import SIDECAR, GridDataset, PixelSeries, load_dataset, save_dataset
+from hlstm.synthetic import SyntheticConfig, generate_synthetic
 
 
 def write_json(path, obj):
@@ -151,6 +152,18 @@ class TestTrainEvaluate:
         assert doc["format"] == "hlstm-v1"
         assert doc["kind"] == "lstm"
 
+    def test_seed_flag_writes_what_the_config_seed_writes(self, workspace, tmp_path):
+        _, data, split_cfg = workspace
+        flagged = tmp_path / "flagged"
+        cfg = write_json(tmp_path / "seed1.json", train_config(seed=1, epochs=5))
+        assert main(["train", "--model", "lstm", "--data", data, "--split", split_cfg,
+                     "--config", cfg, "--seed", "7", "--out", str(flagged)]) == 0
+        out = self.train(tmp_path, data, split_cfg, "lstm", "configured",
+                         {"seed": 7, "epochs": 5})
+        assert (flagged / "model.json").read_bytes() == (out / "model.json").read_bytes()
+        manifest = json.loads((flagged / "run_manifest.json").read_text())
+        assert manifest["seeds"] == {"seed": 7} and manifest["config"]["seed"] == 7
+
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         tmp, data, split_cfg = workspace
         out1 = self.train(tmp_path, data, split_cfg, "lstm", "runA")
@@ -230,6 +243,29 @@ class TestTrainEvaluate:
         assert counts["evaluated"] == counts["total"]  # truth is dense
 
 
+    def test_lstm_diagnostic_is_null_without_an_observed_train_day(self, tmp_path):
+        synth = write_json(tmp_path / "synth.json", synth_config(include_lsm=True))
+        data, blank = tmp_path / "data", tmp_path / "blank"
+        assert main(["synth", "--config", synth, "--out", str(data)]) == 0
+        split_cfg = write_json(tmp_path / "split.json", temporal_split())
+        run = self.train(tmp_path, str(data), split_cfg, "lstm", "run", {"epochs": 5})
+        ds = load_dataset(str(data))
+        for px in ds.pixels:
+            px.target[:365] = np.nan
+            px.mask[:365] = False
+        save_dataset(ds, str(blank))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--data", str(blank), "--split", split_cfg,
+                     "--model-file", str(run / "model.json"), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["bias_diagnostic"] is None
+        assert summary["reports"][0]["counts"]["evaluated"] == 0
+        # with the observations back the diagnostic is there
+        assert main(["evaluate", "--data", str(data), "--split", split_cfg,
+                     "--model-file", str(run / "model.json"), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["bias_diagnostic"]
+
+
 class TestHindcastCommand:
     def test_end_to_end_and_determinism(self, tmp_path):
         cfg = write_json(tmp_path / "h.json", {
@@ -264,6 +300,33 @@ class TestHindcastCommand:
         counts = s1["ar_order_counts"]
         assert counts == {str(p): sum(1 for d in pixels.values() if d["order"] == p)
                           for p in range(6)}
+
+
+    def test_seed_and_data_flags(self, tmp_path):
+        synth = synth_config(rows=2, cols=2, years=3, revisit_days=1, seed=5)
+        doc = {"synthetic": synth, "training": train_config(epochs=3, unroll_length=60),
+               "train_years": 2, "window_days": 365}
+        flagged, configured, data = tmp_path / "flagged", tmp_path / "configured", tmp_path / "d"
+        assert main(["hindcast", "--config", write_json(tmp_path / "h5.json", doc),
+                     "--seed", "8", "--data", str(data), "--out", str(flagged)]) == 0
+        doc["synthetic"] = {**synth, "seed": 8}
+        assert main(["hindcast", "--config", write_json(tmp_path / "h8.json", doc),
+                     "--out", str(configured)]) == 0
+        for name in ("hindcast_rmse.csv", "hindcast_summary.json", "model_lstm.json",
+                     "model_ar_p.json"):
+            assert (flagged / name).read_bytes() == (configured / name).read_bytes(), name
+        manifest = json.loads((flagged / "run_manifest.json").read_text())
+        assert manifest["seeds"]["synthetic"] == 8
+        assert manifest["config"]["synthetic"]["seed"] == 8
+        want = generate_synthetic(SyntheticConfig(**doc["synthetic"]))
+        got = load_dataset(str(data))
+        assert [px.pixel_id for px in got.pixels] == [px.pixel_id for px in want.pixels]
+        for a, b in zip(got.pixels, want.pixels):
+            for name in ("forcing", "attributes", "target", "mask", "lsm", "truth"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None and y is None) or (
+                    x.dtype == y.dtype and x.shape == y.shape
+                    and x.tobytes() == y.tobytes()), (a.pixel_id, name)
 
 
 class TestCliErrors:
@@ -315,6 +378,41 @@ class TestCliErrors:
         assert code == 1
         assert "temporal split" in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("argv", [["split", "--data", "d"], ["hindcast"]],
+                             ids=["split", "hindcast"])
+    def test_command_without_config_exits_one(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
+        assert f"{argv[0]} requires --config" in capsys.readouterr().err
+
+    def test_against_truth_without_truth_exits_one(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        save_dataset(golden.golden_dataset(), data)
+        split = write_json(tmp_path / "split.json", golden.golden_split().to_dict())
+        code = main(["evaluate", "--data", data, "--split", split, "--against", "truth",
+                     "--model-file", golden.CONTAINER, "--out", str(tmp_path / "ev")])
+        assert code == 1
+        assert "truth" in capsys.readouterr().err
+
+    def test_materialized_split_with_overlapping_windows_exits_one(self, workspace,
+                                                                   tmp_path, capsys):
+        _, data, split_cfg = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--model", "ar_p", "--data", data,
+                     "--split", split_cfg, "--out", str(run)]) == 0
+        assert main(["split", "--data", data, "--config", split_cfg,
+                     "--out", str(tmp_path / "s")]) == 0
+        doc = json.loads((tmp_path / "s" / "split.json").read_text())
+        leaky = write_json(tmp_path / "leaky.json",
+                           {**doc, "train_window": [0, 400], "test_window": [300, 730]})
+        for argv in (["train", "--model", "ar_p"],
+                     ["evaluate", "--model-file", str(run / "model.json")]):
+            code = main(argv + ["--data", data, "--split", leaky,
+                                "--out", str(tmp_path / argv[0])])
+            assert code == 1
+            assert "windows overlap" in capsys.readouterr().err
 
     def test_point_model_evaluated_on_pixel_split_exits_one(self, workspace,
                                                             tmp_path, capsys):

@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from hlstm import experiments
 from hlstm.baselines import ArModel, BaselineSettings
 from hlstm.errors import ValidationError
 from hlstm.experiments import (
+    PERCENTILES,
+    ExperimentResult,
+    Split,
     SplitSpec,
     build_metrics_report,
     compute_metrics,
@@ -15,6 +19,7 @@ from hlstm.experiments import (
     run_hindcast_experiment,
     self_assessed_bias,
     training_bias_flag,
+    write_experiment_reports,
 )
 from hlstm.lstm import DropoutSpec
 from hlstm.cli import main
@@ -76,6 +81,16 @@ class TestMakeSplit:
                          test_window=window_dates(ds, 365, 729))
         with pytest.raises(ValidationError):
             make_split(ds, spec)
+
+    def test_materialized_split_rejects_overlapping_windows_on_shared_pixels(self):
+        doc = {"train_pixels": ["px_0_0", "px_0_1"], "test_pixels": ["px_0_1"],
+               "train_window": [0, 731], "test_window": [600, 1095],
+               "spec": {"kind": "spatial_subsample"}}
+        with pytest.raises(ValidationError, match="windows overlap"):
+            Split.from_dict(doc)
+        # disjoint pixels may share a window, as the spatial kinds do
+        Split.from_dict({**doc, "test_pixels": ["px_1_0"]})
+        Split.from_dict({**doc, "test_window": [731, 1095]})
 
     def test_regional_holdout(self):
         ds = grid_dataset(4, 4, 1, region_layout=(2, 2))
@@ -238,6 +253,29 @@ class TestRunExperiment:
                                    [px.pixel_id for px in ds.pixels], {})
         assert all(row["rmse"] == 0.0 for row in rep.rows)
 
+    def test_pixels_without_an_observation_or_a_model_are_excluded(self, tmp_path):
+        ds = grid_dataset(3, 1, 1, revisit_days=2, seed=13)
+        split = make_split(ds, SplitSpec(kind="temporal", train_window=window_dates(ds, 0, 99),
+                                         test_window=window_dates(ds, 100, 199)))
+        observed, blank, no_model = ds.pixels
+        blank.mask[:100] = False
+        blank.target[:100] = np.nan
+        ids = [px.pixel_id for px in ds.pixels]
+        preds = {px.pixel_id: px.truth[:100] for px in (observed, blank)}
+        rep = build_metrics_report("ar_p", "train", ds, preds, (0, 100), ids, {})
+        assert [row["pixel_id"] for row in rep.rows] == [observed.pixel_id]
+        assert rep.counts["total"] == 3 and rep.counts["evaluated"] == 1
+        assert rep.counts["excluded_no_obs"] == 2
+        empty = build_metrics_report("ar_p", "test", ds, {}, (100, 200), ids, {})
+        assert empty.rows == [] and empty.counts["excluded_no_obs"] == 3
+        assert empty.percentiles == {m: {f"p{q}": None for q in PERCENTILES}
+                                     for m in ("bias", "rmse", "r")}
+        write_experiment_reports(ExperimentResult(split=split, reports=[rep, empty]),
+                                 str(tmp_path))
+        rows = (tmp_path / "comparison.csv").read_text().splitlines()
+        assert rows[1].startswith("ar_p,train,") and "" not in rows[1].split(",")
+        assert rows[2] == "ar_p,test,,,"
+
     def test_model_failure_isolated(self):
         # 60-day revisit leaves too few rows for any per-pixel AR fit; the
         # shared lasso must still complete
@@ -298,7 +336,7 @@ class TestContainerParity:
     its models saved to containers, loaded and evaluated."""
 
     @pytest.mark.parametrize("synth,orders", [
-        (dict(revisit_days=2, noise_param=0.04), None),
+        (dict(revisit_days=2, noise_param=0.04, include_lsm=True), None),
         # daily revisit lets ar_p select lag orders up to 5
         (dict(revisit_days=1, noise_param=0.01, include_lsm=False),
          [0, 0, 0, 1, 1, 1, 2, 3, 5]),
@@ -340,6 +378,11 @@ class TestContainerParity:
         for name in ("metrics_per_pixel.csv", "comparison.csv"):
             assert (tmp_path / "evaluate" / name).read_bytes() == \
                 (tmp_path / "experiment" / name).read_bytes(), name
+        # and into the same bias diagnostic, present when the dataset has lsm
+        evaluated, ran = (json.loads((tmp_path / d / "summary.json").read_text())
+                          for d in ("evaluate", "experiment"))
+        assert evaluated["bias_diagnostic"] == ran["bias_diagnostic"]
+        assert (ran["bias_diagnostic"] is not None) == ds.has_lsm
 
 
 class TestArInSample:
@@ -379,6 +422,36 @@ class TestHindcast:
         a = [r["rmse"] for r in res.rmse_rows if r["model"] == "ar_p"]
         b = [r["rmse"] for r in res2.rmse_rows if r["model"] == "ar_p"]
         assert a == b
+
+    def test_window_rmse_equals_the_per_pixel_loop(self, monkeypatch):
+        seen = []
+
+        def recording(real):
+            def wrapper(*args, **kwargs):
+                seen.append(real(*args, **kwargs))
+                return seen[-1]
+            return wrapper
+
+        for name in ("predict_sequence", "ar_forecast_batch"):
+            monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+        ds = grid_dataset(2, 2, 3, revisit_days=1, seed=14)
+        res = run_hindcast_experiment(ds, train_days=730, window_days=300, ar_max_order=2,
+                                      lstm_config=tiny_lstm_config(epochs=3))
+        _, lstm_pred, ar_pred = seen   # spin-up, hindcast prediction, AR forecast
+        want = []
+        for t0, t1, label in res.windows:
+            for m, pred in (("lstm", lstm_pred[..., 0]), ("ar_p", ar_pred)):
+                for k, px in enumerate(ds.pixels):
+                    err = pred[k, t0:t1] - px.truth[t0:t1]
+                    want.append({"pixel_id": px.pixel_id, "model": m, "window": label,
+                                 "rmse": float(np.sqrt(np.mean(err * err)))})
+        assert res.windows == [(0, 300, "window_0"), (300, 365, "window_1")]
+        assert res.rmse_rows == want
+        for m in ("lstm", "ar_p"):
+            rows = [r["rmse"] for r in want if r["model"] == m]
+            assert res.summary["pooled_rmse"][m]["p50"] == np.percentile(rows, 50)
+            assert res.summary["per_window_rmse"][m]["window_1"]["p90"] == \
+                np.percentile(rows[4:], 90)
 
     def test_requires_truth(self):
         ds = grid_dataset(2, 2, 2, seed=12)

@@ -2,12 +2,15 @@
 benchmark's tracer and checks what they read."""
 
 import ast
+import json
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from hlstm import baselines, lstm, modelio
+from hlstm.cli import main
 from hlstm.experiments import run_hindcast_experiment
 from hlstm.synthetic import SyntheticConfig, generate_synthetic
 from hlstm.training import TrainingConfig
@@ -97,3 +100,39 @@ def test_benchmark_train_check_reads_the_batch_layout(monkeypatch):
     weights = modelio.lstm_payload(w, [], None)["weights"]
     for k in range(len(X)):
         assert np.max(np.abs(checks.lstm_reference(weights, X[k]) - pred[k])) <= 1e-9, k
+
+
+def test_benchmark_cli_check_reads_one_report_pair_per_kind(monkeypatch, tmp_path, capsys):
+    # The cli workload matches each comparison.csv row with the
+    # metrics_per_pixel.csv rows of its model and phase, so evaluate writes
+    # one report pair per kind and rejects a second container of a kind.
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    import checks
+
+    def path(name, doc=None):
+        if doc is not None:
+            (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    synth = path("synth.json", {"rows": 3, "cols": 3, "years": 2, "revisit_days": 2, "seed": 4})
+    split = path("split.json", {"kind": "temporal", "train_window": ["2000-01-01", "2000-12-30"],
+                                "test_window": ["2000-12-31", "2001-12-30"]})
+    assert main(["synth", "--config", synth, "--out", path("data")]) == 0
+    models = []
+    for kind in ("lasso", "ar_p"):
+        assert main(["train", "--model", kind, "--data", path("data"), "--split", split,
+                     "--out", path(kind)]) == 0
+        models += ["--model-file", path(f"{kind}/model.json")]
+    evaluate = ["evaluate", "--data", path("data"), "--split", split, "--against", "truth"]
+    assert main(evaluate + models + ["--out", path("eval")]) == 0
+    comparison = checks.read_csv_rows(path("eval/comparison.csv"))
+    per_pixel = checks.read_csv_rows(path("eval/metrics_per_pixel.csv"))
+    assert [row["model"] for row in comparison] == ["lasso", "lasso", "ar_p", "ar_p"]
+    assert checks.comparison_mismatches(comparison, per_pixel) == []
+
+    shutil.copy(path("lasso/model.json"), path("lasso_again.json"))
+    capsys.readouterr()
+    code = main(evaluate + models + ["--model-file", path("lasso_again.json"),
+                                     "--out", path("eval_twice")])
+    assert code == 1
+    assert path("lasso_again.json") in capsys.readouterr().err

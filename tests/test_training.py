@@ -12,7 +12,9 @@ from hlstm.lstm import (
     bptt_gradients,
     forward_sequence,
     init_weights,
+    make_rng,
     predict_sequence,
+    sample_dropout_masks,
 )
 from hlstm.modelio import LstmPayload, load_model, lstm_payload, save_model
 from hlstm.training import (
@@ -254,6 +256,27 @@ class TestTrainLstm:
         truth = data.targets[:, 730:]
         r = np.corrcoef(pred.ravel(), truth.ravel())[0, 1]
         assert r > 0.95
+
+    @pytest.mark.parametrize("clip", [5.0, 1e-3], ids=["unclipped", "clipped"])
+    def test_sgd_epoch_replays_bit_for_bit(self, clip):
+        data = make_data(4, 60, lambda p, T: np.random.default_rng(p).normal(size=(T, 2)),
+                         lambda p, T, x: 0.2 + 0.05 * np.tanh(x[:, 0]))
+        cfg = TrainingConfig(hidden_size=5, unroll_length=20, batch_size=4, epochs=1,
+                             learning_rate=0.05, optimizer="sgd", gradient_clip_norm=clip,
+                             dropout=DropoutSpec("recurrent_constant", 0.3), seed=4)
+        w, _ = train_lstm(data, cfg)
+        ref = init_weights(2, 5, 1, seed=4)
+        start = ref.theta.copy()
+        batch = sample_batch(data, cfg, make_rng([4, 1]))
+        masks = sample_dropout_masks(cfg.dropout, 2, 5, 20, make_rng([4, 2]), batch=4)
+        w32 = ref.astype(np.float32)
+        Y, cache = forward_sequence(w32, batch.inputs, masks=masks)
+        _, dY = masked_loss(Y, batch.targets, batch.mask, divisor=cfg.loss_divisor)
+        grads = bptt_gradients(w32, cache, dY).astype(float)
+        assert (clip_gradients(grads, clip) > clip) == (clip < 1.0)
+        ref.theta -= cfg.learning_rate * grads.theta
+        assert w.theta.tobytes() == ref.theta.tobytes()
+        assert not np.array_equal(w.theta, start)
 
     def test_end_to_end_determinism(self):
         data = make_data(6, 90, lambda p, T: np.random.default_rng(p).normal(size=(T, 2)),
