@@ -135,11 +135,15 @@ class GridDataset:
     pixels: list[PixelSeries] = field(default_factory=list)
 
     def validate(self, where: str = ""):
-        """Check every pixel; each error names ``pixels[k]`` after ``where``."""
+        """Check every pixel; each error names ``pixels[k]`` after ``where``.
+        Every pixel has an lsm series or none does; truth may be on some only."""
         seen, ids = set(), set()
         for k, px in enumerate(self.pixels):
             try:
                 px.validate(self.n_days, len(self.forcing_names), len(self.attribute_names))
+                if (px.lsm is None) == self.has_lsm:
+                    state = "missing" if px.lsm is None else "present"
+                    raise DataError(f"pixel {px.pixel_id}: lsm series {state}, unlike pixels[0]")
                 if not (0 <= px.row < self.rows and 0 <= px.col < self.cols):
                     raise DataError(f"pixel {px.pixel_id}: coordinates out of bounds")
                 if (px.row, px.col) in seen:

@@ -450,14 +450,13 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
 
     config = lstm_config or TrainingConfig()
     w, history = train_lstm(data, config, window=train_window)
-    # Spin-up: the hindcast window starts at the first forcing day, so run
-    # one seasonally aligned pass over the opening year to give day 0 a warm
-    # state (years are 365 days; the generator's climate is stationary).
-    spin_days = min(365, n_days)
-    _, state0 = predict_sequence(w, data.inputs[:, :spin_days],
-                                 return_final_state=True)
-    lstm_pred = predict_sequence(w, data.inputs[:, :h_end],
-                                 initial_state=state0)[..., 0]  # (n_pixels, h_end)
+    # Spin-up: the hindcast window starts at the first forcing day, so one
+    # pass from the zero state runs the opening year ahead of it, seasonally
+    # aligned, to give day 0 a warm state, and those outputs are dropped
+    # (years are 365 days; the generator's climate is stationary).
+    spin = min(365, n_days)
+    lstm_pred = predict_sequence(w, np.concatenate(
+        (data.inputs[:, :spin], data.inputs[:, :h_end]), axis=1))[:, spin:, 0]  # (n_pixels, h_end)
 
     # Per-pixel AR with the order swept against hindcast truth.
     truth = np.stack([px.truth for px in dataset.pixels])

@@ -24,8 +24,9 @@ The kernel runs in the dtype of the weights: every buffer of the time loop
 and of BPTT (inputs, masks, states, gates, gradients) takes theta's dtype, so
 float64 weights compute in float64 and float32 weights in float32, with no
 silent promotion. Every sequence comes in a batch: inputs are (batch, rho,
-input), outputs (batch, rho, output) and a state's h and s (batch, hidden).
-:func:`forward_sequence` starts from the zero state and takes sampled masks.
+input) and outputs (batch, rho, output). Every pass starts from the zero
+state; a spin-up is a prefix of the inputs. :func:`forward_sequence` takes
+sampled masks.
 Batch gradients are accumulated by the matrix products themselves, in fixed
 instance order, so results do not depend on evaluation order.
 
@@ -176,14 +177,6 @@ class LstmWeights:
 
 
 @dataclass
-class LstmState:
-    """Hidden state h and cell state s of a batch of sequences, each (batch, hidden)."""
-
-    h: np.ndarray
-    s: np.ndarray
-
-
-@dataclass
 class DropoutSpec(Config):
     """Which dropout masks to sample and at what rate.
 
@@ -263,17 +256,11 @@ def sample_dropout_masks(spec: DropoutSpec, input_size: int, hidden_size: int,
     return DropoutMasks(g=bernoulli((rho, batch, hidden_size)))
 
 
-def _to_fm(v, dtype) -> np.ndarray:
-    """A (batch, dim) state or mask as a contiguous feature-major (dim, batch) ``dtype`` array."""
-    return np.array(np.asarray(v).T, dtype=dtype, order="C")
-
-
 def _loop_masks(masks: DropoutMasks, dtype):
-    """The masks as the time loop reads them, feature-major and in ``dtype``:
-    x (rho, input, batch), h (hidden, batch) and g (rho, hidden, batch)."""
-    x, g = (m if m is None else np.moveaxis(m, 1, 2).astype(dtype, copy=False)
-            for m in (masks.x, masks.g))
-    return x, None if masks.h is None else _to_fm(masks.h, dtype), g
+    """The recurrent masks as the time loop and BPTT read them, feature-major
+    and in ``dtype``: h (hidden, batch) and g (rho, hidden, batch)."""
+    h = None if masks.h is None else np.array(np.asarray(masks.h).T, dtype=dtype, order="C")
+    return h, None if masks.g is None else np.moveaxis(masks.g, 1, 2).astype(dtype, copy=False)
 
 
 def _loop_arrays(w: LstmWeights, T: int, width: int, keep: bool = False,
@@ -294,21 +281,19 @@ def _loop_arrays(w: LstmWeights, T: int, width: int, keep: bool = False,
             *(np.empty(shape + (width,), dtype=dtype) for shape in shapes[len(lent):]), Z)
 
 
-def _run_cell(arrays, x, h, s, Y, hm=None, gm=None):
-    """The LSTM time loop of the forward pass and prediction, in the dtype of
-    ``arrays`` (:func:`_loop_arrays`); returns the final (h, s). ``x`` (T,
-    input, batch) holds the masked inputs; ``h``, ``s``, ``hm`` and every
-    per-step array are feature-major, (hidden, batch), and ``gm`` is aligned
-    with x. ``Y`` (T, output, batch) receives the outputs; buffer columns past
-    the batch run on zero inputs and state and are dropped. Slot t of a block
-    of Z holds z_t = [h_{t-1} * hm; x_t; 1]: the inputs are copied in once a
-    block, and step t writes h_t (times hm) into slot t + 1."""
+def _run_cell(arrays, x, Y, hm=None, gm=None):
+    """The LSTM time loop of the forward pass and prediction, from the zero
+    state, in the dtype of ``arrays`` (:func:`_loop_arrays`). ``x`` (T, input,
+    batch) holds the masked inputs; ``hm`` and every per-step array are
+    feature-major, (hidden, batch), and ``gm`` is aligned with x. ``Y`` (T,
+    output, batch) receives the outputs; buffer columns past the batch run on
+    zero inputs and are dropped. Slot t of a block of Z holds z_t = [h_{t-1} *
+    hm; x_t; 1]: the inputs are copied in once a block, and step t writes h_t
+    (times hm) into slot t + 1."""
     W, W_hy, b_y, gates, S, Hs, Yb, sf, Z = arrays
     T, n, H, nb = len(x), len(Hs), len(sf), Y.shape[-1]
     hs = Z[1:, :H] if hm is None else Hs    # where step t's h goes; the readout reads it
-    Z[0, :H, :nb] = _apply(h, hm)
-    s0, s = s, np.zeros_like(sf)
-    s[:, :nb] = s0
+    s = np.zeros_like(sf)   # Z is allocated zeroed, so slot 0 holds h_{-1} = 0
     for t0 in range(0, T, n):
         m = min(n, T - t0)
         k = t0 % len(S)     # t0 when every step is kept, 0 in a one-block buffer
@@ -332,7 +317,6 @@ def _run_cell(arrays, x, h, s, Y, hm=None, gm=None):
         np.matmul(W_hy, hs[:m], out=Yb[:m])
         np.add(Yb[:m, :, :nb], b_y, out=Y[t0:t0 + m])
         Z[0, :H] = Z[m, :H]
-    return h[:, :nb], s[:, :nb]
 
 
 @dataclass
@@ -390,58 +374,44 @@ def forward_sequence(w: LstmWeights, X: np.ndarray, masks: DropoutMasks | None =
         reuse = None
     xc = np.empty(x.shape, dtype=dtype) if reuse is None else reuse.x
     np.copyto(xc, x)
-    xm, hm, gm = _loop_masks(masks, dtype)
-    if xm is not None:
-        xc *= xm
+    if masks.x is not None:
+        xc *= np.moveaxis(masks.x, 1, 2).astype(dtype, copy=False)
     arrays = _loop_arrays(w, len(x), x.shape[2], keep=True, reuse=reuse)
     Y = np.empty((len(x), w.output_size, x.shape[2]), dtype=dtype)
-    zeros = np.zeros((w.hidden_size, x.shape[2]), dtype=dtype)
-    _run_cell(arrays, xc, zeros, zeros, Y, hm, gm)
+    _run_cell(arrays, xc, Y, *_loop_masks(masks, dtype))
     return Y.transpose(2, 0, 1), ForwardCache(
         x=xc, masks=masks, gates=arrays[3], s_fm=arrays[4], y_fm=Y)
 
 
-def predict_sequence(w: LstmWeights, X: np.ndarray,
-                     initial_state: LstmState | None = None,
-                     return_final_state: bool = False):
-    """Mask-free evaluation forward pass that keeps no cache (long sequences).
-
-    X is (batch, rho, input) and Y (batch, rho, output); ``initial_state``,
-    zeros by default, holds (batch, hidden) arrays. Time runs in blocks of
-    PREDICT_BLOCK_DAYS steps, so memory does not grow with the sequence
-    length beyond the inputs and outputs; a large batch runs in chunks of
-    pixels on threads, and each pixel gets the bits it would get alone
-    (PREDICT_CHUNK_GATES, PREDICT_CHUNK_PIXELS). With ``return_final_state``
-    the result is (Y, LstmState), e.g. for spin-up.
+def predict_sequence(w: LstmWeights, X: np.ndarray) -> np.ndarray:
+    """Mask-free evaluation forward pass from the zero state that keeps no
+    cache (long sequences): X is (batch, rho, input) and Y (batch, rho,
+    output). A spin-up is a prefix of X whose outputs the caller drops. Time
+    runs in blocks of PREDICT_BLOCK_DAYS steps, so memory does not grow with
+    the sequence length beyond the inputs and outputs; a large batch runs in
+    chunks of pixels on threads, and each pixel gets the bits it would get
+    alone (PREDICT_CHUNK_GATES, PREDICT_CHUNK_PIXELS).
     """
     x = _sequence_inputs(w, X)
     dtype, T, n_batch, P = w.theta.dtype, len(x), x.shape[2], PREDICT_CHUNK_PIXELS
-    shape = (n_batch, w.hidden_size)
-    state = initial_state or LstmState(h=np.zeros(shape), s=np.zeros(shape))
-    if {np.shape(state.h), np.shape(state.s)} != {shape}:
-        raise ValidationError(f"initial state h and s must be (batch, hidden) = {shape}, "
-                              f"got {np.shape(state.h)} and {np.shape(state.s)}")
-    h0, s0 = _to_fm(state.h, dtype), _to_fm(state.s, dtype)
     groups = -(-n_batch // P)
     n = max(1, min(usable_cpus() // _blas_threads(), groups,
                    4 * w.hidden_size * n_batch // PREDICT_CHUNK_GATES))
     edges = [groups * c // n * P for c in range(n)] + [n_batch]
     # Every buffer, padded to whole groups, is allocated here; chunks write Y in place.
     Y = np.empty((T, w.output_size, n_batch), dtype=dtype)
-    chunks = [(_loop_arrays(w, T, -(-(hi - lo) // P) * P), x[..., lo:hi], h0[:, lo:hi],
-               s0[:, lo:hi], Y[..., lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    chunks = [(_loop_arrays(w, T, -(-(hi - lo) // P) * P), x[..., lo:hi], Y[..., lo:hi])
+              for lo, hi in zip(edges, edges[1:])]
     if n == 1:
-        finals = [_run_cell(*chunks[0])]
+        _run_cell(*chunks[0])
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(n - 1) as pool:
             rest = [pool.submit(_run_cell, *chunk) for chunk in chunks[1:]]
-            finals = [_run_cell(*chunks[0])] + [job.result() for job in rest]
-    Y = Y.transpose(2, 0, 1)
-    if return_final_state:
-        h, s = (np.ascontiguousarray(np.concatenate(v, axis=1).T) for v in zip(*finals))
-        return Y, LstmState(h=h, s=s)
-    return Y
+            _run_cell(*chunks[0])
+            for job in rest:
+                job.result()
+    return Y.transpose(2, 0, 1)
 
 
 def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> LstmWeights:
@@ -465,7 +435,7 @@ def bptt_gradients(w: LstmWeights, cache: ForwardCache, dL_dY: np.ndarray) -> Ls
     # Feature-major (rho, output, batch), as the forward pass wrote Y.
     dY = np.ascontiguousarray(dL_dY.transpose(1, 2, 0))
 
-    _, hm, gm = _loop_masks(cache.masks, dtype)
+    hm, gm = _loop_masks(cache.masks, dtype)
     grads = LstmWeights(w.input_size, w.hidden_size, w.output_size, dtype)
     Wh, W_hy, H, G, S = w.Wh, w.W_hy, w.hidden_size, cache.gates, cache.s_fm
     grads.b_y[...] = dY.sum(axis=(0, 2))

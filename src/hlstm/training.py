@@ -201,9 +201,8 @@ def sample_batch(data: SequenceData, config: TrainingConfig, rng,
             f"unroll_length {rho} exceeds the {span}-day sampling window")
     pix = rng.integers(0, data.n_pixels, size=config.batch_size)
     starts = t0 + rng.integers(0, span - rho + 1, size=config.batch_size)
-    inputs = np.stack([data.inputs[p, s:s + rho] for p, s in zip(pix, starts)])
-    targets = np.stack([data.targets[p, s:s + rho] for p, s in zip(pix, starts)])
-    mask = np.stack([data.mask[p, s:s + rho] for p, s in zip(pix, starts)])
+    windows = pix[:, None], starts[:, None] + np.arange(rho)
+    inputs, targets, mask = data.inputs[windows], data.targets[windows], data.mask[windows]
     return Batch(inputs=inputs, targets=np.where(mask, targets, 0.0),
                  mask=mask.astype(float), pixel_ids=[data.pixel_ids[p] for p in pix],
                  starts=starts)

@@ -18,8 +18,9 @@ def scalar_sigmoid(z):
     return ez / (1.0 + ez)
 
 
-def scalar_lstm_sequence(w, X, h0=None, s0=None, x_masks=None, h_mask=None, g_masks=None):
-    """Straight-line scalar evaluation of the cell equations over a sequence.
+def scalar_lstm_sequence(w, X, x_masks=None, h_mask=None, g_masks=None):
+    """Straight-line scalar evaluation of the cell equations over a sequence,
+    from the zero state.
 
     w is an LstmWeights-like object whose named_arrays() yields the per-gate
     arrays (W_gx ... b_y); X is (rho, input).
@@ -28,8 +29,8 @@ def scalar_lstm_sequence(w, X, h0=None, s0=None, x_masks=None, h_mask=None, g_ma
     """
     H, F, O = w.hidden_size, w.input_size, w.output_size
     w = SimpleNamespace(**dict(w.named_arrays()))
-    h = list(h0) if h0 is not None else [0.0] * H
-    s = list(s0) if s0 is not None else [0.0] * H
+    h = [0.0] * H
+    s = [0.0] * H
     ys = []
     for t in range(len(X)):
         x = [float(v) for v in X[t]]

@@ -387,6 +387,21 @@ class TestCliErrors:
         assert exc.value.code == 1
         assert f"{argv[0]} requires --config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k,named", [(0, 1), (2, 2)], ids=["first", "later"])
+    def test_pixels_disagreeing_on_lsm_exit_one(self, workspace, tmp_path, capsys, k, named):
+        # Every pixel CSV has the lsm column or none does; whichever pixel
+        # differs from pixels[0] is named with the manifest.
+        _, _, split_cfg = workspace
+        ds = generate_synthetic(SyntheticConfig(**synth_config(include_lsm=True)))
+        ds.pixels[k].lsm = None
+        data = str(tmp_path / "mixed")
+        save_dataset(ds, data)
+        code = main(["train", "--model", "lasso", "--data", data, "--split", split_cfg,
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert os.path.join(data, "manifest.json") in err and f"pixels[{named}]" in err
+
     def test_against_truth_without_truth_exits_one(self, tmp_path, capsys):
         data = str(tmp_path / "data")
         save_dataset(golden.golden_dataset(), data)

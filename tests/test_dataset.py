@@ -292,6 +292,14 @@ def _attribute_count(ds):
     ds.pixels[1].attributes = ds.pixels[1].attributes[:2]
 
 
+def _lsm_missing_later(ds):
+    ds.pixels[2].lsm = None
+
+
+def _lsm_missing_first(ds):
+    ds.pixels[0].lsm = None
+
+
 class TestSidecar:
     """The binary sidecar beside the CSVs: a verified cache of the parsed
     series, taken only when its digest matches the manifest and CSV bytes."""
@@ -462,7 +470,10 @@ class TestManifestErrorsNamePlace:
         (_duplicate_position, r"pixels\[3\]: duplicate pixel coordinates \(0, 1\)"),
         (_out_of_bounds, r"pixels\[2\]: pixel px_1_0: coordinates out of bounds"),
         (_attribute_count, r"pixels\[1\]: pixel px_0_1: 2 attributes, expected 3"),
-    ], ids=["duplicate_position", "out_of_bounds", "attribute_count"])
+        (_lsm_missing_later, r"pixels\[2\]: pixel px_1_0: lsm series missing, unlike"),
+        (_lsm_missing_first, r"pixels\[1\]: pixel px_0_1: lsm series present, unlike"),
+    ], ids=["duplicate_position", "out_of_bounds", "attribute_count", "lsm_missing_later",
+            "lsm_missing_first"])
     def test_dataset_errors_name_manifest_and_entry(self, tmp_path, csv_parses,
                                                     sidecar, edit, needle):
         ds = small_dataset()

@@ -23,7 +23,7 @@ from hlstm.experiments import (
 )
 from hlstm.lstm import DropoutSpec
 from hlstm.cli import main
-from hlstm.dataset import save_dataset
+from hlstm.dataset import normalize, save_dataset
 from hlstm.modelio import (
     MODEL_KINDS,
     _ar_in_sample,
@@ -33,9 +33,9 @@ from hlstm.modelio import (
     save_model,
 )
 from hlstm.synthetic import SyntheticConfig, generate_synthetic
-from hlstm.training import TrainingConfig
+from hlstm.training import Features, TrainingConfig, prepare_sequences
 
-from oracles import pearson_r_brute, scalar_ar_in_sample
+from oracles import pearson_r_brute, scalar_ar_in_sample, scalar_lstm_sequence
 
 
 def grid_dataset(rows=8, cols=8, years=2, **kw):
@@ -437,10 +437,12 @@ class TestHindcast:
         ds = grid_dataset(2, 2, 3, revisit_days=1, seed=14)
         res = run_hindcast_experiment(ds, train_days=730, window_days=300, ar_max_order=2,
                                       lstm_config=tiny_lstm_config(epochs=3))
-        _, lstm_pred, ar_pred = seen   # spin-up, hindcast prediction, AR forecast
+        # One LSTM prediction over [opening year; hindcast days], then the AR forecast.
+        lstm_pred, ar_pred = seen
+        assert lstm_pred.shape == (4, 365 + 365, 1)
         want = []
         for t0, t1, label in res.windows:
-            for m, pred in (("lstm", lstm_pred[..., 0]), ("ar_p", ar_pred)):
+            for m, pred in (("lstm", lstm_pred[:, 365:, 0]), ("ar_p", ar_pred)):
                 for k, px in enumerate(ds.pixels):
                     err = pred[k, t0:t1] - px.truth[t0:t1]
                     want.append({"pixel_id": px.pixel_id, "model": m, "window": label,
@@ -452,6 +454,29 @@ class TestHindcast:
             assert res.summary["pooled_rmse"][m]["p50"] == np.percentile(rows, 50)
             assert res.summary["per_window_rmse"][m]["window_1"]["p90"] == \
                 np.percentile(rows[4:], 90)
+
+    def test_lstm_spins_up_over_the_opening_year_from_the_zero_state(self, monkeypatch):
+        # The scored predictions are the scalar cell run from zero over the
+        # opening year and then the hindcast days, with the first 365 dropped.
+        seen = []
+        real = experiments.predict_sequence
+        monkeypatch.setattr(experiments, "predict_sequence",
+                            lambda *args: seen.append(real(*args)) or seen[-1])
+        ds = grid_dataset(1, 3, 3, revisit_days=1, seed=15)
+        res = run_hindcast_experiment(ds, train_days=800, window_days=200, ar_max_order=1,
+                                      lstm_config=tiny_lstm_config(hidden_size=4, epochs=2))
+        norm_ds, _ = normalize(ds, [px.pixel_id for px in ds.pixels])
+        X = prepare_sequences(norm_ds, Features(include_lsm=False, include_attributes=False)).inputs
+        h_end = ds.n_days - 800
+        rows = [r for r in res.rmse_rows if r["model"] == "lstm"]
+        for k, px in enumerate(ds.pixels):
+            expected = np.asarray(scalar_lstm_sequence(
+                res.models["lstm"], np.concatenate((X[k, :365], X[k, :h_end]))))[365:, 0]
+            assert np.max(np.abs(seen[0][k, 365:, 0] - expected)) < 1e-12, k
+            for t0, t1, label in res.windows:
+                err = expected[t0:t1] - px.truth[t0:t1]
+                row, = (r for r in rows if (r["pixel_id"], r["window"]) == (px.pixel_id, label))
+                assert abs(row["rmse"] - np.sqrt(np.mean(err * err))) < 1e-12, (k, label)
 
     def test_requires_truth(self):
         ds = grid_dataset(2, 2, 2, seed=12)

@@ -87,6 +87,27 @@ def test_benchmark_hindcast_check_reads_ar_models_in_pixel_order(monkeypatch):
         assert np.allclose(got, ref, rtol=1e-8, atol=1e-10), px.pixel_id
 
 
+def test_benchmark_hindcast_predicts_the_spin_up_and_the_hindcast_days(monkeypatch):
+    # The tracer's lstm.predict.pixel_days sums pixels x days over a round's
+    # predict_sequence calls, and the hindcast workload's prediction rate
+    # divides it by their time: each pixel predicts a 365-day spin-up and the
+    # h_end hindcast days, so that rate stays comparable across versions.
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    import tracing
+
+    ds = generate_synthetic(SyntheticConfig(rows=2, cols=3, years=3, seed=8))
+    tracer = tracing.Tracer(tracing.STAGE_FUNCTIONS)
+    tracer.install()
+    try:
+        tracer.begin("round-0")
+        run_hindcast_experiment(ds, train_days=700, lstm_config=TrainingConfig(
+            hidden_size=4, unroll_length=30, batch_size=4, epochs=2))
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    assert tracer.per_run()["round-0"]["lstm.predict.pixel_days"] == 6 * (365 + ds.n_days - 700)
+
+
 def test_benchmark_train_check_reads_the_batch_layout(monkeypatch):
     # The train workload predicts (pixels, days, 1) and compares each pixel's
     # series with a gate-by-gate LSTM over the container's per-gate weights.

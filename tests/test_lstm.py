@@ -14,7 +14,6 @@ from hlstm.lstm import (
     PREDICT_BLOCK_DAYS,
     PREDICT_CHUNK_PIXELS,
     DropoutSpec,
-    LstmState,
     LstmWeights,
     bptt_gradients,
     forward_sequence,
@@ -194,15 +193,6 @@ class TestLstmStep:
         for run in (forward_sequence, predict_sequence):
             with pytest.raises(ValidationError):
                 run(w, np.zeros((1, 1, 5)))
-        # An initial state is (batch, hidden): one state is not broadcast to
-        # every pixel, however many chunks prediction runs in.
-        X = np.zeros((2 * PREDICT_CHUNK_PIXELS, 1, 3))
-        for shape in ((2 * PREDICT_CHUNK_PIXELS, 2), (4,), (1, 4), (PREDICT_CHUNK_PIXELS, 4)):
-            with pytest.raises(ValidationError, match="batch, hidden"):
-                predict_sequence(w, X, LstmState(h=np.zeros(shape), s=np.zeros(shape)))
-        good = np.zeros((2 * PREDICT_CHUNK_PIXELS, 4))
-        with pytest.raises(ValidationError, match="batch, hidden"):
-            predict_sequence(w, X, LstmState(h=good, s=np.zeros((1, 4))))
 
     def test_non_finite_input(self):
         w = LstmWeights(3, 4, 1)
@@ -294,46 +284,16 @@ class TestForwardSequence:
             with pytest.raises(ValidationError):
                 run(w, np.zeros(shape))
 
-    @pytest.mark.parametrize("with_state", [False, True])
-    def test_blocked_predict_matches_forward(self, with_state):
-        # Two whole prediction blocks plus a remainder, batched. The forward
-        # pass starts from zeros; from a state, each pixel is checked against
-        # the scalar oracle, and the final state against the oracle's next step.
+    def test_blocked_predict_matches_forward(self):
+        # Two whole prediction blocks plus a remainder, batched; both passes
+        # start from zeros.
         w = random_weights(3, 4, 2, seed=16)
-        rng = np.random.default_rng(17)
         rho = 2 * PREDICT_BLOCK_DAYS + 7
-        X = rng.normal(size=(5, rho, 3))
-        if with_state:
-            state = LstmState(h=rng.uniform(-0.5, 0.5, size=(5, 4)), s=rng.normal(size=(5, 4)))
-            Yp, final = predict_sequence(w, X, initial_state=state, return_final_state=True)
-            x_next = rng.normal(size=(5, 1, 3))
-            Y_next = predict_sequence(w, x_next, initial_state=final)
-            assert Yp.shape == (5, rho, 2)
-            for b in range(5):
-                expected = np.asarray(scalar_lstm_sequence(
-                    w, np.concatenate([X[b], x_next[b]]), h0=state.h[b], s0=state.s[b]))
-                assert np.max(np.abs(Yp[b] - expected[:-1])) < 1e-12, b
-                assert np.max(np.abs(Y_next[b] - expected[-1:])) < 1e-12, b
-        else:
-            Y, cache = forward_sequence(w, X)
-            Yp, final = predict_sequence(w, X, return_final_state=True)
-            assert Yp.shape == Y.shape == (5, rho, 2)
-            assert np.max(np.abs(Yp - Y)) < 1e-12
-            assert np.max(np.abs(final.h - hidden_states(cache)[-1].T)) < 1e-12
-            assert np.max(np.abs(final.s - cache.s_fm[-1].T)) < 1e-12
-
-    def test_spin_up_then_continuation_equals_one_pass(self):
-        w = random_weights(3, 5, 1, seed=18)
-        rho = PREDICT_BLOCK_DAYS + 40
-        X = np.random.default_rng(19).normal(size=(4, rho, 3))
-        cut = 50  # not a multiple of the prediction block
-        whole, whole_state = predict_sequence(w, X, return_final_state=True)
-        _, spun = predict_sequence(w, X[:, :cut], return_final_state=True)
-        rest, rest_state = predict_sequence(w, X[:, cut:], initial_state=spun,
-                                            return_final_state=True)
-        assert np.max(np.abs(rest - whole[:, cut:])) < 1e-12
-        assert np.max(np.abs(rest_state.h - whole_state.h)) < 1e-12
-        assert np.max(np.abs(rest_state.s - whole_state.s)) < 1e-12
+        X = np.random.default_rng(17).normal(size=(5, rho, 3))
+        Y, _ = forward_sequence(w, X)
+        Yp = predict_sequence(w, X)
+        assert Yp.shape == Y.shape == (5, rho, 2)
+        assert np.max(np.abs(Yp - Y)) < 1e-12
 
     @pytest.mark.parametrize("variant", DROPOUT_VARIANTS)
     def test_batched_dropout_matches_scalar_oracle(self, variant):
@@ -574,8 +534,7 @@ class TestChunkedPrediction:
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
-    @pytest.mark.parametrize("with_state", [False, True])
-    def test_any_number_of_chunks_gives_the_bits_of_one_pass(self, monkeypatch, with_state):
+    def test_any_number_of_chunks_gives_the_bits_of_one_pass(self, monkeypatch):
         # Five groups of pixels: 2, 3 and 4 chunks split them unevenly. Time
         # runs two whole blocks and a remainder. At hidden 64 a split inside a
         # group would change bits.
@@ -583,10 +542,6 @@ class TestChunkedPrediction:
         rng = np.random.default_rng(81)
         n_batch, rho = 5 * PREDICT_CHUNK_PIXELS, 2 * PREDICT_BLOCK_DAYS + 5
         X = rng.normal(size=(n_batch, rho, 3))
-        state = None
-        if with_state:
-            state = LstmState(h=rng.uniform(-0.5, 0.5, size=(n_batch, 64)),
-                              s=rng.normal(size=(n_batch, 64)))
         monkeypatch.setattr(lstm_module, "PREDICT_CHUNK_GATES", 1)
         runs, interval = [], sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # hand the interpreter lock over often
@@ -594,35 +549,28 @@ class TestChunkedPrediction:
             for cpus in (1, 2, 3, 4):
                 monkeypatch.setattr(lstm_module, "usable_cpus", lambda cpus=cpus: cpus)
                 starts = _thread_starts(monkeypatch)
-                runs.append(predict_sequence(w, X, initial_state=state,
-                                             return_final_state=True))
+                runs.append(predict_sequence(w, X))
                 # The pool starts a worker only while none is idle.
                 assert (cpus == 1 and not starts) or 1 <= len(starts) <= cpus - 1
         finally:
             sys.setswitchinterval(interval)
-        (Y1, final1), serial = runs[0], predict_sequence(w, X, initial_state=state)
-        assert np.array_equal(serial, Y1)
-        for Y, final in runs[1:]:
+        for Y in runs[1:]:
             assert Y.shape == (n_batch, rho, 2)
-            assert np.array_equal(Y, Y1)
-            assert np.array_equal(final.h, final1.h) and np.array_equal(final.s, final1.s)
+            assert np.array_equal(Y, runs[0])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("cpus", [1, 2], ids=["one_chunk", "chunked"])
     def test_a_time_prefix_predicts_the_prefix_of_the_whole(self, monkeypatch, dtype, cpus):
-        # The hindcast predicts only the days it scores, from a spun-up state.
+        # The hindcast predicts its spin-up and only the days it scores.
         w = init_weights(3, 48, 1, seed=84).astype(dtype)
-        rng = np.random.default_rng(85)
         n_batch, rho = 2 * PREDICT_CHUNK_PIXELS, 3 * PREDICT_BLOCK_DAYS + 5
-        X = rng.normal(size=(n_batch, rho, 3))
-        state = LstmState(h=rng.uniform(-0.5, 0.5, size=(n_batch, 48)),
-                          s=rng.normal(size=(n_batch, 48)))
+        X = np.random.default_rng(85).normal(size=(n_batch, rho, 3))
         monkeypatch.setattr(lstm_module, "PREDICT_CHUNK_GATES", 1)
         monkeypatch.setattr(lstm_module, "usable_cpus", lambda: cpus)
         starts = _thread_starts(monkeypatch)
-        whole = predict_sequence(w, X, initial_state=state)
+        whole = predict_sequence(w, X)
         for days in (1, PREDICT_BLOCK_DAYS - 3, 2 * PREDICT_BLOCK_DAYS + 7):
-            prefix = predict_sequence(w, X[:, :days], initial_state=state)
+            prefix = predict_sequence(w, X[:, :days])
             assert prefix.dtype == dtype
             assert np.array_equal(prefix, whole[:, :days]), days
         assert bool(starts) == (cpus > 1)
@@ -641,12 +589,9 @@ class TestChunkedPrediction:
         monkeypatch.setattr(lstm_module, "usable_cpus", lambda: 2)
         for n_batch in rng.integers(1, 81, size=3):
             X = rng.normal(size=(n_batch, rho, 3))
-            state = LstmState(h=rng.uniform(-0.5, 0.5, size=(n_batch, hidden)),
-                              s=rng.normal(size=(n_batch, hidden)))
-            whole = predict_sequence(w, X, initial_state=state)
+            whole = predict_sequence(w, X)
             for p in range(n_batch):
-                alone = predict_sequence(w, X[p:p + 1], initial_state=LstmState(
-                    h=state.h[p:p + 1], s=state.s[p:p + 1]))
+                alone = predict_sequence(w, X[p:p + 1])
                 assert np.array_equal(alone[0], whole[p]), (n_batch, p)
 
     @pytest.mark.parametrize("n_batch,hidden,force,blas_threads", [

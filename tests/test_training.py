@@ -122,6 +122,20 @@ class TestSampleBatch:
         batch = sample_batch(data, cfg, rng=0)
         assert batch.pixel_ids == ["px3", "px3"]
 
+    def test_batch_holds_each_sampled_window(self):
+        # Each instance's slices of the data, taken one at a time, are the reference.
+        rng = np.random.default_rng(8)
+        self.data.mask = rng.random(self.data.mask.shape) < 0.5
+        self.data.targets = np.where(self.data.mask, rng.normal(size=self.data.mask.shape), np.nan)
+        batch = sample_batch(self.data, self.config, rng=5, window=(10, 100))
+        for b, (pid, start) in enumerate(zip(batch.pixel_ids, batch.starts)):
+            p, days = self.data.pixel_ids.index(pid), slice(start, start + 30)
+            mask = self.data.mask[p, days]
+            assert batch.inputs[b].tobytes() == self.data.inputs[p, days].tobytes()
+            assert batch.targets[b].tobytes() == np.where(mask, self.data.targets[p, days],
+                                                          0.0).tobytes()
+            assert batch.mask[b].tobytes() == mask.astype(float).tobytes()
+
     def test_same_rng_state_same_batch(self):
         b1 = sample_batch(self.data, self.config, rng=42)
         b2 = sample_batch(self.data, self.config, rng=42)
