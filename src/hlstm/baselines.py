@@ -10,7 +10,9 @@ sweeps in Gram form, on d x d products formed once per fit.
 The AR path has one closed-loop recursion, :func:`_lockstep`, which steps
 every pixel of one order together; :func:`ar_forecast` is its one-pixel case.
 The order sweep :func:`select_ar_orders` runs it once per order over all
-pixels still in the sweep, and :func:`select_ar_order` is its one-pixel case.
+pixels still in the sweep and returns each pixel's chosen model, whose
+``order_rmse`` is its record of every order; :func:`select_ar_order` is its
+one-pixel case.
 
 The network keeps its parameters in one flat float64 vector, as the LSTM
 does, steps it with the LSTM's optimizer, :func:`hlstm.training.adam_step`,
@@ -302,52 +304,40 @@ def _check_forecast_inputs(models, X_exog, warmups):
 
 def select_ar_order(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
                     warmup, p_max: int = AR_MAX_ORDER, label: str = ""):
-    """Sweep orders 0..p_max and keep the one with the smallest forecast error
-    over the evaluation window (closed loop, scored at observed steps).
-
-    Returns (model, best_p, rmse_by_p); orders that cannot be fitted are
-    recorded as inf. The sweep stops at the first order ``fit_ar`` rejects:
-    a higher order keeps a subset of its rows and needs more of them, so it
-    would be rejected too. Ties are broken toward parsimony: the smallest
-    order within 2% relative of the minimum wins, since closed-loop errors
-    of over-parameterized orders differ only by estimation noise. Note this
-    protocol picks the order on the evaluation series itself, which is
-    optimistic; reports carry a flag for it.
-
-    This is the one-pixel case of :func:`select_ar_orders`, so a pixel gets
-    the same model, order and scores alone as in a batch.
-    """
-    theta_eval = np.asarray(theta_eval, dtype=float)
-    if X_fit is None:
-        X_fit = np.zeros((np.size(theta_fit), 0))
-    if X_eval is None:
-        X_eval = np.zeros((theta_eval.size, 0))
-    (result,) = select_ar_orders(
-        [theta_fit], [mask_fit], [X_fit], theta_eval[None],
-        np.asarray(mask_eval)[None], np.asarray(X_eval, dtype=float)[None],
-        np.asarray(warmup, dtype=float)[None], p_max=p_max, labels=[label])
-    if isinstance(result, ValidationError):
-        raise result
-    return result
+    """One pixel of :func:`select_ar_orders`: returns (model, best_p,
+    rmse_by_p), read off the model's ``order`` and ``order_rmse``, or raises
+    the pixel's ValidationError."""
+    (model,) = select_ar_orders([theta_fit], [mask_fit], [X_fit], [theta_eval],
+                                [mask_eval], [X_eval], [warmup], p_max, [label])
+    if isinstance(model, ValidationError):
+        raise model
+    return model, model.order, {int(p): v for p, v in model.order_rmse.items()}
 
 
 def select_ar_orders(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
                      warmups, p_max: int = AR_MAX_ORDER, labels=None) -> list:
-    """The order sweep of :func:`select_ar_order` for many pixels in lockstep.
+    """Sweep orders 0..p_max for many pixels in lockstep and keep, per pixel,
+    the order with the smallest forecast error over the evaluation window
+    (closed loop, scored at observed steps).
 
     Argument k of each sequence belongs to pixel k: ``theta_fit``,
     ``mask_fit`` and ``X_fit`` are indexed per pixel and passed to
     :func:`fit_ar`; ``theta_eval`` and ``mask_eval`` are (n_pixels, T),
     ``X_eval`` is (n_pixels, T, r) and ``warmups`` (n_pixels, >= p_max).
+    Only observed targets are read, so unobserved ones may hold anything.
 
-    The sweep works order by order. At each p it fits every pixel still in
-    the sweep, one :func:`fit_ar` call per pixel, then runs one
-    :func:`ar_forecast_batch` over the fitted pixels and scores them. A
-    pixel leaves the sweep at its first rejected order, so only one order's
-    predictions are held at a time.
+    At each p the sweep fits every pixel still in it, one :func:`fit_ar`
+    call per pixel, then runs one :func:`ar_forecast_batch` over the fitted
+    pixels and scores them. A pixel stops at its first rejected order: a
+    higher order keeps a subset of its rows and needs more of them, so it
+    would be rejected too. The smallest order within 2% relative of the best
+    wins, since closed-loop errors of over-parameterized orders differ only
+    by estimation noise. Choosing the order on the evaluation series itself
+    is optimistic; reports carry a flag for it.
 
-    Returns one entry per pixel: (model, best_p, rmse_by_p), with ``order_rmse``
-    set, or the ValidationError that :func:`select_ar_order` raises for it.
+    Returns one entry per pixel: the :class:`ArModel` at the chosen order,
+    whose ``order_rmse`` records every order's score (inf from the first
+    rejected one), or the pixel's ValidationError.
     """
     n = len(theta_fit)
     labels = labels or [""] * n
@@ -393,8 +383,8 @@ def select_ar_orders(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
             continue
         floor = min(rmse_by_p[k].values())
         best_p = min(p for p in models[k] if rmse_by_p[k][p] <= floor * 1.02)
-        models[k][best_p].order_rmse = {str(p): v for p, v in rmse_by_p[k].items()}
-        results[k] = (models[k][best_p], best_p, rmse_by_p[k])
+        results[k] = models[k][best_p]
+        results[k].order_rmse = {str(p): v for p, v in rmse_by_p[k].items()}
     return results
 
 

@@ -460,20 +460,19 @@ def run_hindcast_experiment(dataset: GridDataset, train_days: int,
 
     # Per-pixel AR with the order swept against hindcast truth.
     truth = np.stack([px.truth for px in dataset.pixels])
-    theta_tr = np.nan_to_num(data.targets[:, h_end:])
+    theta_tr = data.targets[:, h_end:]
     mask_tr = data.mask[:, h_end:]
     # Hindcast recursion starts at day 0 with no earlier observations;
     # seed the lags with the training-window mean.
     warmups = np.array([np.full(ar_max_order, th[m].mean())
                         for th, m in zip(theta_tr, mask_tr)])
-    swept = select_ar_orders(theta_tr, mask_tr, data.inputs[:, h_end:],
-                             truth[:, :h_end], np.ones((len(truth), h_end), dtype=bool),
-                             data.inputs[:, :h_end], warmups, p_max=ar_max_order,
-                             labels=all_ids)
-    for res in swept:
-        if isinstance(res, ValidationError):
-            raise res
-    ar_models = [model for model, _, _ in swept]
+    ar_models = select_ar_orders(theta_tr, mask_tr, data.inputs[:, h_end:],
+                                 truth[:, :h_end], np.ones((len(truth), h_end), dtype=bool),
+                                 data.inputs[:, :h_end], warmups, p_max=ar_max_order,
+                                 labels=all_ids)
+    for model in ar_models:
+        if isinstance(model, ValidationError):
+            raise model
     ar_pred = ar_forecast_batch(ar_models, data.inputs[:, :h_end], warmups)
 
     # Windowed RMSE vs clean truth, oldest window first.

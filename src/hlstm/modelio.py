@@ -223,10 +223,10 @@ class ArPixels(PointPayload):
     pixels: dict[str, ArModel]
 
 
-def _ar_warmup(theta, mask, p_max):
+def _ar_warmup(theta, mask, p_max, pid):
     obs = theta[mask]
     if obs.size == 0:
-        raise ValidationError("no observations for AR warmup")
+        raise ValidationError(f"no observations for AR warmup for pixel {pid}")
     return obs[obs.size - p_max:] if obs.size >= p_max else np.full(p_max, obs.mean())
 
 
@@ -300,15 +300,14 @@ def _fit_ar(train_data, split, lstm_config, baselines, seed):
     ks = np.flatnonzero(train_data.mask[:, t0:t1].sum(axis=1) >= MIN_POINT_ROWS)
     pids = [train_data.pixel_ids[k] for k in ks]
     mask = train_data.mask[ks, t0:t1]
-    theta = np.where(mask, train_data.targets[ks, t0:t1], 0.0)
-    warm = np.array([_ar_warmup(th, m, baselines.ar_max_order)
-                     for th, m in zip(theta, mask)])
+    theta = train_data.targets[ks, t0:t1]
+    warm = np.array([_ar_warmup(th, m, baselines.ar_max_order, pid)
+                     for th, m, pid in zip(theta, mask, pids)])
     swept = select_ar_orders(theta, mask, train_data.inputs[ks, t0:t1],
                              train_data.targets[ks, e0:e1], train_data.mask[ks, e0:e1],
                              train_data.inputs[ks, e0:e1], warm,
                              p_max=baselines.ar_max_order, labels=pids)
-    models = {pid: res[0] for pid, res in zip(pids, swept)
-              if not isinstance(res, ValidationError)}
+    models = {pid: m for pid, m in zip(pids, swept) if not isinstance(m, ValidationError)}
     if not models:
         raise ValidationError("no pixel could support an AR fit")
     return models
@@ -323,14 +322,13 @@ def _predict_ar(models, data, split):
     ks = [idx[pid] for pid in pids]
     ar = [models[pid] for pid in pids]
     mask = data.mask[ks, t0:t1]
-    theta = np.where(mask, data.targets[ks, t0:t1], 0.0)
+    theta = data.targets[ks, t0:t1]
     p_warm = max([m.p for m in ar] + [1])
-    warm = np.array([_ar_warmup(th, m, p_warm) for th, m in zip(theta, mask)])
+    warm = np.array([_ar_warmup(th, m, p_warm, pid) for th, m, pid in zip(theta, mask, pids)])
     test = ar_forecast_batch(ar, data.inputs[ks, e0:e1], warm.reshape(-1, p_warm))
     return {"train": {pid: _ar_in_sample(m, th, mk, x) for pid, m, th, mk, x
                       in zip(pids, ar, theta, mask, data.inputs[ks, t0:t1])},
             "test": dict(zip(pids, test))}
-
 
 
 @dataclass(frozen=True)
@@ -350,7 +348,6 @@ def _fit_nn(point: bool):
     return lambda X, y, b, seed: fit_ffnn(
         X, y, hidden_size=b.ffnn_hidden_point if point else b.ffnn_hidden,
         l2=b.ffnn_l2, seed=seed, max_epochs=b.ffnn_epochs)
-
 
 
 MODEL_KINDS = {

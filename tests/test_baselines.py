@@ -395,14 +395,38 @@ class TestArKernels:
             model, best_p, rmse_by_p = select_ar_order(
                 theta_fit[k], mask_fit[k], X_fit[k], theta_eval[k], mask_eval[k],
                 X_eval[k], warm[k], p_max=5, label=labels[k])
-            b_model, b_best, b_rmse = batched[k]
-            assert b_best == best_p and b_rmse == rmse_by_p, labels[k]
+            b_model = batched[k]
+            assert b_model.order == best_p, labels[k]
+            assert b_model.order_rmse == {str(p): v for p, v in rmse_by_p.items()}, labels[k]
             assert b_model.c == model.c
             assert np.array_equal(b_model.alpha, model.alpha)
             assert np.array_equal(b_model.gamma, model.gamma)
         # the every-other-day pixel rejects every order >= 1
-        assert batched[2][2] == {0: batched[2][2][0], **{p: float("inf") for p in range(1, 6)}}
-        assert batched[2][1] == 0
+        rmse = batched[2].order_rmse
+        assert rmse == {"0": rmse["0"], **{str(p): float("inf") for p in range(1, 6)}}
+        assert batched[2].order == 0
+
+    @pytest.mark.parametrize("fill", [np.nan, 999.0], ids=["nan", "999"])
+    def test_sweep_reads_only_observed_targets(self, fill):
+        # Unobserved fit and eval targets never enter a fit or a score: NaN or
+        # 999.0 there gives the models of zero-filled targets, bit for bit.
+        rng = np.random.default_rng(37)
+        theta, X = map(np.array, zip(*(simulate_arx(int(rng.integers(1000)), 460)
+                                       for _ in GAP_KINDS)))
+        mask = np.array([gappy_mask(rng, 460, kind) for kind in GAP_KINDS])
+
+        def sweep(value):
+            poisoned = np.where(mask, theta, value)
+            return select_ar_orders(poisoned[:, :300], mask[:, :300], X[:, :300],
+                                    poisoned[:, 300:], mask[:, 300:], X[:, 300:],
+                                    theta[:, 295:300], p_max=5)
+
+        def bits(m):
+            return (np.float64(m.c).tobytes(), m.alpha.tobytes(), m.gamma.tobytes(),
+                    m.order, m.order_rmse)
+        want, got = sweep(0.0), sweep(fill)
+        assert len({m.order for m in want}) > 1   # the pixels chose different orders
+        assert [bits(m) for m in got] == [bits(m) for m in want]
 
     def test_batched_sweep_returns_per_pixel_errors(self):
         rng = np.random.default_rng(5)

@@ -42,6 +42,12 @@ def each_pixel(payload, **fields):
         pixel.update(fields)
 
 
+def assert_failed(out):
+    """That the run manifest in ``out`` records a failed run."""
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["exit_code"] == 1
+
+
 def temporal_split():
     return {"kind": "temporal",
             "train_window": ["2000-01-01", "2000-12-30"],
@@ -605,9 +611,10 @@ class TestCliErrors:
         ("field 'W_fh'", lambda payload: payload["weights"]["W_fh"][0].__setitem__(0, True)),
         ("normalization section field 'mean'",
          lambda payload: payload["normalization"]["mean"].__setitem__(0, True)),
+        ("lacks normalization statistics", lambda payload: payload.update(normalization=None)),
     ], ids=["nan_weight", "nan_mean", "std_one_short", "zero_std", "config_str",
             "huge_hidden_size", "unknown_key", "normalization_unknown_key", "bool_weight",
-            "bool_mean"])
+            "bool_mean", "null_normalization"])
     def test_malformed_lstm_container_exits_one(self, tmp_path, capsys, needle, edit):
         data = str(tmp_path / "data")
         save_dataset(golden.golden_dataset(), data)
@@ -621,6 +628,103 @@ class TestCliErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert needle in err and f"error: {tmp_path / 'bad.json'}: " in err
+        assert_failed(tmp_path / "ev")
+
+    @pytest.mark.parametrize("text,needle", [(None, "not found"), ("{oops", "invalid JSON")],
+                             ids=["missing", "not_json"])
+    def test_unreadable_model_file_exits_one(self, workspace, tmp_path, capsys, text, needle):
+        _, data, split_cfg = workspace
+        model = tmp_path / "model.json"
+        if text is not None:
+            model.write_text(text)
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--data", data, "--split", split_cfg,
+                     "--model-file", str(model), "--out", str(out)]) == 1
+        assert f"error: {model}: {needle}" in capsys.readouterr().err
+        assert_failed(out)
+
+    @pytest.mark.parametrize("text,needle", [
+        (None, "training config file {} not found"),
+        ("{oops", "training config file {}: invalid JSON"),
+        ("[1, 2]", "training config must be a JSON object"),
+    ], ids=["missing", "not_json", "list"])
+    def test_unreadable_training_config_exits_one(self, workspace, tmp_path, capsys, text,
+                                                  needle):
+        _, data, split_cfg = workspace
+        cfg = tmp_path / "train.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "run"
+        assert main(["train", "--model", "lasso", "--data", data, "--split", split_cfg,
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        assert needle.format(cfg) in capsys.readouterr().err
+        assert_failed(out)
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("text,needle", [
+        ("", "empty file"),
+        ("day,target,precip\n", "header must start with date,target"),
+    ], ids=["empty", "header"])
+    def test_unreadable_pixel_csv_exits_one(self, workspace, tmp_path, capsys, text, needle):
+        # without the sidecar the load parses every pixel CSV
+        _, data, split_cfg = workspace
+        os.remove(os.path.join(data, SIDECAR))
+        path = os.path.join(data, "px_1_1.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = tmp_path / "run"
+        assert main(["train", "--model", "lasso", "--data", data, "--split", split_cfg,
+                     "--out", str(out)]) == 1
+        assert f"error: {path}: {needle}" in capsys.readouterr().err
+        assert_failed(out)
+
+    def test_container_trained_with_lsm_on_a_dataset_without_exits_one(self, workspace,
+                                                                       tmp_path, capsys):
+        _, data, split_cfg = workspace
+        with_lsm = str(tmp_path / "lsm")
+        assert main(["synth", "--config", write_json(tmp_path / "synth_lsm.json",
+                                                     synth_config(include_lsm=True)),
+                     "--out", with_lsm]) == 0
+        run = tmp_path / "run"
+        assert main(["train", "--model", "lasso", "--data", with_lsm, "--split", split_cfg,
+                     "--out", str(run)]) == 0
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--data", data, "--split", split_cfg,
+                     "--model-file", str(run / "model.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {run / 'model.json'}: stats channels" in err and "do not match" in err
+        assert_failed(out)
+
+    def test_ar_p_without_a_warmup_observation_names_the_pixel(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        assert main(["synth", "--config", write_json(tmp_path / "synth.json", synth_config(
+            rows=2, cols=2, include_lsm=True)), "--out", data]) == 0
+        split_cfg = write_json(tmp_path / "split.json", temporal_split())
+        run = tmp_path / "run"
+        assert main(["train", "--model", "ar_p", "--data", data, "--split", split_cfg,
+                     "--out", str(run)]) == 0
+        ds = load_dataset(data)
+        ds.pixels[1].target[:365] = np.nan   # no observed day in the train window
+        ds.pixels[1].mask[:365] = False
+        blind = str(tmp_path / "blind")
+        save_dataset(ds, blind)
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--data", blind, "--split", split_cfg,
+                     "--model-file", str(run / "model.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: {run / 'model.json'}: no observations for AR warmup for pixel px_0_1\n")
+        assert_failed(out)
+
+    def test_synth_out_an_existing_file_exits_two(self, tmp_path, capsys):
+        # neither the dataset nor the run manifest can be written there
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert main(["synth", "--config", write_json(tmp_path / "synth.json", synth_config(
+            rows=1, cols=2, years=1)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "failure: FileExistsError" in err and str(out) in err
+        assert "cannot write the run manifest" in err
+        assert out.read_text() == "keep"
 
     def test_failed_run_still_writes_its_manifest(self, tmp_path, capsys):
         data = str(tmp_path / "data")
@@ -744,13 +848,16 @@ class TestConfigValidation:
         ({"synthetic": [1, 2]}, "synthetic section must be a JSON object"),
         ({"synthetic": synth_config(), "ar_max_order": 6}, "ar_max_order"),
         ({"synthetic": synth_config(years=3), "window_days": 0}, "window_days"),
+        ({"synthetic": synth_config(years=2), "train_years": 2},
+         "training window leaves no hindcast period"),
     ], ids=["misspelt_key", "section_not_object", "ar_order_out_of_range",
-            "empty_window"])
+            "empty_window", "no_hindcast_years"])
     def test_bad_hindcast_config_exits_one(self, tmp_path, capsys, doc, needle):
         cfg = write_json(tmp_path / "h.json", {"training": train_config(epochs=2), **doc})
         code = main(["hindcast", "--config", cfg, "--out", str(tmp_path / "h")])
         assert code == 1
         assert needle in capsys.readouterr().err
+        assert_failed(tmp_path / "h")
 
     @pytest.mark.parametrize("command,edit,needle", [
         ("synth", {"seed": -1}, "seed must be >= 0"),
@@ -760,12 +867,16 @@ class TestConfigValidation:
         ("synth", {"depth_mm": [300.0, 200.0]}, "'depth_mm' must be a [low, high] range"),
         ("synth", {"wet_day_prob": [1.5, 2.0]}, "'wet_day_prob' must lie in [0, 1]"),
         ("synth", {"wet_day_prob": [-0.1, 0.5]}, "'wet_day_prob' must lie in [0, 1]"),
+        ("split", {"train_window": ["2000-06-01", "2000-01-01"]},
+         "window ('2000-06-01', '2000-01-01') ends before it starts"),
     ], ids=["synth_seed", "train_seed", "hindcast_training_seed", "porosity_reversed",
-            "depth_reversed", "wet_day_prob_above_one", "wet_day_prob_below_zero"])
+            "depth_reversed", "wet_day_prob_above_one", "wet_day_prob_below_zero",
+            "split_window_reversed"])
     def test_out_of_range_value_exits_one(self, workspace, tmp_path, capsys, command, edit,
                                           needle):
         assert self.run_edited(workspace, tmp_path, command, edit) == 1
         assert needle in capsys.readouterr().err
+        assert_failed(tmp_path / "out")
 
     @pytest.mark.parametrize("command,edit,field", [
         ("train", {"hidden_size": "4"}, "hidden_size"),

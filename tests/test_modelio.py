@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -270,3 +271,30 @@ class TestSchema:
         self.level(payload, level)[key] = value
         with pytest.raises(ValidationError, match=rf"unknown field\(s\) \['{key}'\]"):
             MODEL_KINDS[kind].payload.from_dict(payload, "model container")
+
+
+class TestArPoint:
+    @pytest.mark.parametrize("fill", [np.nan, 999.0], ids=["nan", "999"])
+    def test_fit_and_predict_read_only_observed_targets(self, fill):
+        # ar_p's fit and predict read each pixel's observed targets only: NaN
+        # or 999.0 on the unobserved days gives the models and predictions of
+        # zero-filled targets, bit for bit.
+        ds = generate_synthetic(SyntheticConfig(rows=2, cols=2, years=2, revisit_days=1,
+                                                seed=5))
+        split = make_split(ds, SplitSpec("temporal", ("2000-01-01", "2000-12-30"),
+                                         ("2000-12-31", "2001-12-30")))
+        data, train_data, stats = prepare_split(ds, split)
+        entry = MODEL_KINDS["ar_p"]
+
+        def run(value):
+            def poison(d):   # every 7th day unobserved, so orders up to 5 fit
+                mask = d.mask.copy()
+                mask[:, ::7] = False
+                return dataclasses.replace(d, mask=mask, targets=np.where(mask, d.targets, value))
+            models = entry.fit(poison(train_data), split, None, BaselineSettings(), 0)
+            predicted = entry.predict(models, poison(data), split)
+            assert any(m.order > 0 for m in models.values())
+            return (json.dumps(model_payload("ar_p", models, data.feature_names, stats)),
+                    {phase: {pid: y.tobytes() for pid, y in series.items()}
+                     for phase, series in predicted.items()})
+        assert run(fill) == run(0.0)
