@@ -337,7 +337,8 @@ def select_ar_orders(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
 
     Returns one entry per pixel: the :class:`ArModel` at the chosen order,
     whose ``order_rmse`` records every order's score (inf from the first
-    rejected one), or the pixel's ValidationError.
+    rejected one, and for an order whose forecast overflows), or the pixel's
+    ValidationError.
     """
     n = len(theta_fit)
     labels = labels or [""] * n
@@ -367,12 +368,14 @@ def select_ar_orders(theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval,
             fitted.append(k)
         if not fitted:
             break
-        pred = ar_forecast_batch([models[k][p] for k in fitted], X_eval[fitted],
-                                 warmups[fitted])
-        for row, k in zip(pred, fitted):
-            seen = mask_eval[k]
-            err = row[seen] - theta_eval[k][seen]
-            rmse_by_p[k][p] = float(np.sqrt(np.mean(err * err)))
+        with np.errstate(over="ignore", invalid="ignore"):   # an explosive order scores inf
+            pred = ar_forecast_batch([models[k][p] for k in fitted], X_eval[fitted],
+                                     warmups[fitted])
+            for row, k in zip(pred, fitted):
+                seen = mask_eval[k]
+                err = row[seen] - theta_eval[k][seen]
+                rmse = float(np.sqrt(np.mean(err * err)))
+                rmse_by_p[k][p] = rmse if np.isfinite(rmse) else float("inf")
         active = fitted
     for k in range(n):
         if results[k] is not None:

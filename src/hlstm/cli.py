@@ -158,7 +158,10 @@ def cmd_synth(args, manifest: RunManifest) -> int:
 def cmd_split(args, manifest: RunManifest) -> int:
     dataset = load_dataset(args.data)
     spec = SplitSpec.from_dict(_load_json(args.config, "split spec"), "split spec")
-    split = make_split(dataset, spec)
+    try:
+        split = make_split(dataset, spec)
+    except ValidationError as exc:
+        raise ValidationError(f"split spec file {args.config}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     write_json_atomic(os.path.join(args.out, "split.json"), split.to_dict())
     manifest.doc["config"] = spec.to_dict()

@@ -162,7 +162,9 @@ class GridDataset:
     def date_index(self, d: dt.date) -> int:
         idx = (d - self.start_date).days
         if not (0 <= idx < self.n_days):
-            raise ValidationError(f"date {d.isoformat()} outside the dataset range")
+            last = self.start_date + dt.timedelta(days=self.n_days - 1)
+            raise ValidationError(f"date {d.isoformat()} outside the dataset range "
+                                  f"{self.start_date.isoformat()}..{last.isoformat()}")
         return idx
 
     @property

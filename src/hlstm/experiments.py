@@ -79,21 +79,25 @@ class Split(Config):
         return self
 
 
-def _window_indices(dataset: GridDataset, window: tuple[str, str] | None):
+def _window_indices(dataset: GridDataset, spec: SplitSpec, name: str):
+    """The [t0, t1) days of the spec's window ``name``; errors name it."""
+    window = getattr(spec, name)
     if window is None:
         return (0, dataset.n_days)
-    start = dataset.date_index(parse_date(window[0]))
-    end = dataset.date_index(parse_date(window[1]))
+    try:
+        start, end = (dataset.date_index(parse_date(d, f"{name} ")) for d in window)
+    except ValidationError as exc:
+        raise ValidationError(f"{name} {window[0]}..{window[1]}: {exc}") from None
     if end < start:
-        raise ValidationError(f"window {window} ends before it starts")
+        raise ValidationError(f"{name} {window[0]}..{window[1]} ends before it starts")
     return (start, end + 1)
 
 
 def make_split(dataset: GridDataset, spec: SplitSpec) -> Split:
     spec.validate()
-    tr = te = _window_indices(dataset, spec.train_window)
+    tr = te = _window_indices(dataset, spec, "train_window")
     if spec.kind == "temporal":
-        te = _window_indices(dataset, spec.test_window)
+        te = _window_indices(dataset, spec, "test_window")
         pixels = [px.pixel_id for px in dataset.pixels]
         train_px, test_px = pixels, list(pixels)
     elif spec.kind == "spatial_subsample":
@@ -406,6 +410,12 @@ class HindcastConfig(Config):
     def validate(self):
         if self.train_years < 1:
             raise ValidationError(f"train_years must be >= 1, got {self.train_years}")
+        if self.train_years >= self.synthetic.years:
+            raise ValidationError(f"train_years ({self.train_years}) must be less than "
+                                  f"synthetic.years ({self.synthetic.years}): the training "
+                                  "window leaves no hindcast period")
+        if self.window_days < 1:
+            raise ValidationError(f"window_days must be >= 1, got {self.window_days}")
         if not 0 <= self.ar_max_order <= AR_MAX_ORDER:
             raise ValidationError(f"ar_max_order must lie in [0, {AR_MAX_ORDER}], "
                                   f"got {self.ar_max_order}")

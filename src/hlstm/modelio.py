@@ -274,16 +274,14 @@ def _rows(fit_rows, point=False):
     MIN_POINT_ROWS of them."""
     def fit(train_data, split, lstm_config, baselines, seed):
         t0, t1 = split.train_window
-        rows = {}
-        for k, pid in enumerate(train_data.pixel_ids):
-            m = train_data.mask[k, t0:t1]
-            if m.sum() >= (MIN_POINT_ROWS if point else 1):
-                rows[pid] = (train_data.inputs[k, t0:t1][m], train_data.targets[k, t0:t1][m])
-        if not rows:
+        mask, X, y = (a[:, t0:t1] for a in (train_data.mask, train_data.inputs, train_data.targets))
+        keep = np.flatnonzero(mask.sum(axis=1) >= (MIN_POINT_ROWS if point else 1))
+        if not keep.size:
             raise ValidationError("no pixel had enough observed training rows to fit")
-        if not point:
-            return fit_rows(*map(np.concatenate, zip(*rows.values())), baselines, seed)
-        return {pid: fit_rows(X, y, baselines, seed) for pid, (X, y) in rows.items()}
+        if not point:   # each pixel's observed days in turn, in one gather
+            return fit_rows(X[mask], y[mask], baselines, seed)
+        return {train_data.pixel_ids[k]: fit_rows(X[k][mask[k]], y[k][mask[k]], baselines, seed)
+                for k in keep}
 
     def predict(model, data, split):
         if point:
@@ -299,6 +297,7 @@ def _fit_ar(train_data, split, lstm_config, baselines, seed):
     (t0, t1), (e0, e1) = split.train_window, split.test_window
     ks = np.flatnonzero(train_data.mask[:, t0:t1].sum(axis=1) >= MIN_POINT_ROWS)
     pids = [train_data.pixel_ids[k] for k in ks]
+    ks = slice(None) if len(ks) == train_data.n_pixels else ks   # a slice gives views
     mask = train_data.mask[ks, t0:t1]
     theta = train_data.targets[ks, t0:t1]
     warm = np.array([_ar_warmup(th, m, baselines.ar_max_order, pid)

@@ -109,13 +109,14 @@ class SequenceData:
         return self.inputs.shape[1]
 
     def subset(self, pixel_ids) -> "SequenceData":
+        """The rows of ``pixel_ids``; the data's own list, in order, shares its arrays."""
         index = {pid: k for k, pid in enumerate(self.pixel_ids)}
         try:
             rows = [index[pid] for pid in pixel_ids]
         except KeyError as exc:
             raise ValidationError(f"unknown pixel id {exc.args[0]!r}") from exc
-        sel = np.asarray(rows, dtype=int)
-        return replace(self, pixel_ids=list(pixel_ids), inputs=self.inputs[sel],
+        sel = slice(None) if rows == list(range(self.n_pixels)) else rows
+        return replace(self, pixel_ids=[self.pixel_ids[k] for k in rows], inputs=self.inputs[sel],
                        targets=self.targets[sel], mask=self.mask[sel])
 
 

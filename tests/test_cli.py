@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,29 @@ class TestTrainEvaluate:
         out = self.train(tmp_path, data, split_cfg, model, f"run_{model}", extra)
         doc = json.loads((out / "model.json").read_text())
         assert doc["kind"] == model
+
+    def test_ar_p_train_holds_one_copy_of_the_inputs(self, tmp_path):
+        # On a temporal split the train data is the data itself, and the AR
+        # sweep reads slices of it. Allocations peak at the loaded dataset,
+        # its normalized copy and one (pixels, days, features) input array:
+        # 2.46 times that array's bytes. Copying the inputs for the train
+        # pixels and again for the sweep took it to 4.66 times.
+        cfg = write_json(tmp_path / "synth.json",
+                         synth_config(rows=4, cols=4, years=3, revisit_days=3, include_lsm=True))
+        data = str(tmp_path / "data")
+        assert main(["synth", "--config", cfg, "--out", data]) == 0
+        split_cfg = write_json(tmp_path / "split.json", {
+            "kind": "temporal", "train_window": ["2000-01-01", "2001-12-30"],
+            "test_window": ["2001-12-31", "2002-12-30"]})
+        tracemalloc.start()
+        try:
+            out = self.train(tmp_path, data, split_cfg, "ar_p", "ar_p")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_features = len(json.loads((out / "model.json").read_text())["payload"]["feature_names"])
+        inputs_bytes = 16 * 3 * 365 * n_features * 8
+        assert peak < 3.0 * inputs_bytes
 
     def test_evaluate_reports(self, workspace, tmp_path):
         tmp, data, split_cfg = workspace
@@ -846,18 +870,22 @@ class TestConfigValidation:
     @pytest.mark.parametrize("doc,needle", [
         ({"synthetic": synth_config(), "train_yaers": 2}, "train_yaers"),
         ({"synthetic": [1, 2]}, "synthetic section must be a JSON object"),
-        ({"synthetic": synth_config(), "ar_max_order": 6}, "ar_max_order"),
+        ({"synthetic": synth_config(years=3), "ar_max_order": 6}, "ar_max_order"),
         ({"synthetic": synth_config(years=3), "window_days": 0}, "window_days"),
         ({"synthetic": synth_config(years=2), "train_years": 2},
-         "training window leaves no hindcast period"),
+         "train_years (2) must be less than synthetic.years (2): the training window "
+         "leaves no hindcast period"),
     ], ids=["misspelt_key", "section_not_object", "ar_order_out_of_range",
             "empty_window", "no_hindcast_years"])
     def test_bad_hindcast_config_exits_one(self, tmp_path, capsys, doc, needle):
+        # every case is rejected before the dataset is generated, so --data stays unwritten
         cfg = write_json(tmp_path / "h.json", {"training": train_config(epochs=2), **doc})
-        code = main(["hindcast", "--config", cfg, "--out", str(tmp_path / "h")])
+        code = main(["hindcast", "--config", cfg, "--out", str(tmp_path / "h"),
+                     "--data", str(tmp_path / "d")])
         assert code == 1
         assert needle in capsys.readouterr().err
         assert_failed(tmp_path / "h")
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("command,edit,needle", [
         ("synth", {"seed": -1}, "seed must be >= 0"),
@@ -868,10 +896,13 @@ class TestConfigValidation:
         ("synth", {"wet_day_prob": [1.5, 2.0]}, "'wet_day_prob' must lie in [0, 1]"),
         ("synth", {"wet_day_prob": [-0.1, 0.5]}, "'wet_day_prob' must lie in [0, 1]"),
         ("split", {"train_window": ["2000-06-01", "2000-01-01"]},
-         "window ('2000-06-01', '2000-01-01') ends before it starts"),
+         "bad.json: train_window 2000-06-01..2000-01-01 ends before it starts"),
+        ("split", {"test_window": ["2000-12-31", "2002-06-01"]},
+         "bad.json: test_window 2000-12-31..2002-06-01: date 2002-06-01 outside the "
+         "dataset range 2000-01-01..2001-12-30"),
     ], ids=["synth_seed", "train_seed", "hindcast_training_seed", "porosity_reversed",
             "depth_reversed", "wet_day_prob_above_one", "wet_day_prob_below_zero",
-            "split_window_reversed"])
+            "split_window_reversed", "split_window_out_of_range"])
     def test_out_of_range_value_exits_one(self, workspace, tmp_path, capsys, command, edit,
                                           needle):
         assert self.run_edited(workspace, tmp_path, command, edit) == 1

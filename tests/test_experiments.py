@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,22 @@ class TestHindcast:
         a = [r["rmse"] for r in res.rmse_rows if r["model"] == "ar_p"]
         b = [r["rmse"] for r in res2.rmse_rows if r["model"] == "ar_p"]
         assert a == b
+
+    def test_an_explosive_ar_order_scores_inf_without_a_warning(self):
+        # Some orders fitted on this record forecast the hindcast days into
+        # overflow. The sweep scores them inf, never NaN, and warns of none.
+        ds = generate_synthetic(SyntheticConfig(rows=8, cols=8, years=6, revisit_days=2,
+                                                irregular_revisit=True, noise_kind="white",
+                                                noise_param=0.04, seed=0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_hindcast_experiment(ds, train_days=730, lstm_config=tiny_lstm_config(
+                unroll_length=30, epochs=1))
+        assert [str(w.message) for w in caught] == []
+        scores = [m.order_rmse for m in res.models["ar_p"]]
+        assert not any(math.isnan(v) for s in scores for v in s.values())
+        # pixel 23's AR(4) was fitted, and its closed-loop forecast overflows
+        assert scores[23]["3"] < 1 and scores[23]["4"] == math.inf
 
     def test_window_rmse_equals_the_per_pixel_loop(self, monkeypatch):
         seen = []

@@ -7,7 +7,8 @@ import pytest
 
 import golden
 
-from hlstm.baselines import ArModel, BaselineSettings, FfnnModel, LassoModel
+from hlstm import modelio
+from hlstm.baselines import ArModel, BaselineSettings, FfnnModel, LassoModel, select_ar_orders
 from hlstm.dataset import NormalizationStats
 from hlstm.errors import DataError, ValidationError
 from hlstm.experiments import SplitSpec, make_split, prepare_split
@@ -298,3 +299,82 @@ class TestArPoint:
                     {phase: {pid: y.tobytes() for pid, y in series.items()}
                      for phase, series in predicted.items()})
         assert run(fill) == run(0.0)
+
+
+def read_only(data):
+    """``data`` with read-only views of its arrays: a fit that writes raises."""
+    def view(a):
+        v = a.view()
+        v.flags.writeable = False
+        return v
+    return dataclasses.replace(data, inputs=view(data.inputs), targets=view(data.targets),
+                               mask=view(data.mask))
+
+
+class TestFitInputs:
+    """A fit reads the model inputs it is given and copies none it need not."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        ds = generate_synthetic(SyntheticConfig(rows=2, cols=3, years=2, revisit_days=2,
+                                                include_lsm=True, seed=5))
+        split = make_split(ds, SplitSpec("temporal", ("2000-01-01", "2000-12-30"),
+                                         ("2000-12-31", "2001-12-30")))
+        return split, *prepare_split(ds, split)
+
+    def test_temporal_split_trains_on_the_data_itself(self, prepared):
+        _, data, train_data, _ = prepared
+        assert train_data.pixel_ids == data.pixel_ids
+        for name in ("inputs", "targets", "mask"):
+            assert np.shares_memory(getattr(train_data, name), getattr(data, name))
+        # any other pixel list is a copy, in the order asked for
+        reordered = data.subset(data.pixel_ids[::-1])
+        assert not np.shares_memory(reordered.inputs, data.inputs)
+        np.testing.assert_array_equal(reordered.inputs, data.inputs[::-1])
+
+    def test_ar_sweep_reads_views_when_every_pixel_qualifies(self, prepared, monkeypatch):
+        split, _, train_data, _ = prepared
+        calls = []
+
+        def spy(*args, **kw):
+            calls.append(args)
+            return select_ar_orders(*args, **kw)
+        monkeypatch.setattr(modelio, "select_ar_orders", spy)
+        MODEL_KINDS["ar_p"].fit(train_data, split, None, BaselineSettings(), 0)
+        theta_fit, mask_fit, X_fit, theta_eval, mask_eval, X_eval, _ = calls[0]
+        for arg, array in ((theta_fit, train_data.targets), (mask_fit, train_data.mask),
+                           (X_fit, train_data.inputs), (theta_eval, train_data.targets),
+                           (mask_eval, train_data.mask), (X_eval, train_data.inputs)):
+            assert arg.base is not None and np.shares_memory(arg, array)
+
+    def test_ar_fit_without_a_pixel_gives_the_others_their_models(self, prepared):
+        # a pixel short of MIN_POINT_ROWS training days leaves the sweep on a
+        # gathered copy of the rest, whose models are those of the full sweep
+        split, _, train_data, _ = prepared
+        fit = MODEL_KINDS["ar_p"].fit
+        full = fit(train_data, split, None, BaselineSettings(), 0)
+        mask = train_data.mask.copy()
+        mask[0, split.train_window[0]:split.train_window[1]] = False
+        short = fit(dataclasses.replace(train_data, mask=mask), split, None,
+                    BaselineSettings(), 0)
+        assert list(short) == train_data.pixel_ids[1:]
+        assert all(short[pid].to_dict() == full[pid].to_dict() for pid in short)
+
+    def test_shared_rows_are_each_pixels_observed_days_in_turn(self, prepared, monkeypatch):
+        split, _, train_data, _ = prepared
+        got = []
+        monkeypatch.setattr(modelio, "fit_lasso", lambda X, y, lam: got.append((X, y)))
+        MODEL_KINDS["lasso"].fit(train_data, split, None, BaselineSettings(), 0)
+        t0, t1 = split.train_window
+        rows = [(train_data.inputs[k, t0:t1][m], train_data.targets[k, t0:t1][m])
+                for k, m in enumerate(train_data.mask[:, t0:t1])]
+        X, y = got[0]
+        assert X.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+        assert y.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
+
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_every_fit_only_reads_its_inputs(self, prepared, kind):
+        split, _, train_data, _ = prepared
+        config = TrainingConfig(hidden_size=4, unroll_length=30, batch_size=4, epochs=2)
+        baselines = BaselineSettings(ffnn_epochs=5, ffnn_hidden=4, ffnn_hidden_point=3)
+        MODEL_KINDS[kind].fit(read_only(train_data), split, config, baselines, 0)
